@@ -65,7 +65,7 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 	// Per-filter batch state lives in pooled arrays parallel to the
 	// snapshot's slots (the snapshot itself is immutable and shared):
 	// cycle/accept accumulators flushed to the sharded counters once,
-	// block-profile scratch flushed once, latency histograms resolved
+	// block-profile scratch flushed once, per-owner instruments resolved
 	// once instead of per run.
 	wantCompiled := Backend(k.backend.Load()) == BackendCompiled
 	if cap(env.cycles) < len(slots) {
@@ -73,13 +73,12 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 		env.accepts = make([]int64, len(slots))
 		env.runs = make([]int64, len(slots))
 		env.bps = make([]*machine.BlockProfile, len(slots))
-		env.hists = make([]*telemetry.Histogram, len(slots))
 	}
 	cycles := env.cycles[:len(slots)]
 	accepts := env.accepts[:len(slots)]
 	runs := env.runs[:len(slots)]
 	bps := env.bps[:len(slots)]
-	hists := env.hists[:len(slots)]
+	own := env.ownerTels(tel, slots)
 	for i := range slots {
 		cycles[i] = 0
 		accepts[i] = 0
@@ -91,7 +90,6 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 		} else {
 			bps[i] = nil
 		}
-		hists[i] = tel.filterHist(slots[i].owner)
 		if slots[i].c == nil && wantCompiled {
 			// The kernel's default backend is compiled but this filter
 			// has no compiled form — it will dispatch interpreted.
@@ -100,8 +98,21 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 	}
 	var totalCycles int64
 	var delivered int64
+	// Observed dispatch records each run's simulated cycles (rc) in the
+	// hot loop and reads the clock once per batch (t0 here, the end in
+	// observeRuns): per-run latency is attributed from cycles at flush,
+	// so no (packet, filter) pair pays a clock read or a shared atomic.
+	timed := tel != nil
+	var rc []uint32
+	var t0 time.Time
+	if timed {
+		if n := len(pkts) * len(slots); cap(env.runCycles) < n {
+			env.runCycles = make([]uint32, 0, n)
+		}
+		rc = env.runCycles[:0]
+	}
 
-	flush := func() {
+	flush := func(rc []uint32) {
 		sh := &k.stats.shards[env.shard]
 		sh.packets.Add(delivered)
 		sh.cycles.Add(totalCycles)
@@ -110,14 +121,16 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 			if accepts[i] != 0 {
 				slots[i].f.accepts.add(int(env.shard), accepts[i])
 			}
-			tel.filterRunBatch(slots[i].owner, cycles[i], accepts[i])
+			own[i].attribute(cycles[i], accepts[i])
 			if bps[i] != nil {
 				// One expansion + atomic merge per filter per batch;
 				// the pooled environment must not pin the scratch.
 				slots[i].f.prof.flushBlocks(bps[i], runs[i])
 				bps[i] = nil
 			}
-			hists[i] = nil // don't pin histograms while pooled
+		}
+		if timed {
+			env.observeRuns(own, rc, t0, eid)
 		}
 	}
 
@@ -165,6 +178,10 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 	}
 	prefetchSink.Store(uint32(sink))
 
+	if timed {
+		t0 = time.Now()
+	}
+
 	for pi, data := range pkts {
 		usePool := len(data) <= maxPooledPacket
 		if usePool {
@@ -196,11 +213,6 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 				state = &env.state
 			} else {
 				state = k.packetState(pktgen.Packet{Data: data})
-			}
-			h := hists[si]
-			var t0 time.Time
-			if h != nil {
-				t0 = time.Now()
 			}
 			var res machine.Result
 			var err error
@@ -241,14 +253,14 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 					env.dirtyScratch = true
 				}
 			}
-			if h != nil {
-				h.ObserveSinceEID(t0, eid)
+			if timed {
+				rc = append(rc, uint32(res.Cycles))
 			}
 			if err != nil {
 				kind := dispatchFaultKind(err)
 				k.flight(kind, slots[si].owner, err.Error(), eid)
 				k.breakerFault(slots[si].owner, kind, eid)
-				flush()
+				flush(rc)
 				span.End(err)
 				return nil, fmt.Errorf("kernel: validated filter %q faulted: %w", slots[si].owner, err)
 			}
@@ -263,7 +275,7 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 		delivered++
 	}
 	env.aidx = aidx[:0]
-	flush()
+	flush(rc)
 	if supervised {
 		// The whole batch ran fault-free: one clean observation per
 		// filter (probation progress is per delivery, not per packet).

@@ -234,6 +234,10 @@ func NewWithCacheSize(size int) *Kernel {
 		e.shard = k.envSeq.Add(1) & k.shardMask
 		return e
 	}
+	// A pool's first use registers it under the runtime's global pool
+	// lock; doing that here keeps concurrent first deliveries from
+	// serializing on it.
+	k.statePool.Put(k.statePool.Get())
 	return k
 }
 
@@ -623,7 +627,14 @@ type packetEnv struct {
 	accepts []int64
 	runs    []int64
 	bps     []*machine.BlockProfile
-	hists   []*telemetry.Histogram
+	// Observed-delivery scratch (telemetry.go): each slot's resolved
+	// instruments, every run's simulated cycles in dispatch order, and
+	// during the flush one owner's local latency-bucket counts and the
+	// bucket bounds converted to cycles.
+	own       []*ownerTel
+	runCycles []uint32
+	latCounts []int64
+	latLimits []uint64
 }
 
 func newPacketEnv() *packetEnv {
@@ -811,9 +822,19 @@ func (k *Kernel) DeliverPacket(pkt pktgen.Packet) ([]string, error) {
 	t := k.table.Load()
 	sh := &k.stats.shards[env.shard]
 	sh.packets.Add(1)
-	tel.packet()
+	tel.packetBatch(1)
 	var accepted []string
 	var cycles int64
+	// Observed delivery: the same cycle-attributed latency as the batch
+	// path, with one clock pair around the whole delivery.
+	var own []*ownerTel
+	var rc []uint32
+	var t0 time.Time
+	if tel != nil {
+		own = env.ownerTels(tel, t.slots)
+		rc = env.runCycles[:0]
+		t0 = time.Now()
+	}
 	for i := range t.slots {
 		owner, f := t.slots[i].owner, t.slots[i].f
 		var state *machine.State
@@ -830,10 +851,16 @@ func (k *Kernel) DeliverPacket(pkt pktgen.Packet) ([]string, error) {
 		if usePool && wrote {
 			env.dirtyScratch = true
 		}
+		if tel != nil {
+			rc = append(rc, uint32(res.Cycles))
+		}
 		if err != nil {
 			// A validated extension cannot fault when the kernel meets
 			// the precondition; if it does, the kernel is broken.
 			sh.cycles.Add(cycles)
+			if tel != nil {
+				env.observeRuns(own, rc, t0, eid)
+			}
 			kind := dispatchFaultKind(err)
 			k.flight(kind, owner, err.Error(), eid)
 			k.breakerFault(owner, kind, eid)
@@ -849,9 +876,18 @@ func (k *Kernel) DeliverPacket(pkt pktgen.Packet) ([]string, error) {
 		if supervised {
 			k.breakerClean(owner, eid)
 		}
-		tel.filterRun(owner, res.Cycles, ok)
+		if tel != nil {
+			accepts := int64(0)
+			if ok {
+				accepts = 1
+			}
+			own[i].attribute(res.Cycles, accepts)
+		}
 	}
 	sh.cycles.Add(cycles)
+	if tel != nil {
+		env.observeRuns(own, rc, t0, eid)
+	}
 	span.End(nil)
 	return accepted, nil
 }

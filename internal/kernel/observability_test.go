@@ -359,8 +359,177 @@ func TestBatchZeroAllocWithObservabilityOff(t *testing.T) {
 	if err := k.SetBackend(BackendCompiled); err != nil {
 		t.Fatal(err)
 	}
-	// A batch whose packets are all rejected keeps the result rows nil:
-	// only the two result headers remain.
+	allocs := rejectedBatchAllocs(t, k)
+	// DeliverPackets allocates its result slices (names + rows); with
+	// every packet rejected that is two allocations.
+	if allocs > 2 {
+		t.Errorf("observability-off DeliverPackets allocates %.1f objects/op, want <= 2", allocs)
+	}
+}
+
+// dispatchSpans sums the recorded dispatch and dispatch_batch span
+// durations and collects their EventIDs.
+func dispatchSpans(t *testing.T, rec *telemetry.Recorder) (time.Duration, map[uint64]bool) {
+	t.Helper()
+	if d := rec.Trace().Dropped(); d != 0 {
+		t.Fatalf("trace ring dropped %d spans; the reconciliation needs them all", d)
+	}
+	var total time.Duration
+	eids := map[uint64]bool{}
+	for _, e := range rec.Trace().Events() {
+		if e.Stage == telemetry.StageDispatch || e.Stage == telemetry.StageDispatchBatch {
+			total += time.Duration(e.DurNanos)
+			eids[e.Event] = true
+		}
+	}
+	return total, eids
+}
+
+// checkLatencyFamily reconciles the per-owner latency histograms with
+// the deliveries: each owner's count is exactly its runs, the summed
+// seconds are positive and within the dispatch spans' total duration
+// (the runs' time is attributed from a clock pair inside each span),
+// and every non-empty bucket's exemplar is a recorded dispatch span's
+// EventID.
+func checkLatencyFamily(t *testing.T, rec *telemetry.Recorder, wantRuns map[string]int64) {
+	t.Helper()
+	spans, eids := dispatchSpans(t, rec)
+	var sum time.Duration
+	for owner, want := range wantRuns {
+		h := rec.LabeledHistogram(MetricFilterLatency, "filter", owner, nil)
+		if got := h.Count(); got != want {
+			t.Errorf("%q: latency histogram counts %d runs, want %d", owner, got, want)
+		}
+		var inBuckets int64
+		ex := h.Exemplars()
+		for b, c := range h.BucketCounts() {
+			inBuckets += c
+			if c != 0 && !eids[ex[b]] {
+				t.Errorf("%q: bucket %d exemplar %d is no dispatch span's EventID", owner, b, ex[b])
+			}
+		}
+		if inBuckets != want {
+			t.Errorf("%q: buckets hold %d runs, want %d", owner, inBuckets, want)
+		}
+		sum += h.Sum()
+	}
+	if sum <= 0 || sum > spans {
+		t.Errorf("latency family sums to %v, want in (0, %v] (the dispatch spans' total)", sum, spans)
+	}
+}
+
+// TestFilterLatencyReconciles: on both dispatch paths, the cycle-
+// attributed per-owner latency histograms count every run exactly
+// once, attribute no more time than the dispatch spans lasted, and tag
+// buckets with the delivering span's EventID.
+func TestFilterLatencyReconciles(t *testing.T) {
+	pkts := pktgen.Generate(96, pktgen.Config{Seed: 21})
+	boot := func(t *testing.T) (*Kernel, *telemetry.Recorder, []string) {
+		k := New()
+		rec := telemetry.NewWith(telemetry.Options{Window: &telemetry.WindowOptions{}})
+		k.SetRecorder(rec)
+		owners := installProfiledSet(t, k)
+		if err := k.SetBackend(BackendCompiled); err != nil {
+			t.Fatal(err)
+		}
+		k.SetProfiling(true)
+		return k, rec, owners
+	}
+	runsPer := func(owners []string, n int64) map[string]int64 {
+		m := map[string]int64{}
+		for _, o := range owners {
+			m[o] = n
+		}
+		return m
+	}
+
+	t.Run("batch", func(t *testing.T) {
+		k, rec, owners := boot(t)
+		raw := make([][]byte, len(pkts))
+		for i, p := range pkts {
+			raw[i] = p.Data
+		}
+		const rounds = 5
+		for r := 0; r < rounds; r++ {
+			if _, err := k.DeliverPackets(raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkLatencyFamily(t, rec, runsPer(owners, rounds*int64(len(raw))))
+	})
+
+	t.Run("single", func(t *testing.T) {
+		k, rec, owners := boot(t)
+		for _, p := range pkts {
+			if _, err := k.DeliverPacket(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkLatencyFamily(t, rec, runsPer(owners, int64(len(pkts))))
+	})
+
+	t.Run("fault_mid_batch", func(t *testing.T) {
+		k, rec, owners := boot(t)
+		// Sorted last, so every other filter runs on the faulting
+		// packet before it: a wild load on 200-byte packets only.
+		injectFilter(k, "zz-wild", "CMPEQ r2, 200, r5\nBEQ r5, ok\nLDQ r0, 0(r4)\nok: RET")
+		const faultAt = 7
+		var raw [][]byte
+		for _, p := range pkts {
+			if len(p.Data) != 200 {
+				raw = append(raw, p.Data)
+			}
+			if len(raw) == faultAt {
+				break
+			}
+		}
+		bad := make([]byte, 200)
+		bad[12], bad[13] = 0x08, 0x00
+		raw = append(raw, bad, raw[0], raw[1])
+		if _, err := k.DeliverPackets(raw); err == nil {
+			t.Fatal("wild load did not fault mid-batch")
+		}
+		// Runs before the fault count; the faulting run counts once;
+		// nothing after it ran.
+		want := runsPer(append(owners, "zz-wild"), faultAt+1)
+		checkLatencyFamily(t, rec, want)
+	})
+}
+
+// TestBatchAllocsServedPosture pins the served posture's allocation
+// bound to the observability-off one: with a windowed recorder, flight
+// recorder, audit log, and compiled profiling all on, an all-rejected
+// batch allocates only its two result headers — the pooled per-run
+// cycle record must not turn into a per-batch allocation.
+func TestBatchAllocsServedPosture(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop Puts, distorting allocation counts")
+	}
+	bins := certAll(t)
+	tn, err := NewRegistry().Create("served")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := tn.Kernel
+	k.SetAuditLog(slog.New(tn.Audit.Handler(slog.NewJSONHandler(io.Discard, nil))))
+	if err := k.InstallFilter("hot", bins[filters.Filter4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.SetBackend(BackendCompiled); err != nil {
+		t.Fatal(err)
+	}
+	k.SetProfiling(true)
+	allocs := rejectedBatchAllocs(t, k)
+	if allocs > 2 {
+		t.Errorf("served-posture DeliverPackets allocates %.1f objects/op, want <= 2", allocs)
+	}
+}
+
+// rejectedBatchAllocs measures DeliverPackets' allocations per call
+// over a batch of 16 packets every installed filter rejects, so the
+// result rows stay nil and only the two result headers remain.
+func rejectedBatchAllocs(t *testing.T, k *Kernel) float64 {
+	t.Helper()
 	var raw [][]byte
 	for _, p := range pktgen.Generate(300, pktgen.Config{Seed: 11}) {
 		owners, err := k.DeliverPacket(p)
@@ -377,14 +546,9 @@ func TestBatchZeroAllocWithObservabilityOff(t *testing.T) {
 	if len(raw) < 16 {
 		t.Skip("not enough rejected packets in trace")
 	}
-	allocs := testing.AllocsPerRun(100, func() {
+	return testing.AllocsPerRun(100, func() {
 		if _, err := k.DeliverPackets(raw); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// DeliverPackets allocates its result slices (names + rows); with
-	// every packet rejected that is two allocations.
-	if allocs > 2 {
-		t.Errorf("observability-off DeliverPackets allocates %.1f objects/op, want <= 2", allocs)
-	}
 }

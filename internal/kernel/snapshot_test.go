@@ -11,6 +11,8 @@ package kernel
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"log/slog"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -468,5 +470,77 @@ func BenchmarkDeliverPacketsParallel(b *testing.B) {
 				b.ReportMetric(float64(b.N)*float64(len(raw))/secs, "pkts/s")
 			}
 		})
+	}
+}
+
+// BenchmarkDeliverPacketsObserved measures batch dispatch per packet in
+// three postures at 1 and 2 goroutines over one shared kernel: bare
+// (compiled backend, no observers), compiled+prof (cycle profiling on),
+// and served (the posture a registry tenant serves in: windowed
+// recorder, flight recorder, audit log, compiled backend, profiling).
+// The served/compiled+prof gap is the cost of always-on telemetry.
+func BenchmarkDeliverPacketsObserved(b *testing.B) {
+	bins := certAll(b)
+	pkts := pktgen.Generate(256, pktgen.Config{Seed: 3})
+	raw := make([][]byte, len(pkts))
+	for i, p := range pkts {
+		raw[i] = p.Data
+	}
+	postures := []struct {
+		name string
+		boot func() (*Kernel, error)
+	}{
+		{"bare", func() (*Kernel, error) { return New(), nil }},
+		{"compiled+prof", func() (*Kernel, error) {
+			k := New()
+			k.SetProfiling(true)
+			return k, nil
+		}},
+		{"served", func() (*Kernel, error) {
+			tn, err := NewRegistry().Create("bench")
+			if err != nil {
+				return nil, err
+			}
+			tn.Kernel.SetAuditLog(slog.New(tn.Audit.Handler(slog.NewJSONHandler(io.Discard, nil))))
+			tn.Kernel.SetProfiling(true)
+			return tn.Kernel, nil
+		}},
+	}
+	for _, ps := range postures {
+		for _, g := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/goroutines=%d", ps.name, g), func(b *testing.B) {
+				k, err := ps.boot()
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, f := range filters.All {
+					if err := k.InstallFilter(fmt.Sprintf("proc-%d", f), bins[f]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := k.SetBackend(BackendCompiled); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				for w := 0; w < g; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for next.Add(1) <= int64(b.N) {
+							if _, err := k.DeliverPackets(raw); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(raw)), "ns/pkt")
+			})
+		}
 	}
 }

@@ -9,6 +9,9 @@
 package kernel
 
 import (
+	"math"
+	"math/bits"
+	"sync"
 	"time"
 
 	pcc "repro"
@@ -29,9 +32,11 @@ const (
 	// untrusted string — the exposition escapes it).
 	MetricFilterAccepts = "pcc_filter_accepts_total"
 	MetricFilterCycles  = "pcc_filter_cycles_total"
-	// MetricFilterLatency is the per-owner dispatch-latency histogram
-	// family (batch path), on the sub-µs log-scale dispatch buckets so
-	// tail latency per filter is readable, not one giant first bucket.
+	// MetricFilterLatency is the per-owner filter-run latency histogram
+	// family (both dispatch paths; each run's cycles times its
+	// delivery's measured ns per cycle, see observeRuns), on the sub-µs
+	// log-scale dispatch buckets so tail latency per filter is
+	// readable, not one giant first bucket.
 	MetricFilterLatency = "pcc_filter_run_seconds"
 	// Robustness metrics (robust.go): rejections classified by reason
 	// (limit, deadline, panic, proof, quarantine, queue_full) and the
@@ -63,6 +68,7 @@ var certSizeBounds = telemetry.LogBounds(8, 1<<20)
 // the disabled state; every method tolerates it.
 type telem struct {
 	rec            *telemetry.Recorder
+	owners         sync.Map // owner -> *ownerTel
 	installed      *telemetry.Counter
 	rejected       *telemetry.Counter
 	cacheHits      *telemetry.Counter
@@ -202,14 +208,6 @@ func (t *telem) setQuarantined(n int) {
 	t.quarantined.Set(int64(n))
 }
 
-// packet counts one delivered packet.
-func (t *telem) packet() {
-	if t == nil {
-		return
-	}
-	t.packets.Inc()
-}
-
 // packetBatch counts a whole delivered batch in one add.
 func (t *telem) packetBatch(n int64) {
 	if t == nil || n == 0 {
@@ -218,43 +216,134 @@ func (t *telem) packetBatch(n int64) {
 	t.packets.Add(n)
 }
 
-// filterRun attributes one filter execution: cycles always, plus the
-// per-filter accept counter when the filter matched. Registration is
-// amortized — after the first packet both lookups are read-locked map
-// hits with no allocation.
-func (t *telem) filterRun(owner string, cycles int64, accepted bool) {
-	if t == nil {
-		return
-	}
-	t.rec.LabeledCounter(MetricFilterCycles, "filter", owner).Add(cycles)
-	if accepted {
-		t.rec.LabeledCounter(MetricFilterAccepts, "filter", owner).Inc()
-	}
+// ownerTel is one owner's per-filter instruments: the dispatch-latency
+// histogram and the cycles and accepts counters, resolved together so
+// a delivery pays one lookup per filter instead of three.
+type ownerTel struct {
+	hist    *telemetry.Histogram
+	cycles  *telemetry.Counter
+	accepts *telemetry.Counter
 }
 
-// filterHist returns the per-owner dispatch-latency histogram, nil
-// when telemetry is off. Batch dispatch looks it up once per filter
-// per batch and observes per run with no further locking.
-func (t *telem) filterHist(owner string) *telemetry.Histogram {
+// owner returns the owner's instruments, nil when telemetry is off.
+// After an owner's first delivery this is one lock-free map hit; the
+// recorder's registration lock is taken only on first use.
+func (t *telem) owner(name string) *ownerTel {
 	if t == nil {
 		return nil
 	}
-	return t.rec.LabeledHistogram(MetricFilterLatency, "filter", owner, telemetry.DispatchLatencyBounds)
+	if v, ok := t.owners.Load(name); ok {
+		return v.(*ownerTel)
+	}
+	v, _ := t.owners.LoadOrStore(name, &ownerTel{
+		hist:    t.rec.LabeledHistogram(MetricFilterLatency, "filter", name, telemetry.DispatchLatencyBounds),
+		cycles:  t.rec.LabeledCounter(MetricFilterCycles, "filter", name),
+		accepts: t.rec.LabeledCounter(MetricFilterAccepts, "filter", name),
+	})
+	return v.(*ownerTel)
 }
 
-// filterRunBatch attributes a whole batch of one filter's executions:
-// two labeled-counter lookups per filter per batch instead of per
-// packet.
-func (t *telem) filterRunBatch(owner string, cycles, accepts int64) {
-	if t == nil {
+// attribute charges one delivery's worth of a filter's runs (cycles
+// and accepts summed over the delivery) to its counters.
+func (o *ownerTel) attribute(cycles, accepts int64) {
+	if o == nil {
 		return
 	}
 	if cycles != 0 {
-		t.rec.LabeledCounter(MetricFilterCycles, "filter", owner).Add(cycles)
+		o.cycles.Add(cycles)
 	}
 	if accepts != 0 {
-		t.rec.LabeledCounter(MetricFilterAccepts, "filter", owner).Add(accepts)
+		o.accepts.Add(accepts)
 	}
+}
+
+// ownerTels resolves each slot's instruments into the environment's
+// pooled per-slot array (all nil when telemetry is off).
+func (e *packetEnv) ownerTels(t *telem, slots []tableSlot) []*ownerTel {
+	if cap(e.own) < len(slots) {
+		e.own = make([]*ownerTel, len(slots))
+	}
+	own := e.own[:len(slots)]
+	for i := range slots {
+		own[i] = t.owner(slots[i].owner)
+	}
+	return own
+}
+
+// observeRuns folds one delivery's filter runs into the per-owner
+// latency histograms. runs holds every run's simulated cycles in
+// dispatch order — packet-major, one entry per slot of own per packet,
+// the last packet possibly cut short by a fault — and t0 is the clock
+// read taken just before the first run. The delivery's wall time
+// t0..now is spread over the runs in proportion to their cycles: one
+// run's latency is its cycles times the delivery's measured host ns
+// per simulated cycle. Counts are exact (one per run), each owner's sum
+// is its cycle share of the wall time, rounded so the owners' sums add
+// up to the wall time exactly, and every bucket a run lands in takes
+// eid as its exemplar. It returns the pooled scratch to e and drops
+// the instrument pointers so the idle environment pins nothing.
+func (e *packetEnv) observeRuns(own []*ownerTel, runs []uint32, t0 time.Time, eid uint64) {
+	end := time.Now()
+	wall := uint64(max(end.Sub(t0), 0))
+	e.runCycles = runs[:0]
+	defer clear(own)
+	if len(own) == 0 || len(runs) == 0 {
+		return
+	}
+	// A run is charged at least one cycle so the apportioning never
+	// divides by zero (a fault can retire nothing).
+	var total uint64
+	for _, c := range runs {
+		total += uint64(max(c, 1))
+	}
+	// Every owner's histogram belongs to one family, so all share its
+	// bounds; converted to cycles at this delivery's measured rate, a
+	// run of c cycles lands in the first bucket with c <= limits[b].
+	// The +Inf bucket's limit admits everything, and most runs land in
+	// the first few buckets, so a linear integer scan finds the bucket.
+	bounds := own[0].hist.Bounds()
+	nb := len(bounds) + 1
+	if cap(e.latCounts) < nb {
+		e.latCounts = make([]int64, nb)
+		e.latLimits = make([]uint64, nb)
+	}
+	counts, limits := e.latCounts[:nb], e.latLimits[:nb]
+	cyclesPerSec := float64(total) * 1e9 / float64(wall) // +Inf when wall is 0
+	for b, ub := range bounds {
+		limits[b] = math.MaxUint64
+		if x := ub * cyclesPerSec; x < 1<<63 {
+			limits[b] = uint64(x)
+		}
+	}
+	limits[nb-1] = math.MaxUint64
+	var cum, lo uint64
+	for si, o := range own {
+		clear(counts)
+		var sum uint64
+		for i := si; i < len(runs); i += len(own) {
+			c := uint64(max(runs[i], 1))
+			b := 0
+			for c > limits[b] {
+				b++
+			}
+			counts[b]++
+			sum += c
+		}
+		if sum == 0 {
+			continue // the delivery faulted before this filter ran
+		}
+		cum += sum
+		hi := mulDiv(wall, cum, total)
+		o.hist.ObserveBuckets(counts, time.Duration(hi-lo), eid, end.UnixNano())
+		lo = hi
+	}
+}
+
+// mulDiv returns a*b/c without intermediate overflow; b <= c.
+func mulDiv(a, b, c uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	q, _ := bits.Div64(hi, lo, c)
+	return q
 }
 
 // setFilters publishes the installed-filter count gauge.

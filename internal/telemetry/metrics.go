@@ -131,9 +131,10 @@ var DispatchLatencyBounds = LogBounds(50e-9, 0.05)
 // estimates.
 //
 // Each bucket also retains an exemplar: the correlation EventID of the
-// most recent observation that landed in it (via ObserveEID), linking
-// a fat tail bucket directly to the span tree, audit record, and
-// flight-recorder events of the operation that produced it.
+// most recent observation that landed in it (via ObserveEID or
+// ObserveBuckets), linking a fat tail bucket directly to the span
+// tree, audit record, and flight-recorder events of the operation that
+// produced it.
 //
 // A histogram built by NewValueHistogram measures raw units (bytes,
 // nodes) instead of seconds: bounds are raw units and the sum is the
@@ -186,17 +187,10 @@ func (h *Histogram) bucketFor(v float64) int {
 }
 
 // observe is the single sink: v in bound units, sum in accounting
-// units (nanos or raw), eid the correlation EventID (0 = none).
+// units (nanos or raw), eid the correlation EventID (0 = none). The
+// window clock is read only when a window is attached, so the
+// cumulative path never pays for it.
 func (h *Histogram) observe(v float64, sum int64, eid uint64) {
-	h.observeAt(0, v, sum, eid)
-}
-
-// observeAt is observe with the wall clock already read: now is
-// UnixNanos for window attribution, or 0 to read the clock here (and
-// only when a window is attached — the cumulative path never pays for
-// it). Hot loops that already hold a time.Time pass it down so the
-// windowed path costs no extra clock read.
-func (h *Histogram) observeAt(now int64, v float64, sum int64, eid uint64) {
 	b := h.bucketFor(v)
 	h.buckets[b].Add(1)
 	h.count.Add(1)
@@ -205,10 +199,7 @@ func (h *Histogram) observeAt(now int64, v float64, sum int64, eid uint64) {
 		h.exemplars[b].Store(eid)
 	}
 	if h.win != nil {
-		if now == 0 {
-			now = time.Now().UnixNano()
-		}
-		h.win.add(now, b, 1, sum)
+		h.win.add(time.Now().UnixNano(), b, 1, sum)
 	}
 }
 
@@ -229,19 +220,35 @@ func (h *Histogram) ObserveEID(d time.Duration, eid uint64) {
 	h.observe(d.Seconds(), d.Nanoseconds(), eid)
 }
 
-// ObserveSinceEID records the elapsed time since t0 with a correlation
-// EventID exemplar, reusing t0's already-read wall clock for window
-// attribution. The per-observation hot path in a windowed recorder
-// then pays zero extra clock reads over the unwindowed one: windows
-// are second-granularity, and a dispatch run lasts microseconds, so
-// stamping the observation at its start instead of its end never moves
-// it by more than one interval edge.
-func (h *Histogram) ObserveSinceEID(t0 time.Time, eid uint64) {
+// ObserveBuckets folds a batch of observations that the caller already
+// bucketed locally against Bounds: counts is parallel to BucketCounts
+// (counts[i] observations landed in bucket i) and sum is their total
+// duration. It costs one atomic add per non-empty bucket plus the
+// count and sum adds, where observing each duration would cost three
+// per observation. Every non-empty bucket takes eid as its exemplar,
+// and the window attributes the whole batch at wall time now
+// (UnixNanos).
+func (h *Histogram) ObserveBuckets(counts []int64, sum time.Duration, eid uint64, now int64) {
 	if h == nil {
 		return
 	}
-	d := time.Since(t0)
-	h.observeAt(t0.UnixNano(), d.Seconds(), d.Nanoseconds(), eid)
+	var n int64
+	for b, c := range counts[:len(h.buckets)] {
+		if c == 0 {
+			continue
+		}
+		n += c
+		h.buckets[b].Add(c)
+		if eid != 0 {
+			h.exemplars[b].Store(eid)
+		}
+		h.win.add(now, b, c, 0)
+	}
+	if n == 0 {
+		return
+	}
+	h.count.Add(n)
+	h.sum.Add(sum.Nanoseconds())
 }
 
 // ObserveValue records one raw-unit observation (value histograms).

@@ -214,6 +214,50 @@ func TestExemplars(t *testing.T) {
 	}
 }
 
+// TestObserveBuckets: a locally bucketed batch folds in with exact
+// count and sum, matches the buckets observing each value fills,
+// stamps the batch EventID on every non-empty bucket only, and feeds
+// the window once per non-empty bucket.
+func TestObserveBuckets(t *testing.T) {
+	r := NewWith(Options{Window: &WindowOptions{}})
+	h := r.LabeledHistogram("run_seconds", "filter", "a", []float64{1e-6, 1e-3})
+	ref := NewHistogram([]float64{1e-6, 1e-3})
+	vals := []time.Duration{300 * time.Nanosecond, 900 * time.Nanosecond, 40 * time.Microsecond, 3 * time.Millisecond}
+	counts := []int64{2, 1, 1} // vals bucketed against the bounds above
+	var sum time.Duration
+	for _, v := range vals {
+		sum += v
+		ref.Observe(v)
+	}
+	h.ObserveEID(500*time.Nanosecond, 3) // an earlier exemplar in bucket 0
+	h.ObserveBuckets(counts, sum, 42, time.Now().UnixNano())
+	h.ObserveBuckets(make([]int64, len(counts)), 0, 99, time.Now().UnixNano()) // empty: no-op
+
+	if got, want := h.Count(), int64(len(vals)+1); got != want {
+		t.Fatalf("count = %d, want %d", got, want)
+	}
+	if got, want := h.Sum(), sum+500*time.Nanosecond; got != want {
+		t.Fatalf("sum = %v, want %v", got, want)
+	}
+	got, want := h.BucketCounts(), ref.BucketCounts()
+	want[0]++ // the ObserveEID above
+	for b := range want {
+		if got[b] != want[b] {
+			t.Fatalf("buckets = %v, want %v", got, want)
+		}
+	}
+	for b, e := range h.Exemplars() {
+		if e != 42 {
+			t.Fatalf("bucket %d exemplar = %d, want the batch's 42 (%v)", b, e, h.Exemplars())
+		}
+	}
+	if st, _, _ := h.WindowStat(); st.Count != int64(len(vals)+1) {
+		t.Fatalf("window count = %d, want %d", st.Count, len(vals)+1)
+	}
+	var nilH *Histogram
+	nilH.ObserveBuckets(counts, sum, 1, 0) // nil-safe like every instrument
+}
+
 // TestSpanEventPropagation: StartSpanEvent threads the EventID through
 // children and RecordSpan into the trace events.
 func TestSpanEventPropagation(t *testing.T) {

@@ -32,6 +32,12 @@ go test -race ./...
 echo '== go test -race -cpu=1,4 ./internal/kernel/'
 go test -race -cpu=1,4 ./internal/kernel/
 
+# One iteration of each observed-dispatch posture (bare, compiled+prof,
+# served; 1 and 2 goroutines) so the benchmark keeps compiling and
+# running; the figures are not gated here.
+echo '== observed-dispatch benchmark smoke'
+go test -run='^$' -bench=DeliverPacketsObserved -benchtime=1x ./internal/kernel/
+
 echo '== fuzz corpora smoke (seed corpora replay)'
 go test -run=Fuzz ./...
 
