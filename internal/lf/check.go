@@ -113,7 +113,9 @@ func (c *Checker) Check(term, want Term) error {
 	if err != nil {
 		return err
 	}
-	if !Equal(Normalize(got), Normalize(want)) {
+	// Syntactic equality implies β-equality, so normalize only on a
+	// mismatch.
+	if !Equal(got, want) && !Equal(Normalize(got), Normalize(want)) {
 		return typeErrAt(term, "type mismatch:\n  inferred %s\n  expected %s", got, want)
 	}
 	return nil
@@ -123,8 +125,11 @@ func (c *Checker) Check(term, want Term) error {
 func (c *Checker) Infer(term Term) (Term, error) { return c.infer(term, nil) }
 
 // infer computes the type/kind of t under the de Bruijn environment
-// env (env[0] is the innermost binder's type, already shifted to its
-// own binder's depth: lookup shifts by idx+1).
+// env. The environment is a stack with the innermost binder's type
+// last, each entry already shifted to its own binder's depth: lookup of
+// #idx reads env[len(env)-1-idx] and shifts it by idx+1. Entering a
+// binder appends to env; the appended slot is only ever read by the
+// recursion under that binder, so sibling subterms may reuse it.
 func (c *Checker) infer(t Term, env []Term) (Term, error) {
 	c.Steps++
 	if c.MaxSteps > 0 && c.Steps > c.MaxSteps {
@@ -140,67 +145,73 @@ func (c *Checker) infer(t Term, env []Term) (Term, error) {
 	if c.MaxDepth > 0 && c.depth > c.MaxDepth {
 		return nil, &LimitError{Axis: "term_depth", Max: c.MaxDepth}
 	}
-	switch t := t.(type) {
+	switch n := t.(type) {
 	case Sort:
-		if t == SType {
+		if n == SType {
 			return SKind, nil
 		}
 		return nil, typeErrAt(t, "the sort 'kind' has no classifier")
 	case Konst:
-		ty, ok := c.Sig.Lookup(t.Name)
+		ty, ok := c.Sig.Lookup(n.Name)
 		if !ok {
-			return nil, typeErrAt(t, "unknown constant %q", t.Name)
+			return nil, typeErrAt(t, "unknown constant %q", n.Name)
 		}
 		return ty, nil
 	case Bound:
-		if t.Idx < 0 || t.Idx >= len(env) {
-			return nil, typeErrAt(t, "unbound variable #%d", t.Idx)
+		if n.Idx < 0 || n.Idx >= len(env) {
+			return nil, typeErrAt(t, "unbound variable #%d", n.Idx)
 		}
-		return shift(env[t.Idx], t.Idx+1, 0), nil
+		return shift(env[len(env)-1-n.Idx], n.Idx+1, 0), nil
 	case Lit:
 		return Konst{CWord}, nil
 	case Pi:
-		if err := c.checkIsType(t.A, env); err != nil {
+		if err := c.checkIsType(n.A, env); err != nil {
 			return nil, err
 		}
-		s, err := c.infer(t.B, push(env, t.A))
+		s, err := c.infer(n.B, append(env, n.A))
 		if err != nil {
 			return nil, err
 		}
 		srt, ok := Normalize(s).(Sort)
 		if !ok {
-			return nil, typeErrAt(t.B, "Pi body is not a type or kind: %s", t.B)
+			return nil, typeErrAt(n.B, "Pi body is not a type or kind: %s", n.B)
 		}
 		return srt, nil
 	case Lam:
-		if err := c.checkIsType(t.A, env); err != nil {
+		if err := c.checkIsType(n.A, env); err != nil {
 			return nil, err
 		}
-		b, err := c.infer(t.M, push(env, t.A))
+		b, err := c.infer(n.M, append(env, n.A))
 		if err != nil {
 			return nil, err
 		}
-		return Pi{t.A, b}, nil
+		return Pi{n.A, b}, nil
 	case App:
-		fTy, err := c.infer(t.F, env)
+		fTy, err := c.infer(n.F, env)
 		if err != nil {
 			return nil, err
 		}
-		pi, ok := Normalize(fTy).(Pi)
+		pi, ok := fTy.(Pi)
 		if !ok {
-			return nil, typeErrAt(t, "application of non-function: %s : %s", t.F, fTy)
+			if pi, ok = Normalize(fTy).(Pi); !ok {
+				return nil, typeErrAt(t, "application of non-function: %s : %s", n.F, fTy)
+			}
 		}
-		aTy, err := c.infer(t.X, env)
+		aTy, err := c.infer(n.X, env)
 		if err != nil {
 			return nil, err
 		}
-		if !Equal(Normalize(aTy), Normalize(pi.A)) {
-			return nil, typeErrAt(t.X, "argument type mismatch:\n  got %s\n  want %s", aTy, pi.A)
+		// Syntactic equality implies β-equality: normalize only when
+		// the types differ as written.
+		if !Equal(aTy, pi.A) {
+			if want := Normalize(pi.A); !Equal(Normalize(aTy), want) {
+				return nil, typeErrAt(n.X, "argument type mismatch:\n  got %s\n  want %s", aTy, want)
+			}
 		}
 		if err := c.checkPrimitive(t); err != nil {
 			return nil, err
 		}
-		return Instantiate(pi.B, t.X), nil
+		return Instantiate(pi.B, n.X), nil
 	}
 	return nil, typeErr("unknown term %T", t)
 }
@@ -218,22 +229,22 @@ func (c *Checker) checkIsType(a Term, env []Term) error {
 	return typeErrAt(a, "not a type: %s", a)
 }
 
-func push(env []Term, a Term) []Term {
-	out := make([]Term, 0, len(env)+1)
-	out = append(out, a)
-	return append(out, env...)
-}
-
 // checkPrimitive enforces the side conditions of the primitive
 // judgments: a fully applied `gr P` requires P to be closed and to
 // evaluate to true; a fully applied `nrm P Q` requires P and Q to share
-// a normal form under the trusted normalizer.
-func (c *Checker) checkPrimitive(app App) error {
-	head, args := Spine(app)
+// a normal form under the trusted normalizer. Every application passes
+// through here, so the head is found first and the argument list is
+// built only for the two primitives.
+func (c *Checker) checkPrimitive(app Term) error {
+	head := app
+	for a, ok := head.(App); ok; a, ok = head.(App) {
+		head = a.F
+	}
 	k, ok := head.(Konst)
-	if !ok {
+	if !ok || (k.Name != CGr && k.Name != CNrm) {
 		return nil
 	}
+	_, args := Spine(app)
 	switch {
 	case k.Name == CGr && len(args) == 1:
 		p, err := DecodePred(args[0])

@@ -1,7 +1,9 @@
 package lf
 
 import (
+	"encoding/binary"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/alpha"
@@ -397,4 +399,44 @@ func TestFalseEProofValidatesThroughLF(t *testing.T) {
 	if err := ValidateProof(NewSignature(), term, goal); err != nil {
 		t.Fatalf("LF validation of false_e proof failed: %v", err)
 	}
+}
+
+// TestSignatureDigestMemoConcurrent: concurrent first calls to Digest
+// and Fingerprint on a fresh signature all see the digest a fresh
+// computation gives (run under -race by scripts/verify.sh), and the
+// signature refuses new constants once its digest is fixed.
+func TestSignatureDigestMemoConcurrent(t *testing.T) {
+	want := NewSignature().computeDigest()
+	sig := NewSignature()
+	const workers = 8
+	digests := make(chan [32]byte, workers)
+	prints := make(chan uint64, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prints <- sig.Fingerprint()
+			digests <- sig.Digest()
+		}()
+	}
+	wg.Wait()
+	close(digests)
+	close(prints)
+	for d := range digests {
+		if d != want {
+			t.Fatalf("concurrent Digest = %x, fresh computation %x", d, want)
+		}
+	}
+	for fp := range prints {
+		if fp != binary.LittleEndian.Uint64(want[:8]) {
+			t.Fatalf("concurrent Fingerprint = %#x, want the digest's first 64 bits", fp)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("declare after Digest did not panic")
+		}
+	}()
+	sig.declare("late_constant", SType)
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/logic"
 	"repro/internal/prover"
@@ -13,18 +15,32 @@ import (
 
 // Signature is the published LF signature: the object logic's syntax
 // and proof rules. It is part of the safety policy; producer and
-// consumer must agree on it.
+// consumer must agree on it. A signature is immutable once built, so
+// its digest is computed once, on first use.
 type Signature struct {
 	types map[string]Term // constant name -> type (or kind)
 	order []string        // deterministic ordering for the binary codec
+
+	digestOnce sync.Once
+	digested   atomic.Bool // set once the digest is computed; declare panics after
+	digest     [sha256.Size]byte
 }
 
 // Digest returns a SHA-256 digest of the signature's content: the
 // constants, their order, and their types, length-framed so distinct
 // signatures never share a serialization. Safety-relevant identity —
 // the proof-cache key in internal/kernel keys on it via pcc.Keyer —
-// must use this full digest.
+// must use this full digest. It is computed on the first call and
+// memoized; concurrent callers all see the same value.
 func (s *Signature) Digest() [sha256.Size]byte {
+	s.digestOnce.Do(func() {
+		s.digest = s.computeDigest()
+		s.digested.Store(true)
+	})
+	return s.digest
+}
+
+func (s *Signature) computeDigest() [sha256.Size]byte {
 	h := sha256.New()
 	writeStr := func(str string) {
 		var buf [8]byte
@@ -62,6 +78,9 @@ func (s *Signature) Lookup(name string) (Term, bool) {
 func (s *Signature) Names() []string { return s.order }
 
 func (s *Signature) declare(name string, ty Term) {
+	if s.digested.Load() {
+		panic(fmt.Sprintf("lf: constant %q declared after the signature digest was computed", name))
+	}
 	if _, dup := s.types[name]; dup {
 		panic(fmt.Sprintf("lf: duplicate signature constant %q", name))
 	}

@@ -88,15 +88,24 @@ func (a App) String() string {
 }
 
 // Spine decomposes nested applications into a head and argument list.
+// It counts the spine first, so one allocation holds the arguments.
 func Spine(t Term) (head Term, args []Term) {
-	for {
-		a, ok := t.(App)
-		if !ok {
-			return t, args
-		}
-		args = append([]Term{a.X}, args...)
+	n := 0
+	head = t
+	for a, ok := head.(App); ok; a, ok = head.(App) {
+		head = a.F
+		n++
+	}
+	if n == 0 {
+		return head, nil
+	}
+	args = make([]Term, n)
+	for a, ok := t.(App); ok; a, ok = t.(App) {
+		n--
+		args[n] = a.X
 		t = a.F
 	}
+	return head, args
 }
 
 // Apply folds a head and arguments back into nested applications.
@@ -108,49 +117,95 @@ func Apply(head Term, args ...Term) Term {
 	return t
 }
 
+// The term transformations below — shift, substIdx, Normalize — share
+// structure: each returns its input term itself, not a copy, when
+// nothing inside it changed, and allocates new Pi/Lam/App nodes only
+// along the paths where an index moved or a redex fired. The results
+// are the same terms the plain tree-rebuilding definitions produce;
+// only the number of fresh nodes differs.
+
 // shift adds d to every de Bruijn index ≥ cutoff in t.
 func shift(t Term, d, cutoff int) Term {
-	switch t := t.(type) {
-	case Sort, Konst, Lit:
+	if d == 0 {
 		return t
-	case Bound:
-		if t.Idx >= cutoff {
-			return Bound{t.Idx + d}
-		}
-		return t
-	case Pi:
-		return Pi{shift(t.A, d, cutoff), shift(t.B, d, cutoff+1)}
-	case Lam:
-		return Lam{shift(t.A, d, cutoff), shift(t.M, d, cutoff+1)}
-	case App:
-		return App{shift(t.F, d, cutoff), shift(t.X, d, cutoff)}
 	}
-	panic(fmt.Sprintf("lf: unknown term %T", t))
+	out, _ := shifted(t, d, cutoff)
+	return out
+}
+
+// shifted is shift reporting whether anything changed; unchanged
+// terms come back as the input.
+func shifted(t Term, d, cutoff int) (Term, bool) {
+	switch n := t.(type) {
+	case Sort, Konst, Lit:
+	case Bound:
+		if n.Idx >= cutoff {
+			return Bound{n.Idx + d}, true
+		}
+	case Pi:
+		a, ca := shifted(n.A, d, cutoff)
+		b, cb := shifted(n.B, d, cutoff+1)
+		if ca || cb {
+			return Pi{a, b}, true
+		}
+	case Lam:
+		a, ca := shifted(n.A, d, cutoff)
+		m, cm := shifted(n.M, d, cutoff+1)
+		if ca || cm {
+			return Lam{a, m}, true
+		}
+	case App:
+		f, cf := shifted(n.F, d, cutoff)
+		x, cx := shifted(n.X, d, cutoff)
+		if cf || cx {
+			return App{f, x}, true
+		}
+	default:
+		panic(fmt.Sprintf("lf: unknown term %T", t))
+	}
+	return t, false
 }
 
 // substIdx replaces Bound{j} in t with s (itself shifted appropriately)
 // and renumbers the indexes above j.
 func substIdx(t Term, j int, s Term) Term {
-	switch t := t.(type) {
+	out, _ := substituted(t, j, s)
+	return out
+}
+
+// substituted is substIdx reporting whether anything changed.
+func substituted(t Term, j int, s Term) (Term, bool) {
+	switch n := t.(type) {
 	case Sort, Konst, Lit:
-		return t
 	case Bound:
 		switch {
-		case t.Idx == j:
-			return shift(s, j, 0)
-		case t.Idx > j:
-			return Bound{t.Idx - 1}
-		default:
-			return t
+		case n.Idx == j:
+			return shift(s, j, 0), true
+		case n.Idx > j:
+			return Bound{n.Idx - 1}, true
 		}
 	case Pi:
-		return Pi{substIdx(t.A, j, s), substIdx(t.B, j+1, s)}
+		a, ca := substituted(n.A, j, s)
+		b, cb := substituted(n.B, j+1, s)
+		if ca || cb {
+			return Pi{a, b}, true
+		}
 	case Lam:
-		return Lam{substIdx(t.A, j, s), substIdx(t.M, j+1, s)}
+		a, ca := substituted(n.A, j, s)
+		m, cm := substituted(n.M, j+1, s)
+		if ca || cm {
+			return Lam{a, m}, true
+		}
 	case App:
-		return App{substIdx(t.F, j, s), substIdx(t.X, j, s)}
+		f, cf := substituted(n.F, j, s)
+		x, cx := substituted(n.X, j, s)
+		if cf || cx {
+			return App{f, x}, true
+		}
+	default:
+		panic(fmt.Sprintf("lf: unknown term %T", t))
 	}
-	panic(fmt.Sprintf("lf: unknown term %T", t))
+	return t, false
 }
 
 // Instantiate β-reduces a binder body with the given argument.
@@ -158,24 +213,42 @@ func Instantiate(body Term, arg Term) Term { return substIdx(body, 0, arg) }
 
 // Normalize fully β-normalizes t (normal order). LF terms arising from
 // PCC proofs are small, so naive normalization is adequate and easy to
-// trust — the paper's criterion for the validator.
+// trust — the paper's criterion for the validator. A term already in
+// normal form is returned as is.
 func Normalize(t Term) Term {
-	switch t := t.(type) {
+	out, _ := normalized(t)
+	return out
+}
+
+// normalized is Normalize reporting whether any redex fired.
+func normalized(t Term) (Term, bool) {
+	switch n := t.(type) {
 	case Sort, Konst, Bound, Lit:
-		return t
 	case Pi:
-		return Pi{Normalize(t.A), Normalize(t.B)}
-	case Lam:
-		return Lam{Normalize(t.A), Normalize(t.M)}
-	case App:
-		f := Normalize(t.F)
-		x := Normalize(t.X)
-		if lam, ok := f.(Lam); ok {
-			return Normalize(Instantiate(lam.M, x))
+		a, ca := normalized(n.A)
+		b, cb := normalized(n.B)
+		if ca || cb {
+			return Pi{a, b}, true
 		}
-		return App{f, x}
+	case Lam:
+		a, ca := normalized(n.A)
+		m, cm := normalized(n.M)
+		if ca || cm {
+			return Lam{a, m}, true
+		}
+	case App:
+		f, cf := normalized(n.F)
+		x, cx := normalized(n.X)
+		if lam, ok := f.(Lam); ok {
+			return Normalize(Instantiate(lam.M, x)), true
+		}
+		if cf || cx {
+			return App{f, x}, true
+		}
+	default:
+		panic(fmt.Sprintf("lf: unknown term %T", t))
 	}
-	panic(fmt.Sprintf("lf: unknown term %T", t))
+	return t, false
 }
 
 // Equal reports syntactic equality (α-equality is free under de

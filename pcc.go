@@ -446,13 +446,42 @@ var consumerSignature = sync.OnceValue(lf.NewSignature)
 
 // signatureFor returns the signature a policy publishes: the base one,
 // extended with the policy's own axiom schemas when it has any.
+// Extended signatures are memoized by the policy's full content digest
+// (which covers every published schema), so a negotiated policy pays
+// for building and digesting its rule set once, not on every
+// validation, and two distinct policies never share an entry.
 func signatureFor(pol *policy.Policy) *lf.Signature {
 	extra := pol.ExtraAxioms()
 	if extra == nil {
 		return consumerSignature()
 	}
-	return lf.NewSignatureWith(extra)
+	if len(extra) != len(pol.Axioms) {
+		// Duplicate schema names: which one the signature declares
+		// depends on slice order, which the digest does not pin.
+		return lf.NewSignatureWith(extra)
+	}
+	key := pol.Digest()
+	extendedMu.Lock()
+	defer extendedMu.Unlock()
+	sig, ok := extendedSigs[key]
+	if !ok {
+		if len(extendedSigs) >= maxExtendedSignatures {
+			clear(extendedSigs) // a miss only costs a rebuild
+		}
+		sig = lf.NewSignatureWith(extra)
+		extendedSigs[key] = sig
+	}
+	return sig
 }
+
+// maxExtendedSignatures bounds the memo: policies are negotiated by
+// producers, so their number is not under the consumer's control.
+const maxExtendedSignatures = 64
+
+var (
+	extendedMu   sync.Mutex
+	extendedSigs = map[[sha256.Size]byte]*lf.Signature{}
+)
 
 // VetAxioms sanity-checks the schemas a policy wants to publish:
 // names must not clash with the core rule set, parameters must be
