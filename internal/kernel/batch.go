@@ -1,21 +1,18 @@
-// Vectorized packet dispatch. DeliverPacket pays fixed costs per
-// packet that have nothing to do with filter execution: an epoch pin,
-// a telemetry span, a pool round-trip, and one labeled-counter lookup
-// per filter run. DeliverPackets amortizes all of them across a packet
-// vector — one pin, one span, one pooled environment, one snapshot
-// load, per-filter counters accumulated locally and flushed once —
-// which is where the compiled backend's per-run win stops being hidden
-// behind dispatch overhead (see EXPERIMENTS.md for the measured
-// combined speedup). Like DeliverPacket it takes NO lock: the filter
-// set is the immutable published snapshot (table.go), already sorted
-// by owner, so the whole batch sees one consistent table and the
-// verdict rows come out in the same order len(pkts) DeliverPacket
-// calls would produce.
+// Packet dispatch: the one loop over (packet, filter) pairs. Both
+// entry points run it — DeliverPacket is a batch of one, DeliverPackets
+// a batch of many — so they share every rule: one epoch pin, one
+// telemetry span, one pooled environment and one snapshot load per
+// call; the packet region aliases the caller's bytes (zero copy, with
+// the unaligned tail materialized lazily); registers are reset with
+// resetLite where install-time liveness allows; per-filter counters
+// accumulate locally and flush once. It takes NO lock: the filter set
+// is the immutable published snapshot (table.go), already sorted by
+// owner, so every packet of a call sees one consistent table and
+// accept lists come out sorted with no per-call sort.
 package kernel
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/machine"
@@ -23,29 +20,50 @@ import (
 	"repro/internal/telemetry"
 )
 
-// prefetchSink keeps the software-prefetch loads in DeliverPackets
-// observable so the compiler cannot eliminate them. Atomic because
-// concurrent batches all store to it (the value is meaningless; only
-// the store's existence matters).
-var prefetchSink atomic.Uint32
+// DeliverPacket runs every installed filter over the packet (with no
+// run-time checks — they are validated) and returns the owners that
+// accepted it, sorted. It is DeliverPackets on a one-packet vector,
+// spanned as StageDispatch instead of StageDispatchBatch.
+func (k *Kernel) DeliverPacket(pkt pktgen.Packet) ([]string, error) {
+	one := [1][]byte{pkt.Data}
+	return k.deliver(one[:], telemetry.StageDispatch, nil)
+}
 
 // DeliverPackets runs every installed filter over each packet of the
-// vector and returns, per packet, the owners that accepted it — the
-// same verdicts len(pkts) DeliverPacket calls would have produced,
-// under a single epoch pin and a single telemetry span
-// (StageDispatchBatch). The snapshot is fixed for the whole batch: a
-// filter installed or uninstalled mid-batch is either visible to
-// every packet of the batch or to none. A fault in a validated filter
-// aborts the batch with an error after flushing the accounting of the
-// runs already done.
+// vector and returns, per packet, the owners that accepted it, under a
+// single epoch pin and a single telemetry span (StageDispatchBatch).
+// The snapshot is fixed for the whole batch: a filter installed or
+// uninstalled mid-batch is either visible to every packet of the batch
+// or to none. A fault in a validated filter aborts the batch with an
+// error after flushing the accounting of the runs already done.
 func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
+	rows := make([][]string, len(pkts))
+	if _, err := k.deliver(pkts, telemetry.StageDispatchBatch, rows); err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// deliver is the dispatch loop behind both entry points. It returns
+// the accepting owners of every packet back to back, in packet order
+// (nil when none accepted); when rows is non-nil it holds one entry
+// per packet and receives that packet's share of the list.
+//
+// Accounting rules, the same for one packet or many: a packet counts
+// in Stats.Packets (and pcc_packets_total) only once every filter has
+// run on it; a fault aborts the call after flushing the runs already
+// done; breaker probation credit is one clean observation per filter
+// per fault-free call; a backend_fallback flight event is recorded
+// once per call for each filter dispatching interpreted under the
+// compiled backend.
+func (k *Kernel) deliver(pkts [][]byte, stage string, rows [][]string) ([]string, error) {
 	tel := k.tel.Load()
 	eid := k.nextEvent(tel)
-	span := tel.span(telemetry.StageDispatchBatch, "", eid)
+	span := tel.span(stage, "", eid)
 	supervised := k.brkArmed.Load() != 0
 	if supervised {
 		// Probe expired breakers before the snapshot load so a
-		// re-admitted compiled form is visible to this whole batch.
+		// re-admitted compiled form is visible to this whole call.
 		k.breakerTick(eid)
 	}
 	env := k.statePool.Get().(*packetEnv)
@@ -53,16 +71,15 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 	defer env.releasePacket()
 	profiling := k.profiling.Load()
 
-	// Pin an epoch and load the snapshot: the batch's entire view of
-	// the filter set, pre-sorted by owner. The pin keeps a concurrently
+	// Pin an epoch and load the snapshot: the call's entire view of the
+	// filter set, pre-sorted by owner. The pin keeps a concurrently
 	// retired snapshot (and its compiled programs) alive until the
-	// batch finishes.
+	// call — result shaping included — finishes.
 	rec := k.epochs.pin(int(env.shard))
 	defer rec.unpin()
-	t := k.table.Load()
-	slots := t.slots
+	slots := k.table.Load().slots
 
-	// Per-filter batch state lives in pooled arrays parallel to the
+	// Per-filter state lives in pooled arrays parallel to the
 	// snapshot's slots (the snapshot itself is immutable and shared):
 	// cycle/accept accumulators flushed to the sharded counters once,
 	// block-profile scratch flushed once, per-owner instruments resolved
@@ -78,14 +95,13 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 	accepts := env.accepts[:len(slots)]
 	runs := env.runs[:len(slots)]
 	bps := env.bps[:len(slots)]
-	own := env.ownerTels(tel, slots)
 	for i := range slots {
 		cycles[i] = 0
 		accepts[i] = 0
 		runs[i] = 0
 		if profiling && slots[i].f.prof != nil && slots[i].c != nil {
 			// Compiled profiling: one pooled BlockProfile accumulates
-			// the whole batch; flush expands and merges it once.
+			// the whole call; the flush expands and merges it once.
 			bps[i] = slots[i].f.prof.getBlockScratch(slots[i].c)
 		} else {
 			bps[i] = nil
@@ -99,39 +115,19 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 	var totalCycles int64
 	var delivered int64
 	// Observed dispatch records each run's simulated cycles (rc) in the
-	// hot loop and reads the clock once per batch (t0 here, the end in
+	// hot loop and reads the clock once per call (t0 here, the end in
 	// observeRuns): per-run latency is attributed from cycles at flush,
 	// so no (packet, filter) pair pays a clock read or a shared atomic.
 	timed := tel != nil
+	var own []*ownerTel
 	var rc []uint32
 	var t0 time.Time
 	if timed {
+		own = env.ownerTels(tel, slots)
 		if n := len(pkts) * len(slots); cap(env.runCycles) < n {
 			env.runCycles = make([]uint32, 0, n)
 		}
 		rc = env.runCycles[:0]
-	}
-
-	flush := func(rc []uint32) {
-		sh := &k.stats.shards[env.shard]
-		sh.packets.Add(delivered)
-		sh.cycles.Add(totalCycles)
-		tel.packetBatch(delivered)
-		for i := range slots {
-			if accepts[i] != 0 {
-				slots[i].f.accepts.add(int(env.shard), accepts[i])
-			}
-			own[i].attribute(cycles[i], accepts[i])
-			if bps[i] != nil {
-				// One expansion + atomic merge per filter per batch;
-				// the pooled environment must not pin the scratch.
-				slots[i].f.prof.flushBlocks(bps[i], runs[i])
-				bps[i] = nil
-			}
-		}
-		if timed {
-			env.observeRuns(own, rc, t0, eid)
-		}
 	}
 
 	// Accepting (packet, filter) pairs accumulate densely as slot
@@ -154,34 +150,32 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 	// in the memory system, so the sweep costs roughly one packet's
 	// worth of DRAM latency per ~10 packets; issued one at a time from
 	// inside the dispatch loop each would serialize against the filter
-	// runs. The batch's header lines (64 KiB) stay cache-resident for
-	// the dispatch loop below. Under profiling the sweep also touches
-	// each unaligned packet's final byte: eager tail materialization
-	// (below) will read that line, and overlapping its miss here keeps
-	// it off the per-packet critical path.
-	var sink byte
-	if profiling {
+	// runs. A single packet has nothing to overlap with, so it skips
+	// the sweep. Under profiling the sweep also touches each unaligned
+	// packet's final byte: eager tail materialization (below) will read
+	// that line, and overlapping its miss here keeps it off the
+	// per-packet critical path. The sum lands in the pooled environment
+	// so the compiler cannot eliminate the loads.
+	if len(pkts) > 1 {
+		var sink byte
 		for _, p := range pkts {
 			if len(p) > 0 {
 				sink += p[0]
-				if len(p)&7 != 0 {
+				if profiling && len(p)&7 != 0 {
 					sink += p[len(p)-1]
 				}
 			}
 		}
-	} else {
-		for _, p := range pkts {
-			if len(p) > 0 {
-				sink += p[0]
-			}
-		}
+		env.prefetchSink = sink
 	}
-	prefetchSink.Store(uint32(sink))
 
 	if timed {
 		t0 = time.Now()
 	}
 
+	var fault error
+	var faultSlot int
+dispatch:
 	for pi, data := range pkts {
 		usePool := len(data) <= maxPooledPacket
 		if usePool {
@@ -257,17 +251,16 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 				rc = append(rc, uint32(res.Cycles))
 			}
 			if err != nil {
-				kind := dispatchFaultKind(err)
-				k.flight(kind, slots[si].owner, err.Error(), eid)
-				k.breakerFault(slots[si].owner, kind, eid)
-				flush(rc)
-				span.End(err)
-				return nil, fmt.Errorf("kernel: validated filter %q faulted: %w", slots[si].owner, err)
+				// A validated extension cannot fault when the kernel
+				// meets the precondition; if it does, the kernel is
+				// broken.
+				fault, faultSlot = err, si
+				break dispatch
 			}
 			cycles[si] += res.Cycles
 			totalCycles += res.Cycles
 			if res.Ret != 0 {
-				aidx = append(aidx, uint16(si))
+				aidx = append(aidx, uint32(si))
 				accepts[si]++
 			}
 		}
@@ -275,9 +268,42 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 		delivered++
 	}
 	env.aidx = aidx[:0]
-	flush(rc)
+
+	if fault != nil {
+		owner := slots[faultSlot].owner
+		kind := dispatchFaultKind(fault)
+		k.flight(kind, owner, fault.Error(), eid)
+		k.breakerFault(owner, kind, eid)
+	}
+	// Flush: one add per shard counter and one per filter that did
+	// anything, for the whole call.
+	sh := &k.stats.shards[env.shard]
+	sh.packets.Add(delivered)
+	sh.cycles.Add(totalCycles)
+	tel.packetBatch(delivered)
+	for i := range slots {
+		if accepts[i] != 0 {
+			slots[i].f.accepts.add(int(env.shard), accepts[i])
+		}
+		if bps[i] != nil {
+			// One expansion + atomic merge per filter per call; the
+			// pooled environment must not pin the scratch.
+			slots[i].f.prof.flushBlocks(bps[i], runs[i])
+			bps[i] = nil
+		}
+	}
+	if timed {
+		for i := range slots {
+			own[i].attribute(cycles[i], accepts[i])
+		}
+		env.observeRuns(own, rc, t0, eid)
+	}
+	if fault != nil {
+		span.End(fault)
+		return nil, fmt.Errorf("kernel: validated filter %q faulted: %w", slots[faultSlot].owner, fault)
+	}
 	if supervised {
-		// The whole batch ran fault-free: one clean observation per
+		// The whole call ran fault-free: one clean observation per
 		// filter (probation progress is per delivery, not per packet).
 		for si := range slots {
 			k.breakerClean(slots[si].owner, eid)
@@ -285,15 +311,17 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 	}
 	span.End(nil)
 
+	if len(aidx) == 0 {
+		return nil, nil
+	}
 	names := make([]string, len(aidx))
 	for i, si := range aidx {
 		names[i] = slots[si].owner
 	}
-	accepted := make([][]string, len(pkts))
-	for pi := range accepted {
+	for pi := range rows {
 		if lo, hi := offs[pi], offs[pi+1]; hi > lo {
-			accepted[pi] = names[lo:hi:hi]
+			rows[pi] = names[lo:hi:hi]
 		}
 	}
-	return accepted, nil
+	return names, nil
 }

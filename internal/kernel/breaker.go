@@ -67,24 +67,6 @@ type BreakerConfig struct {
 	MaxTrips  int
 }
 
-// backoff returns the open interval after the given trip count.
-func (c *BreakerConfig) backoff(trips int) time.Duration {
-	d := c.Base
-	if d <= 0 {
-		d = time.Second
-	}
-	for i := 1; i < trips; i++ {
-		d *= 2
-		if c.Max > 0 && d >= c.Max {
-			return c.Max
-		}
-	}
-	if c.Max > 0 && d > c.Max {
-		d = c.Max
-	}
-	return d
-}
-
 // Breaker states, the values of the pcc_breaker_state gauge.
 const (
 	breakerClosed   = 0
@@ -245,7 +227,7 @@ func (k *Kernel) breakerFault(owner, kind string, eid uint64) {
 	case breakerOpen:
 		// Already demoted; an interpreter fault just restarts the
 		// backoff clock at the current trip count.
-		st.until = time.Now().Add(cfg.backoff(st.trips))
+		st.until = time.Now().Add(expBackoff(cfg.Base, cfg.Max, st.trips-1))
 	}
 	if escalate {
 		// Tentatively parked open (so a racing fault lands in the
@@ -271,7 +253,7 @@ func (k *Kernel) openBreaker(owner string, st *breakerState, cfg *BreakerConfig,
 	st.state = breakerOpen
 	st.faults = 0
 	st.clean = 0
-	d := cfg.backoff(st.trips)
+	d := expBackoff(cfg.Base, cfg.Max, st.trips-1)
 	st.until = time.Now().Add(d)
 	if !st.armed {
 		st.armed = true
@@ -307,7 +289,7 @@ func (k *Kernel) escalateBreaker(owner string, trips int, eid uint64) {
 			st.faults = 0
 			st.clean = 0
 			if cfg := k.brkCfg.Load(); cfg != nil {
-				st.until = time.Now().Add(cfg.backoff(st.trips))
+				st.until = time.Now().Add(expBackoff(cfg.Base, cfg.Max, st.trips-1))
 			}
 			if !st.armed {
 				st.armed = true
@@ -352,7 +334,7 @@ func (k *Kernel) escalateBreaker(owner string, trips int, eid uint64) {
 			k.quar[owner] = qs
 		}
 		qs.strikes += qcfg.Threshold
-		qs.until = now.Add(qcfg.backoff(qs.strikes))
+		qs.until = now.Add(expBackoff(qcfg.Base, qcfg.Max, qs.strikes-qcfg.Threshold))
 		qe := &QuarantineError{Owner: owner, Until: qs.until, Strikes: qs.strikes}
 		n := k.embargoedLocked(now)
 		k.quarMu.Unlock()

@@ -600,12 +600,6 @@ type packetEnv struct {
 	tail         *machine.Region
 	scratch      *machine.Region
 	dirtyScratch bool
-	// pktBuf is the environment's own packet backing storage, used
-	// when the packet must be copied in (single-packet dispatch).
-	// Vectorized dispatch instead aliases the packet region straight
-	// onto the caller's buffer (see setPacketAlias), with the tail
-	// region covering an unaligned final word.
-	pktBuf []byte
 	// tailSrc, when non-nil, is the aliased packet whose unaligned
 	// final word has not been copied into the tail region yet. The
 	// copy is deferred until a filter actually touches the tail (see
@@ -618,15 +612,17 @@ type packetEnv struct {
 	// dispatch counters (shard.go), fixed at creation. sync.Pool's
 	// per-P caching gives the assignment natural processor affinity.
 	shard uint32
-	// Pooled per-batch scratch for DeliverPackets (owner offsets,
-	// accepting-slot indices, and per-filter accumulators parallel to
-	// the snapshot's slots), so a batch allocates only its result.
-	offs    []int32
-	aidx    []uint16
-	cycles  []int64
-	accepts []int64
-	runs    []int64
-	bps     []*machine.BlockProfile
+	// Pooled per-call dispatch scratch (batch.go: owner offsets,
+	// accepting-slot indices, per-filter accumulators parallel to the
+	// snapshot's slots, and the prefetch sweep's sink), so a delivery
+	// allocates only its result.
+	offs         []int32
+	aidx         []uint32
+	prefetchSink byte
+	cycles       []int64
+	accepts      []int64
+	runs         []int64
+	bps          []*machine.BlockProfile
 	// Observed-delivery scratch (telemetry.go): each slot's resolved
 	// instruments, every run's simulated cycles in dispatch order, and
 	// during the flush one owner's local latency-bucket counts and the
@@ -639,7 +635,9 @@ type packetEnv struct {
 
 func newPacketEnv() *packetEnv {
 	mem := machine.NewMemory()
-	pkt := machine.NewRegion("packet", packetBase, 2048, false)
+	// The packet region aliases each delivered packet (setPacketAlias)
+	// and owns no storage of its own.
+	pkt := machine.NewRegion("packet", packetBase, 0, false)
 	// The tail region is empty (matching nothing) except during
 	// zero-copy dispatch of a packet whose length is not a multiple
 	// of 8; an empty region never overlaps anything.
@@ -648,43 +646,23 @@ func newPacketEnv() *packetEnv {
 	mem.MustAddRegion(pkt)
 	mem.MustAddRegion(tail)
 	mem.MustAddRegion(scratch)
-	e := &packetEnv{state: machine.State{Mem: mem}, pkt: pkt, tail: tail, scratch: scratch}
-	e.pktBuf = pkt.Bytes()
-	return e
-}
-
-// setPacketCopy loads the packet into the environment's own backing
-// storage (copy + zero padding to a whole word), the reference layout
-// for pooled dispatch. It always re-aliases the packet region onto the
-// owned buffer, undoing any zero-copy alias a previous batch left.
-func (e *packetEnv) setPacketCopy(data []byte) {
-	padded := (len(data) + 7) &^ 7
-	if cap(e.pktBuf) < padded {
-		e.pktBuf = make([]byte, padded)
-	}
-	buf := e.pktBuf[:padded]
-	n := copy(buf, data)
-	for i := n; i < padded; i++ {
-		buf[i] = 0
-	}
-	e.pkt.AliasBytes(buf)
-	e.tail.Resize(0)
-	e.tailSrc = nil
+	return &packetEnv{state: machine.State{Mem: mem}, pkt: pkt, tail: tail, scratch: scratch}
 }
 
 // releasePacket drops any zero-copy alias so a pooled environment
 // never pins a caller's packet buffer while idle in the pool.
 func (e *packetEnv) releasePacket() {
-	e.pkt.AliasBytes(e.pktBuf[:0])
-	e.tail.Resize(0)
+	e.pkt.AliasBytes(nil)
+	e.tail.Clear()
 	e.tailSrc = nil
 }
 
 // setPacketAlias maps the packet region directly onto the caller's
 // buffer — no copy — leaving only an unaligned final word (at most 7
 // bytes plus zero padding) to copy into the tail region. The visible
-// address space is byte-identical to setPacketCopy: same words at the
-// same addresses, zero padding to the word boundary, unmapped beyond.
+// address space is byte-identical to an eager copy (packetState's
+// layout): same words at the same addresses, zero padding to the word
+// boundary, unmapped beyond.
 // The caller's buffer must stay unmodified for the duration of the
 // run; the packet and tail regions are read-only, so validated filters
 // cannot write through the alias.
@@ -701,8 +679,8 @@ func (e *packetEnv) setPacketAlias(data []byte) {
 }
 
 // materializeTail copies the pending unaligned final word into the
-// tail region, making the address space byte-identical to
-// setPacketCopy. Called when a filter faults on the tail word (see
+// tail region, making the address space byte-identical to an eager
+// copy. Called when a filter faults on the tail word (see
 // tailFault); after it runs, the retried filter — and every later
 // filter on the same packet — sees the mapped, zero-padded tail.
 func (e *packetEnv) materializeTail() {
@@ -784,112 +762,11 @@ func (e *packetEnv) resetLite(pktLen int) {
 
 // wipeScratch zeroes the scratch region, out of line so the common
 // clean-scratch reset stays small enough to inline into the dispatch
-// loops.
+// loop. clear zeroes the region as one block, where a byte loop over
+// it reloads the region's slice header after every store.
 func (e *packetEnv) wipeScratch() {
-	e.scratch.SetBytes(nil) // zero the whole scratch region
+	clear(e.scratch.Bytes())
 	e.dirtyScratch = false
-}
-
-// DeliverPacket runs every installed filter over the packet (with no
-// run-time checks — they are validated) and returns the owners that
-// accepted it. The dispatch path acquires NO lock: it pins an epoch,
-// loads the published filter snapshot once, and iterates its
-// pre-sorted slots — so the accept list comes out sorted with no
-// per-call sort, deliveries proceed concurrently with each other AND
-// with install commits, and a concurrently retired filter stays alive
-// until this delivery unpins. The delivery machine state comes from a
-// sync.Pool: one packet copy per delivery, a register/scratch wipe
-// per filter, no allocation.
-func (k *Kernel) DeliverPacket(pkt pktgen.Packet) ([]string, error) {
-	tel := k.tel.Load()
-	eid := k.nextEvent(tel)
-	span := tel.span(telemetry.StageDispatch, "", eid)
-	supervised := k.brkArmed.Load() != 0
-	if supervised {
-		k.breakerTick(eid)
-	}
-	env := k.statePool.Get().(*packetEnv)
-	defer k.statePool.Put(env)
-	usePool := len(pkt.Data) <= maxPooledPacket
-	if usePool {
-		env.setPacketCopy(pkt.Data)
-	} else {
-		k.flight(telemetry.FlightOversizePacket, "", fmt.Sprintf("len=%d", len(pkt.Data)), eid)
-	}
-	profiling := k.profiling.Load()
-	rec := k.epochs.pin(int(env.shard))
-	defer rec.unpin()
-	t := k.table.Load()
-	sh := &k.stats.shards[env.shard]
-	sh.packets.Add(1)
-	tel.packetBatch(1)
-	var accepted []string
-	var cycles int64
-	// Observed delivery: the same cycle-attributed latency as the batch
-	// path, with one clock pair around the whole delivery.
-	var own []*ownerTel
-	var rc []uint32
-	var t0 time.Time
-	if tel != nil {
-		own = env.ownerTels(tel, t.slots)
-		rc = env.runCycles[:0]
-		t0 = time.Now()
-	}
-	for i := range t.slots {
-		owner, f := t.slots[i].owner, t.slots[i].f
-		var state *machine.State
-		if usePool {
-			if env.dirtyScratch {
-				env.wipeScratch()
-			}
-			env.reset(len(pkt.Data))
-			state = &env.state
-		} else {
-			state = k.packetState(pkt) // oversized packet: fall back to a fresh image
-		}
-		res, wrote, err := runInstalled(f, state, profiling)
-		if usePool && wrote {
-			env.dirtyScratch = true
-		}
-		if tel != nil {
-			rc = append(rc, uint32(res.Cycles))
-		}
-		if err != nil {
-			// A validated extension cannot fault when the kernel meets
-			// the precondition; if it does, the kernel is broken.
-			sh.cycles.Add(cycles)
-			if tel != nil {
-				env.observeRuns(own, rc, t0, eid)
-			}
-			kind := dispatchFaultKind(err)
-			k.flight(kind, owner, err.Error(), eid)
-			k.breakerFault(owner, kind, eid)
-			span.End(err)
-			return nil, fmt.Errorf("kernel: validated filter %q faulted: %w", owner, err)
-		}
-		cycles += res.Cycles
-		ok := res.Ret != 0
-		if ok {
-			accepted = append(accepted, owner)
-			f.accepts.add(int(env.shard), 1)
-		}
-		if supervised {
-			k.breakerClean(owner, eid)
-		}
-		if tel != nil {
-			accepts := int64(0)
-			if ok {
-				accepts = 1
-			}
-			own[i].attribute(res.Cycles, accepts)
-		}
-	}
-	sh.cycles.Add(cycles)
-	if tel != nil {
-		env.observeRuns(own, rc, t0, eid)
-	}
-	span.End(nil)
-	return accepted, nil
 }
 
 // packetState builds a freshly allocated precondition-satisfying

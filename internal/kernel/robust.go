@@ -108,20 +108,23 @@ type QuarantineConfig struct {
 	Max       time.Duration
 }
 
-// backoff returns the embargo length after the given strike count.
-func (c *QuarantineConfig) backoff(strikes int) time.Duration {
-	d := c.Base
+// expBackoff is the kernel's one exponential backoff: base doubled
+// doublings times, capped at ceiling. Quarantine embargoes pass
+// strikes-Threshold doublings, breaker open intervals trips-1. base <= 0
+// means one second; ceiling <= 0 means no cap.
+func expBackoff(base, ceiling time.Duration, doublings int) time.Duration {
+	d := base
 	if d <= 0 {
 		d = time.Second
 	}
-	for i := c.Threshold; i < strikes; i++ {
+	for ; doublings > 0; doublings-- {
 		d *= 2
-		if c.Max > 0 && d >= c.Max {
-			return c.Max
+		if ceiling > 0 && d >= ceiling {
+			return ceiling
 		}
 	}
-	if c.Max > 0 && d > c.Max {
-		d = c.Max
+	if ceiling > 0 && d > ceiling {
+		d = ceiling
 	}
 	return d
 }
@@ -243,7 +246,7 @@ func (k *Kernel) noteRejection(owner, reason string, eid uint64) {
 	}
 	st.strikes++
 	if st.strikes >= cfg.Threshold {
-		st.until = now.Add(cfg.backoff(st.strikes))
+		st.until = now.Add(expBackoff(cfg.Base, cfg.Max, st.strikes-cfg.Threshold))
 		embargo = &QuarantineError{Owner: owner, Until: st.until, Strikes: st.strikes}
 	}
 	n := k.embargoedLocked(now)

@@ -172,9 +172,55 @@ func TestQuarantineBackoffDoubles(t *testing.T) {
 		{6, 45 * time.Millisecond}, // capped
 		{20, 45 * time.Millisecond},
 	} {
-		if got := cfg.backoff(tc.strikes); got != tc.want {
+		if got := expBackoff(cfg.Base, cfg.Max, tc.strikes-cfg.Threshold); got != tc.want {
 			t.Fatalf("backoff(%d) = %v, want %v", tc.strikes, got, tc.want)
 		}
+	}
+}
+
+// TestExpBackoffSequences pins the backoff sequences of both configs
+// that share expBackoff: a breaker's open interval after trips 1..6
+// (trips-1 doublings) and a quarantine's embargo after strikes
+// Threshold..Threshold+5 (strikes-Threshold doublings). Base <= 0
+// means one second, the result is capped at Max (even below Base), and
+// Max = 0 means no cap.
+func TestExpBackoffSequences(t *testing.T) {
+	// The two call-site shapes, as breaker.go and robust.go use them.
+	breaker := func(c BreakerConfig) func(int) time.Duration {
+		return func(trips int) time.Duration { return expBackoff(c.Base, c.Max, trips-1) }
+	}
+	quarantine := func(c QuarantineConfig) func(int) time.Duration {
+		return func(strikes int) time.Duration { return expBackoff(c.Base, c.Max, strikes-c.Threshold) }
+	}
+	const ms, s = time.Millisecond, time.Second
+	for _, tc := range []struct {
+		name    string
+		backoff func(int) time.Duration
+		first   int // trips or strikes of want[0]
+		want    []time.Duration
+	}{
+		{"breaker capped", breaker(BreakerConfig{Base: 10 * ms, Max: 45 * ms}), 1,
+			[]time.Duration{10 * ms, 20 * ms, 40 * ms, 45 * ms, 45 * ms, 45 * ms}},
+		{"breaker defaults", breaker(BreakerConfig{}), 1,
+			[]time.Duration{1 * s, 2 * s, 4 * s, 8 * s, 16 * s, 32 * s}},
+		{"breaker negative base", breaker(BreakerConfig{Base: -5 * ms, Max: 3 * s}), 1,
+			[]time.Duration{1 * s, 2 * s, 3 * s, 3 * s, 3 * s, 3 * s}},
+		{"breaker max below base", breaker(BreakerConfig{Base: 50 * ms, Max: 20 * ms}), 1,
+			[]time.Duration{20 * ms, 20 * ms, 20 * ms, 20 * ms, 20 * ms, 20 * ms}},
+		{"quarantine capped", quarantine(QuarantineConfig{Threshold: 3, Base: 10 * ms, Max: 45 * ms}), 3,
+			[]time.Duration{10 * ms, 20 * ms, 40 * ms, 45 * ms, 45 * ms, 45 * ms}},
+		{"quarantine defaults", quarantine(QuarantineConfig{Threshold: 2}), 2,
+			[]time.Duration{1 * s, 2 * s, 4 * s, 8 * s, 16 * s, 32 * s}},
+		{"quarantine max below base", quarantine(QuarantineConfig{Threshold: 1, Base: 50 * ms, Max: 20 * ms}), 1,
+			[]time.Duration{20 * ms, 20 * ms, 20 * ms, 20 * ms, 20 * ms, 20 * ms}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i, want := range tc.want {
+				if got := tc.backoff(tc.first + i); got != want {
+					t.Fatalf("after %d: backoff %v, want %v", tc.first+i, got, want)
+				}
+			}
+		})
 	}
 }
 

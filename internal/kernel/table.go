@@ -16,7 +16,7 @@ import (
 )
 
 // tableSlot is one installed filter in a snapshot, pre-sorted by
-// owner so both dispatch paths emit accept lists in sorted order
+// owner so the dispatch loop emits accept lists in sorted order
 // without a per-call sort. c hoists the filter's compiled form (nil
 // when absent) and lite its liveness verdict out of the per-(packet,
 // filter) loop.

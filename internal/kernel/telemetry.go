@@ -33,7 +33,7 @@ const (
 	MetricFilterAccepts = "pcc_filter_accepts_total"
 	MetricFilterCycles  = "pcc_filter_cycles_total"
 	// MetricFilterLatency is the per-owner filter-run latency histogram
-	// family (both dispatch paths; each run's cycles times its
+	// family (both dispatch entry points; each run's cycles times its
 	// delivery's measured ns per cycle, see observeRuns), on the sub-µs
 	// log-scale dispatch buckets so tail latency per filter is
 	// readable, not one giant first bucket.

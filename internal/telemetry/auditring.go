@@ -12,8 +12,6 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
-	"sort"
-	"sync/atomic"
 )
 
 // AuditRecord is one captured audit decision, flattened for joining:
@@ -35,21 +33,18 @@ type AuditRecord struct {
 // DefaultAuditRingCapacity is the ring size used when capacity <= 0.
 const DefaultAuditRingCapacity = 1024
 
-// AuditRing is the record ring. Appends are lock-free (one atomic
-// counter claims a slot, one atomic pointer store publishes); when
-// full, the oldest records are overwritten. A nil *AuditRing is a
+// AuditRing is the record ring (ring.go): appends never block, and
+// when full the oldest records are overwritten. A nil *AuditRing is a
 // valid no-op sink.
 type AuditRing struct {
-	slots []atomic.Pointer[AuditRecord]
-	next  atomic.Uint64
+	ring[AuditRecord]
 }
 
 // NewAuditRing builds a ring holding up to capacity records.
 func NewAuditRing(capacity int) *AuditRing {
-	if capacity <= 0 {
-		capacity = DefaultAuditRingCapacity
-	}
-	return &AuditRing{slots: make([]atomic.Pointer[AuditRecord], capacity)}
+	r := &AuditRing{}
+	r.init(capacity, DefaultAuditRingCapacity)
+	return r
 }
 
 // add appends one record, overwriting the oldest when full.
@@ -57,8 +52,7 @@ func (r *AuditRing) add(rec *AuditRecord) {
 	if r == nil {
 		return
 	}
-	rec.Seq = r.next.Add(1) - 1
-	r.slots[rec.Seq%uint64(len(r.slots))].Store(rec)
+	r.ring.add(*rec)
 }
 
 // Appended returns the total number of records ever captured.
@@ -66,38 +60,21 @@ func (r *AuditRing) Appended() int64 {
 	if r == nil {
 		return 0
 	}
-	return int64(r.next.Load())
+	return r.appended()
 }
 
-// Records snapshots the ring's current contents, oldest first (same
-// per-slot-atomic contract as the span and flight rings).
+// Records snapshots the ring's current contents as a consistent cut
+// (see ring.snapshot), oldest first.
 func (r *AuditRing) Records() []AuditRecord {
 	if r == nil {
 		return nil
 	}
-	out := make([]AuditRecord, 0, len(r.slots))
-	for i := range r.slots {
-		if rec := r.slots[i].Load(); rec != nil {
-			out = append(out, *rec)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	_, out := r.snapshot(func(rec *AuditRecord, seq uint64) { rec.Seq = seq })
 	return out
 }
 
 // WriteJSONL writes the ring's records as JSON-lines, oldest first.
-func (r *AuditRing) WriteJSONL(w io.Writer) error {
-	for _, rec := range r.Records() {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(b, '\n')); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (r *AuditRing) WriteJSONL(w io.Writer) error { return writeJSONL(w, r.Records()) }
 
 // ReadAuditJSONL decodes a JSON-lines audit-ring export (the inverse
 // of WriteJSONL); blank lines are skipped.

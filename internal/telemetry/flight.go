@@ -11,8 +11,6 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
-	"sort"
-	"sync/atomic"
 	"time"
 )
 
@@ -77,22 +75,18 @@ type FlightEvent struct {
 // DefaultFlightCapacity is the ring size used when capacity <= 0.
 const DefaultFlightCapacity = 256
 
-// FlightRecorder is the anomaly ring. Appends are lock-free (one
-// atomic counter claims a slot, one atomic pointer store publishes),
-// so recording from the dispatch path never blocks; when full, the
-// oldest events are overwritten. A nil *FlightRecorder is a valid
-// no-op sink.
+// FlightRecorder is the anomaly ring (ring.go): appends never block,
+// and when full the oldest events are overwritten. A nil
+// *FlightRecorder is a valid no-op sink.
 type FlightRecorder struct {
-	slots []atomic.Pointer[FlightEvent]
-	next  atomic.Uint64
+	ring[FlightEvent]
 }
 
 // NewFlightRecorder builds a ring holding up to capacity events.
 func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = DefaultFlightCapacity
-	}
-	return &FlightRecorder{slots: make([]atomic.Pointer[FlightEvent], capacity)}
+	f := &FlightRecorder{}
+	f.init(capacity, DefaultFlightCapacity)
+	return f
 }
 
 // Record appends one anomaly, stamped now.
@@ -106,15 +100,13 @@ func (f *FlightRecorder) RecordEvent(kind, owner, detail string, event uint64) {
 	if f == nil {
 		return
 	}
-	e := &FlightEvent{
+	f.add(FlightEvent{
 		TimeUnixNanos: time.Now().UnixNano(),
 		Kind:          kind,
 		Owner:         owner,
 		Detail:        detail,
 		Event:         event,
-	}
-	e.Seq = f.next.Add(1) - 1
-	f.slots[e.Seq%uint64(len(f.slots))].Store(e)
+	})
 }
 
 // Cap returns the ring capacity.
@@ -130,7 +122,7 @@ func (f *FlightRecorder) Appended() int64 {
 	if f == nil {
 		return 0
 	}
-	return int64(f.next.Load())
+	return f.appended()
 }
 
 // Dropped returns how many events have been overwritten by ring wrap.
@@ -138,44 +130,22 @@ func (f *FlightRecorder) Dropped() int64 {
 	if f == nil {
 		return 0
 	}
-	n := f.Appended() - int64(len(f.slots))
-	if n < 0 {
-		return 0
-	}
-	return n
+	return f.dropped()
 }
 
-// Events snapshots the ring's current contents, oldest first. Each
-// slot is read atomically; a concurrent append may replace a slot
-// mid-snapshot, so the result is a consistent set of real events but
-// not a point-in-time cut.
+// Events snapshots the ring's current contents, oldest first: the
+// Events of Snapshot.
 func (f *FlightRecorder) Events() []FlightEvent {
 	if f == nil {
 		return nil
 	}
-	out := make([]FlightEvent, 0, len(f.slots))
-	for i := range f.slots {
-		if e := f.slots[i].Load(); e != nil {
-			out = append(out, *e)
-		}
-	}
-	// Seq order == record order; slots wrap, so sort by Seq.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].Seq > out[j].Seq; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
+	return f.Snapshot().Events
 }
 
 // FlightSnapshot is the JSON document WriteJSON emits (and the serve
-// endpoint exposes). The accounting invariant
-//
-//	Appended == len(Events) + Dropped
-//
-// holds exactly at every snapshot, even while appends race: Dropped
-// counts both ring-overwritten events and slots claimed by an
-// in-flight append but not yet published.
+// endpoint exposes): one consistent cut of the ring, so
+// Appended == len(Events) + Dropped holds exactly even while appends
+// race (see ring.snapshot).
 type FlightSnapshot struct {
 	Capacity int           `json:"capacity"`
 	Appended int64         `json:"appended"`
@@ -183,29 +153,15 @@ type FlightSnapshot struct {
 	Events   []FlightEvent `json:"events"`
 }
 
-// Snapshot captures a consistent view of the ring. The append counter
-// is read once, first; only events sequenced strictly below that read
-// are included, and Dropped is defined as the difference — so the
-// Appended == len(Events) + Dropped invariant holds by construction
-// regardless of concurrent appends, and every included Seq is unique
-// (distinct slots hold distinct residues mod capacity).
+// Snapshot captures a consistent cut of the ring; Dropped counts the
+// appended events the cut does not hold.
 func (f *FlightRecorder) Snapshot() FlightSnapshot {
 	snap := FlightSnapshot{Capacity: f.Cap(), Events: []FlightEvent{}}
 	if f == nil {
 		return snap
 	}
-	a := int64(f.next.Load())
-	for i := range f.slots {
-		if e := f.slots[i].Load(); e != nil && int64(e.Seq) < a {
-			snap.Events = append(snap.Events, *e)
-		}
-	}
-	// Seq order == record order; slots wrap, so sort by Seq.
-	sort.Slice(snap.Events, func(i, j int) bool {
-		return snap.Events[i].Seq < snap.Events[j].Seq
-	})
-	snap.Appended = a
-	snap.Dropped = a - int64(len(snap.Events))
+	snap.Appended, snap.Events = f.snapshot(func(e *FlightEvent, seq uint64) { e.Seq = seq })
+	snap.Dropped = snap.Appended - int64(len(snap.Events))
 	return snap
 }
 

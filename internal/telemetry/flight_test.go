@@ -190,75 +190,135 @@ func TestLabeledHistogramExposition(t *testing.T) {
 	}
 }
 
-// TestFlightSnapshotInvariantUnderWrap is the satellite-2 hardening
-// test: WriteJSON/Snapshot racing concurrent appends across many full
-// ring wraps, asserting at every snapshot that
+// TestFlightSnapshotInvariantUnderWrap races snapshots against
+// concurrent appends across many full ring wraps, on each of the three
+// rings sharing ring.go's cut — flight events, spans, audit records —
+// asserting at every snapshot that
 //
 //	appended == len(events) + dropped
 //
-// holds exactly, that event Seqs are unique and ascending, and that
-// every event is fully formed (no torn slot reads). Run under -race.
+// holds exactly with dropped counting only overwritten or unpublished
+// entries: sequence numbers are unique, ascending and below appended,
+// and every entry is fully formed (no torn slot reads). The flight case also checks the public Snapshot
+// and WriteJSON. Run under -race.
 func TestFlightSnapshotInvariantUnderWrap(t *testing.T) {
-	const capacity = 8 // tiny ring: thousands of wraps per run
+	const capacity = 8 // tiny rings: thousands of wraps per run
+	type cut struct {
+		appended int64
+		seqs     []uint64
+		whole    bool
+	}
 	f := NewFlightRecorder(capacity)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				f.RecordEvent(FlightFuelExhausted, "owner", "detail", uint64(g*1_000_000+i+1))
+	rec := NewWith(Options{TraceCapacity: capacity})
+	audit := NewAuditRing(capacity)
+	cases := []struct {
+		name    string
+		add     func(eid uint64)
+		cut     func(t *testing.T) cut
+		dropped func() int64
+	}{
+		{"flight", func(eid uint64) {
+			f.RecordEvent(FlightFuelExhausted, "owner", "detail", eid)
+		}, func(t *testing.T) cut {
+			snap := f.Snapshot()
+			c := cut{appended: snap.Appended, whole: snap.Capacity == capacity}
+			for _, e := range snap.Events {
+				c.seqs = append(c.seqs, e.Seq)
+				c.whole = c.whole && e.Kind == FlightFuelExhausted && e.Owner == "owner" && e.Event != 0 && e.TimeUnixNanos != 0
 			}
-		}(g)
+			if snap.Dropped != snap.Appended-int64(len(snap.Events)) {
+				t.Fatalf("snapshot breaks the invariant: %+v", snap)
+			}
+			// WriteJSON is the same snapshot through the encoder; it
+			// must stay well-formed mid-wrap too.
+			var buf bytes.Buffer
+			if err := f.WriteJSON(&buf); err != nil {
+				t.Fatalf("WriteJSON under churn: %v", err)
+			}
+			var back FlightSnapshot
+			if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+				t.Fatalf("WriteJSON emitted invalid JSON under churn: %v", err)
+			}
+			if back.Appended != int64(len(back.Events))+back.Dropped {
+				t.Fatalf("decoded snapshot breaks the invariant: %+v", back)
+			}
+			return c
+		}, f.Dropped},
+		{"span", func(eid uint64) {
+			rec.RecordSpan(StageDispatch, "owner", 0, eid, time.Now(), time.Microsecond, nil)
+		}, func(t *testing.T) cut {
+			c := cut{whole: true}
+			var evs []Event
+			c.appended, evs = rec.Trace().snapshot(func(_ *Event, seq uint64) { c.seqs = append(c.seqs, seq) })
+			for _, e := range evs {
+				c.whole = c.whole && e.Stage == StageDispatch && e.Detail == "owner" && e.Event != 0 && e.ID != 0
+			}
+			return c
+		}, rec.Trace().Dropped},
+		{"audit", func(eid uint64) {
+			audit.add(&AuditRecord{Level: "INFO", Msg: "pcc install", Kind: "install", Owner: "owner", Event: eid})
+		}, func(t *testing.T) cut {
+			c := cut{whole: true}
+			var recs []AuditRecord
+			c.appended, recs = audit.snapshot(func(r *AuditRecord, seq uint64) {
+				r.Seq = seq
+				c.seqs = append(c.seqs, seq)
+			})
+			for _, r := range recs {
+				c.whole = c.whole && r.Kind == "install" && r.Owner == "owner" && r.Event != 0
+			}
+			return c
+		}, func() int64 { return max(audit.Appended()-capacity, 0) }},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						tc.add(uint64(g*1_000_000 + i + 1))
+					}
+				}(g)
+			}
 
-	deadline := time.Now().Add(200 * time.Millisecond)
-	snapshots := 0
-	for time.Now().Before(deadline) {
-		snap := f.Snapshot()
-		snapshots++
-		if snap.Appended != int64(len(snap.Events))+snap.Dropped {
-			t.Fatalf("snapshot %d: appended %d != events %d + dropped %d",
-				snapshots, snap.Appended, len(snap.Events), snap.Dropped)
-		}
-		if snap.Capacity != capacity || len(snap.Events) > capacity {
-			t.Fatalf("snapshot %d: %d events in a %d ring", snapshots, len(snap.Events), snap.Capacity)
-		}
-		for i, e := range snap.Events {
-			if i > 0 && e.Seq <= snap.Events[i-1].Seq {
-				t.Fatalf("snapshot %d: Seq not strictly ascending at %d: %d then %d",
-					snapshots, i, snap.Events[i-1].Seq, e.Seq)
+			deadline := time.Now().Add(200 * time.Millisecond)
+			for snapshots := 1; time.Now().Before(deadline); snapshots++ {
+				c := tc.cut(t)
+				if len(c.seqs) > capacity {
+					t.Fatalf("snapshot %d: %d entries in a %d ring", snapshots, len(c.seqs), capacity)
+				}
+				if !c.whole {
+					t.Fatalf("snapshot %d: torn entry", snapshots)
+				}
+				for i, seq := range c.seqs {
+					if i > 0 && seq <= c.seqs[i-1] {
+						t.Fatalf("snapshot %d: seq not strictly ascending at %d: %d then %d",
+							snapshots, i, c.seqs[i-1], seq)
+					}
+					if int64(seq) >= c.appended {
+						t.Fatalf("snapshot %d: seq %d beyond appended %d", snapshots, seq, c.appended)
+					}
+				}
 			}
-			if int64(e.Seq) >= snap.Appended {
-				t.Fatalf("snapshot %d: event Seq %d beyond appended %d", snapshots, e.Seq, snap.Appended)
+			close(stop)
+			wg.Wait()
+			// Quiescent: nothing is in flight, so the cut holds every
+			// entry the ring has not overwritten.
+			c := tc.cut(t)
+			if c.appended != int64(len(c.seqs))+tc.dropped() {
+				t.Fatalf("quiescent: appended %d != entries %d + dropped %d", c.appended, len(c.seqs), tc.dropped())
 			}
-			if e.Kind != FlightFuelExhausted || e.Owner != "owner" || e.Event == 0 || e.TimeUnixNanos == 0 {
-				t.Fatalf("snapshot %d: torn event %+v", snapshots, e)
+			if tc.dropped() == 0 {
+				t.Fatal("test never wrapped the ring; invariant not exercised")
 			}
-		}
-		// WriteJSON is the same snapshot through the encoder; it must
-		// stay well-formed mid-wrap too.
-		var buf bytes.Buffer
-		if err := f.WriteJSON(&buf); err != nil {
-			t.Fatalf("WriteJSON under churn: %v", err)
-		}
-		var back FlightSnapshot
-		if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-			t.Fatalf("WriteJSON emitted invalid JSON under churn: %v", err)
-		}
-		if back.Appended != int64(len(back.Events))+back.Dropped {
-			t.Fatalf("decoded snapshot breaks the invariant: %+v", back)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if f.Dropped() == 0 {
-		t.Fatal("test never wrapped the ring; invariant not exercised")
+		})
 	}
 }

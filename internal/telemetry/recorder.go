@@ -119,11 +119,11 @@ func New() *Recorder { return NewWith(Options{}) }
 // NewWith builds a Recorder with the given options.
 func NewWith(o Options) *Recorder {
 	r := &Recorder{
-		start:        time.Now(),
-		trace:        newTrace(o.TraceCapacity),
-		stageHists:   make(map[string]*Histogram, len(Stages)),
-		bounds:       o.Buckets,
-		winOpts:      o.Window,
+		start:         time.Now(),
+		trace:         newTrace(o.TraceCapacity),
+		stageHists:    make(map[string]*Histogram, len(Stages)),
+		bounds:        o.Buckets,
+		winOpts:       o.Window,
 		counters:      map[string]*Counter{},
 		gauges:        map[string]*Gauge{},
 		hists:         map[string]*Histogram{},
@@ -342,7 +342,7 @@ func (r *Recorder) RecordSpan(stage, detail string, parent, event uint64, start 
 // histogram counts == trace.Appended()" is an invariant the tests
 // assert.
 func (r *Recorder) finish(s Span, dur time.Duration, err error) {
-	e := &Event{
+	e := Event{
 		ID:         s.id,
 		Parent:     s.parent,
 		Event:      s.event,

@@ -1,9 +1,5 @@
-// Span tracer: a fixed-capacity ring of completed spans, appended
-// lock-free (one atomic counter claims a slot, one atomic pointer
-// store publishes the event) so the dispatch path never queues behind
-// a reader. When the ring wraps, the oldest events are overwritten and
-// counted as dropped — telemetry degrades by forgetting history, never
-// by blocking the kernel.
+// Span tracer: the completed spans, kept in the lock-free event ring
+// (ring.go) so the dispatch path never queues behind a reader.
 package telemetry
 
 import (
@@ -12,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 )
 
 // Event is one completed span. Times are nanoseconds since the
@@ -42,8 +37,7 @@ type Event struct {
 
 // Trace is the ring buffer of completed spans.
 type Trace struct {
-	slots []atomic.Pointer[Event]
-	next  atomic.Uint64 // total events ever appended
+	ring[Event]
 }
 
 // DefaultTraceCapacity is the ring size of recorders built with New.
@@ -51,59 +45,28 @@ const DefaultTraceCapacity = 4096
 
 // newTrace builds a ring holding up to capacity events.
 func newTrace(capacity int) *Trace {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	return &Trace{slots: make([]atomic.Pointer[Event], capacity)}
-}
-
-// add appends one completed event, overwriting the oldest when full.
-func (t *Trace) add(e *Event) {
-	seq := t.next.Add(1) - 1
-	t.slots[seq%uint64(len(t.slots))].Store(e)
+	t := &Trace{}
+	t.init(capacity, DefaultTraceCapacity)
+	return t
 }
 
 // Appended returns the total number of events ever appended.
-func (t *Trace) Appended() int64 { return int64(t.next.Load()) }
+func (t *Trace) Appended() int64 { return t.appended() }
 
 // Dropped returns how many events have been overwritten by ring wrap.
-func (t *Trace) Dropped() int64 {
-	n := int64(t.next.Load()) - int64(len(t.slots))
-	if n < 0 {
-		return 0
-	}
-	return n
-}
+func (t *Trace) Dropped() int64 { return t.dropped() }
 
-// Events snapshots the ring's current contents, oldest first. Each
-// slot is read atomically; a concurrent append may replace a slot
-// mid-snapshot, so the result is a consistent set of real events but
-// not a point-in-time cut.
+// Events snapshots the ring's current contents as a consistent cut
+// (see ring.snapshot), ordered by span ID — start order, since IDs are
+// assigned when a span opens.
 func (t *Trace) Events() []Event {
-	out := make([]Event, 0, len(t.slots))
-	for i := range t.slots {
-		if e := t.slots[i].Load(); e != nil {
-			out = append(out, *e)
-		}
-	}
+	_, out := t.snapshot(nil)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // WriteJSONL writes the ring's events as JSON-lines, oldest first.
-func (t *Trace) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range t.Events() {
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(append(b, '\n')); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+func (t *Trace) WriteJSONL(w io.Writer) error { return writeJSONL(w, t.Events()) }
 
 // ReadJSONL decodes a JSON-lines trace export (the inverse of
 // WriteJSONL); blank lines are skipped.

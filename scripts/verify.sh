@@ -38,6 +38,12 @@ go test -race -cpu=1,4 ./internal/kernel/
 echo '== observed-dispatch benchmark smoke'
 go test -run='^$' -bench=DeliverPacketsObserved -benchtime=1x ./internal/kernel/
 
+# One iteration of the single-packet benchmarks: DeliverPacket is a
+# batch of one through the shared dispatch loop, and these keep that
+# entry point compiling and running under the benchmark harness.
+echo '== single-packet dispatch benchmark smoke'
+go test -run='^$' -bench='DeliverWithRecorder|DeliverPacketState' -benchtime=1x ./internal/kernel/
+
 echo '== fuzz corpora smoke (seed corpora replay)'
 go test -run=Fuzz ./...
 
