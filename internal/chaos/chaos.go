@@ -87,6 +87,7 @@ func Mutators() []Mutator {
 		{"graft", graft},
 		{"depthbomb", depthBomb},
 		{"dagbomb", dagBomb},
+		{"ctxbomb", ctxBomb},
 	}
 }
 
@@ -237,6 +238,8 @@ func depthBomb(rng *rand.Rand, base Base) []byte {
 // sharing, so verifying Q₆₀ costs ~2⁶⁰ inference steps, and the type
 // mismatch against the real safety predicate only surfaces at the very
 // end. Byte-size limits cannot stop this class; only step fuel does.
+// (The checker's memo charges the expanded tree too, but gets to the
+// fuel limit in microseconds; ctxBomb is the class it cannot shorten.)
 func dagBomb(rng *rand.Rand, base Base) []byte {
 	bin, err := pccbin.Unmarshal(base.Binary)
 	if err != nil {
@@ -258,6 +261,54 @@ func dagBomb(rng *rand.Rand, base Base) []byte {
 	levels := 40 + rng.Intn(25)
 	for i := 0; i < levels; i++ {
 		p, q = app(app(and, p), p), app(app(app(app(andi, p), p), q), q)
+	}
+	w := &bombWriter{buf: out}
+	w.emit(q)
+	return w.buf
+}
+
+// ctxBomb is dagBomb against the checker's memo. Within one check the
+// checker reuses the type of a (subterm, binder context) pair, which
+// takes dagBomb to the fuel limit in microseconds. Here every copy of
+// the previous level's proof sits under its own λ-binder, annotated
+// with a distinct (structurally equal) node, so no two occurrences
+// share a context:
+//
+//	A(Q) = impe tt tt (impi tt tt (λ_:pf tt. Q)) truei    : pf tt
+//	Qᵢ₊₁ = andel tt tt (andi tt tt A(Qᵢ) A(Qᵢ))          : pf tt
+//
+// with Q₀ = truei. Nothing is reused, and the checker really walks the
+// exponential tree until step fuel stops it.
+func ctxBomb(rng *rand.Rand, base Base) []byte {
+	bin, err := pccbin.Unmarshal(base.Binary)
+	if err != nil {
+		return bitflip(rng, base)
+	}
+	out := header(bin)
+	syms := []string{lf.CAndEL, lf.CAndI, lf.CImpE, lf.CImpI, lf.CPf, lf.CTT, lf.CTrueI}
+	out = binary.AppendUvarint(out, uint64(len(syms)))
+	for _, s := range syms {
+		out = binary.AppendUvarint(out, uint64(len(s)))
+		out = append(out, s...)
+	}
+	out = binary.AppendUvarint(out, 0) // no invariants
+
+	konst := func(sym int) *bombNode { return &bombNode{tag: tagKonst, sym: sym, idx: -1} }
+	app := func(f *bombNode, xs ...*bombNode) *bombNode {
+		for _, x := range xs {
+			f = &bombNode{tag: tagApp, a: f, b: x, idx: -1}
+		}
+		return f
+	}
+	lam := func(a, m *bombNode) *bombNode { return &bombNode{tag: tagLam, a: a, b: m, idx: -1} }
+	andel, andi, impe, impi, pf, tt, truei := konst(0), konst(1), konst(2), konst(3), konst(4), konst(5), konst(6)
+	q := truei
+	levels := 40 + rng.Intn(25)
+	for i := 0; i < levels; i++ {
+		arm := func() *bombNode { // fresh nodes, so a fresh binder context
+			return app(impe, tt, tt, app(impi, tt, tt, lam(app(pf, tt), q)), truei)
+		}
+		q = app(andel, tt, tt, app(andi, tt, tt, arm(), arm()))
 	}
 	w := &bombWriter{buf: out}
 	w.emit(q)
@@ -447,7 +498,9 @@ func vetAccept(rng *rand.Rand, mutant []byte, base Base) error {
 	}
 	const packetBase, scratchBase = 0x10000, 0x20000
 	for probe := 0; probe < 8; probe++ {
-		plen := 8 * (1 + rng.Intn(32)) // 8..256 bytes, word-aligned
+		// MinPacket..256 bytes, word-aligned: the policy's precondition
+		// guarantees a validated filter at least MinPacket bytes.
+		plen := policy.MinPacket + 8*rng.Intn((256-policy.MinPacket)/8+1)
 		pkt := machine.NewRegion("packet", packetBase, plen, false)
 		rng.Read(pkt.Bytes())
 		mem := machine.NewMemory()

@@ -26,8 +26,9 @@ import (
 // bounded number of checker steps, queued requests short-circuit,
 // every request gets a verdict, nothing is installed, no goroutines
 // leak, and the books reconcile. The workload is a set of distinct
-// dag-bomb blobs, each of which burns the whole step budget if left
-// alone, so the cancellation provably lands mid-check.
+// ctxbomb blobs, DAG bombs whose sharing the checker's memo cannot
+// use, each of which burns the whole step budget if left alone, so the
+// cancellation provably lands mid-check.
 func TestBatchCtxMidFlightCancelDrains(t *testing.T) {
 	cert, err := pcc.Certify(filters.SrcFilter1, policy.PacketFilter(), nil)
 	if err != nil {
@@ -36,12 +37,12 @@ func TestBatchCtxMidFlightCancelDrains(t *testing.T) {
 	base := chaos.Base{Name: "f1", Binary: cert.Binary, Policy: policy.PacketFilter()}
 	var bomb func(*rand.Rand, chaos.Base) []byte
 	for _, m := range chaos.Mutators() {
-		if m.Name == "dagbomb" {
+		if m.Name == "ctxbomb" {
 			bomb = m.Fn
 		}
 	}
 	if bomb == nil {
-		t.Fatal("dagbomb mutator missing")
+		t.Fatal("ctxbomb mutator missing")
 	}
 	rng := rand.New(rand.NewSource(99))
 	reqs := make([]kernel.InstallRequest, 16)
@@ -73,7 +74,7 @@ func TestBatchCtxMidFlightCancelDrains(t *testing.T) {
 	errs := k.InstallFilterBatchCtx(ctx, reqs)
 	elapsed := time.Since(start)
 	// Interruption must be prompt: orders of magnitude under the
-	// uninterrupted checking time (a single bomb alone would run ~4s).
+	// uninterrupted checking time (a single bomb alone would run ~2s).
 	if elapsed > 3*time.Second {
 		t.Fatalf("drain took %v — checker interrupt not honored", elapsed)
 	}

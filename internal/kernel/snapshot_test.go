@@ -9,12 +9,10 @@
 package kernel
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"log/slog"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -225,23 +223,17 @@ func TestEpochGraceDefersPoison(t *testing.T) {
 // the dispatch path must contribute no contention samples — there is
 // no mutex on it to contend. A deliberately contended control mutex
 // proves the profiler is recording.
+//
+// The mutex profile is cumulative over the process, so the gate reads
+// only the samples added during its own window: earlier tests and
+// earlier -count runs cannot leak in. A garbage collection and one
+// warm-up dispatch come first, outside the window, so the window does
+// not open on a GC's sync.Pool cleanup, whose re-registration on the
+// next pool use takes the runtime's pool-list mutex under dispatch
+// frames.
 func TestDispatchAcquiresNoLocks(t *testing.T) {
 	oldRate := runtime.SetMutexProfileFraction(1)
 	defer runtime.SetMutexProfileFraction(oldRate)
-
-	// Positive control: one guaranteed contended unlock in this frame,
-	// so an empty profile can't pass the gate vacuously.
-	var m sync.Mutex
-	m.Lock()
-	released := make(chan struct{})
-	go func() {
-		m.Lock()
-		m.Unlock()
-		close(released)
-	}()
-	time.Sleep(5 * time.Millisecond)
-	m.Unlock()
-	<-released
 
 	bins := certAll(t)
 	k := New()
@@ -254,6 +246,29 @@ func TestDispatchAcquiresNoLocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := allIPPackets(32, 7)
+
+	runtime.GC()
+	if _, err := k.DeliverPackets(raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.DeliverPacket(pktgen.Packet{Data: raw[0]}); err != nil {
+		t.Fatal(err)
+	}
+	before := mutexProfile()
+
+	// Positive control: one guaranteed contended unlock in this frame,
+	// so an empty window can't pass the gate vacuously.
+	var m sync.Mutex
+	m.Lock()
+	released := make(chan struct{})
+	go func() {
+		m.Lock()
+		m.Unlock()
+		close(released)
+	}()
+	time.Sleep(5 * time.Millisecond)
+	m.Unlock()
+	<-released
 
 	stop := make(chan struct{})
 	var churner sync.WaitGroup
@@ -300,19 +315,64 @@ func TestDispatchAcquiresNoLocks(t *testing.T) {
 		t.FailNow()
 	}
 
-	var buf bytes.Buffer
-	if err := pprof.Lookup("mutex").WriteTo(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	prof := buf.String()
-	if !strings.Contains(prof, "TestDispatchAcquiresNoLocks") {
+	window := newMutexSamples(before, mutexProfile())
+	if !strings.Contains(window, "kernel.TestDispatchAcquiresNoLocks\n") {
 		t.Fatal("mutex profiler recorded nothing — the positive control is missing, gate is vacuous")
 	}
 	for _, frame := range []string{"DeliverPacket", "DeliverPackets"} {
-		if strings.Contains(prof, frame) {
-			t.Errorf("mutex contention sample inside %s — dispatch path acquired a lock:\n%s", frame, prof)
+		if strings.Contains(window, frame) {
+			t.Errorf("mutex contention sample inside %s — dispatch path acquired a lock:\n%s", frame, window)
 		}
 	}
+}
+
+// mutexProfile returns the process's cumulative mutex profile as
+// contention events per stack.
+func mutexProfile() map[[32]uintptr]int64 {
+	n, _ := runtime.MutexProfile(nil)
+	for {
+		recs := make([]runtime.BlockProfileRecord, n+16)
+		got, ok := runtime.MutexProfile(recs)
+		if !ok {
+			n = got
+			continue
+		}
+		prof := make(map[[32]uintptr]int64, got)
+		for _, r := range recs[:got] {
+			prof[r.Stack0] += r.Count
+		}
+		return prof
+	}
+}
+
+// newMutexSamples renders, one function per line, the stacks whose
+// contention count grew from before to after.
+func newMutexSamples(before, after map[[32]uintptr]int64) string {
+	var b strings.Builder
+	for stk, n := range after {
+		if n <= before[stk] {
+			continue
+		}
+		fmt.Fprintf(&b, "%d events:\n", n-before[stk])
+		pcs := stk[:]
+		for i, pc := range pcs {
+			if pc == 0 {
+				pcs = pcs[:i]
+				break
+			}
+		}
+		frames := runtime.CallersFrames(pcs)
+		for {
+			f, more := frames.Next()
+			if f.Function != "" {
+				fmt.Fprintf(&b, "  %s\n", f.Function)
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return b.String()
 }
 
 // TestStatsAggregatedOnScrape pins the documented Stats/Accepts

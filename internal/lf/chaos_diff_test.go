@@ -15,7 +15,8 @@ import (
 // TestCheckerMatchesReferenceOnChaos: on the paper's certified filters
 // and on chaos mutants of them (bit flips, truncations, section swaps,
 // proof grafts, depth and DAG bombs), the production checker and the
-// reference checker (ref_test.go) agree on verdict class and on Steps.
+// reference checker (ref_test.go) agree on verdict class and on Steps,
+// and the checker's depth is back at 0.
 // Mutants the decoder or the VC generator already rejects never reach
 // a checker and are skipped. The signature fingerprint and policy name
 // are not compared first, so mutants that would die on those checks in
@@ -62,6 +63,9 @@ func TestCheckerMatchesReferenceOnChaos(t *testing.T) {
 		}
 		if c.Steps != refSteps {
 			t.Fatalf("%s: steps %d, reference %d", name, c.Steps, refSteps)
+		}
+		if d := lf.CheckerDepth(c); d != 0 {
+			t.Fatalf("%s: depth %d after the check", name, d)
 		}
 		return lf.ErrorClass(err)
 	}

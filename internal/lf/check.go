@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/logic"
 )
@@ -74,6 +75,14 @@ func typeErrAt(at Term, format string, args ...interface{}) error {
 // Checker validates LF objects against the published signature. It is
 // the trusted validator of §2.3: small, simple, and independent of the
 // prover.
+//
+// A proof arrives as a DAG: the encoding shares every repeated subterm,
+// and nearly all of them sit under the same register binders. Within
+// one Check, the checker infers each (subterm, binder context) pair
+// once and reuses the type wherever the pair recurs. Steps, MaxSteps
+// and MaxDepth still count the expanded tree: a reused type charges
+// the steps its first inference took, so fuel, limits and verdicts are
+// those of checking the tree node by node.
 type Checker struct {
 	Sig *Signature
 	// Steps counts inference steps, reported for the validation-cost
@@ -94,8 +103,61 @@ type Checker struct {
 	// Consumers use it to thread context cancellation into a check
 	// already in flight.
 	Interrupt func() error
-	// depth is the current infer recursion depth.
+	// depth is the current infer recursion depth; peak is the deepest
+	// depth reached since the innermost memoized node was entered.
+	depth, peak int
+	checkScratch
+}
+
+// memoCap bounds the memo and the context table. The paper proofs
+// need a few hundred entries of each, but a proof built to defeat
+// reuse — every copy of a subterm under binders of its own — would
+// grow them by one entry per step until the fuel ran out. Past the
+// cap, new contexts are not interned (noCtx) and new types are not
+// kept: checking goes on without reuse, with the same steps and
+// verdict.
+const memoCap = 1 << 13
+
+// noCtx is the context of a binder pushed once the context table is
+// full, and of everything under it. Nothing is memoized under it.
+const noCtx int32 = -1
+
+// checkScratch is one check's working storage. memo holds the types
+// inferred for App, Lam and Pi nodes by (node, binder context), ctxs
+// the interned binder contexts, and spine and args are stacks shared
+// by nested application spines. Infer recycles the storage through
+// scratchPool emptied, so no result outlives the check that computed
+// it; the next check only reuses the grown tables instead of growing
+// its own.
+type checkScratch struct {
+	memo        map[memoKey]memoEntry
+	ctxs        map[ctxKey]int32
+	spine, args []Term
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(checkScratch) }}
+
+// memoKey names one inference: a term node under one binder context.
+type memoKey struct {
+	node nodeID
+	ctx  int32
+}
+
+// memoEntry is a successful inference: the type, the steps it took
+// (the node's own included), and how far below the node it recursed.
+type memoEntry struct {
+	ty    Term
+	steps int
 	depth int
+}
+
+// ctxKey interns a binder context as its parent context plus the type
+// node its innermost binder pushed. The environment is exactly the
+// list of pushed binder types, so equal context ids mean equal
+// environments.
+type ctxKey struct {
+	parent int32
+	ty     nodeID
 }
 
 // interruptStride is how many inference steps pass between Interrupt
@@ -109,7 +171,7 @@ func NewChecker(sig *Signature) *Checker { return &Checker{Sig: sig} }
 // Check verifies that term has the given type (both closed). It
 // implements "proof validation amounts to typechecking".
 func (c *Checker) Check(term, want Term) error {
-	got, err := c.infer(term, nil)
+	got, err := c.Infer(term)
 	if err != nil {
 		return err
 	}
@@ -122,29 +184,134 @@ func (c *Checker) Check(term, want Term) error {
 }
 
 // Infer returns the type of a closed term.
-func (c *Checker) Infer(term Term) (Term, error) { return c.infer(term, nil) }
+func (c *Checker) Infer(term Term) (Term, error) {
+	s := scratchPool.Get().(*checkScratch)
+	c.checkScratch = *s
+	defer func() {
+		clear(c.memo)
+		clear(c.ctxs)
+		clear(c.spine[:cap(c.spine)])
+		clear(c.args[:cap(c.args)])
+		*s = checkScratch{c.memo, c.ctxs, c.spine[:0], c.args[:0]}
+		scratchPool.Put(s)
+		c.checkScratch = checkScratch{}
+	}()
+	return c.infer(term, nil, 0)
+}
 
-// infer computes the type/kind of t under the de Bruijn environment
-// env. The environment is a stack with the innermost binder's type
-// last, each entry already shifted to its own binder's depth: lookup of
-// #idx reads env[len(env)-1-idx] and shifts it by idx+1. Entering a
-// binder appends to env; the appended slot is only ever read by the
-// recursion under that binder, so sibling subterms may reuse it.
-func (c *Checker) infer(t Term, env []Term) (Term, error) {
+// enter charges one inference step at one level deeper, polling the
+// interrupt and enforcing the step and depth budgets.
+func (c *Checker) enter() error {
 	c.Steps++
 	if c.MaxSteps > 0 && c.Steps > c.MaxSteps {
-		return nil, &LimitError{Axis: "check_steps", Max: c.MaxSteps}
+		return &LimitError{Axis: "check_steps", Max: c.MaxSteps}
 	}
 	if c.Interrupt != nil && c.Steps%interruptStride == 0 {
 		if err := c.Interrupt(); err != nil {
-			return nil, &LimitError{Axis: "interrupt", Err: err}
+			return &LimitError{Axis: "interrupt", Err: err}
 		}
 	}
-	c.depth++
-	defer func() { c.depth-- }()
-	if c.MaxDepth > 0 && c.depth > c.MaxDepth {
-		return nil, &LimitError{Axis: "term_depth", Max: c.MaxDepth}
+	if c.MaxDepth > 0 && c.depth+1 > c.MaxDepth {
+		return &LimitError{Axis: "term_depth", Max: c.MaxDepth}
 	}
+	c.depth++
+	c.peak = max(c.peak, c.depth)
+	return nil
+}
+
+// reuse charges a memoized inference as if it had been redone at the
+// current position. It declines (false) when the redone inference
+// would trip MaxSteps or MaxDepth somewhere inside: the caller then
+// checks that node afresh, so the limit trips at the same step as in
+// the expanded tree.
+func (c *Checker) reuse(e memoEntry) (bool, error) {
+	bottom := c.depth + e.depth
+	if c.MaxSteps > 0 && c.Steps+e.steps > c.MaxSteps || c.MaxDepth > 0 && bottom > c.MaxDepth {
+		return false, nil
+	}
+	before := c.Steps
+	c.Steps += e.steps
+	c.peak = max(c.peak, bottom)
+	if c.Interrupt != nil && c.Steps/interruptStride != before/interruptStride {
+		if err := c.Interrupt(); err != nil {
+			return false, &LimitError{Axis: "interrupt", Err: err}
+		}
+	}
+	return true, nil
+}
+
+// push returns the context id of ctx extended by a binder of type a.
+func (c *Checker) push(ctx int32, a Term) int32 {
+	if ctx == noCtx {
+		return noCtx
+	}
+	k := ctxKey{ctx, idOf(a)}
+	id, ok := c.ctxs[k]
+	if !ok {
+		if len(c.ctxs) >= memoCap {
+			return noCtx
+		}
+		if c.ctxs == nil {
+			c.ctxs = map[ctxKey]int32{}
+		}
+		id = int32(len(c.ctxs) + 1)
+		c.ctxs[k] = id
+	}
+	return id
+}
+
+// infer computes the type/kind of t under the de Bruijn environment
+// env, whose interned id is ctx. The environment is a stack with the
+// innermost binder's type last, each entry already shifted to its own
+// binder's depth: lookup of #idx reads env[len(env)-1-idx] and shifts
+// it by idx+1. Entering a binder appends to env; the appended slot is
+// only ever read by the recursion under that binder, so sibling
+// subterms may reuse it.
+func (c *Checker) infer(t Term, env []Term, ctx int32) (Term, error) {
+	switch t.(type) {
+	case App, Lam, Pi:
+	default:
+		if err := c.enter(); err != nil {
+			return nil, err
+		}
+		ty, err := c.inferLeaf(t, env)
+		c.depth--
+		return ty, err
+	}
+	key := memoKey{idOf(t), ctx}
+	if e, ok := c.memo[key]; ok {
+		if hit, err := c.reuse(e); hit || err != nil {
+			return e.ty, err
+		}
+	}
+	start, outer := c.Steps, c.peak
+	if err := c.enter(); err != nil {
+		return nil, err
+	}
+	at := c.depth
+	c.peak = at
+	var ty Term
+	var err error
+	switch n := t.(type) {
+	case Pi:
+		ty, err = c.inferPi(n, env, ctx)
+	case Lam:
+		ty, err = c.inferLam(n, env, ctx)
+	case App:
+		ty, err = c.inferSpine(t, n, env, ctx)
+	}
+	if err == nil && ctx != noCtx && len(c.memo) < memoCap {
+		if c.memo == nil {
+			c.memo = map[memoKey]memoEntry{}
+		}
+		c.memo[key] = memoEntry{ty: ty, steps: c.Steps - start, depth: c.peak - at + 1}
+	}
+	c.peak = max(outer, c.peak)
+	c.depth = at - 1
+	return ty, err
+}
+
+func (c *Checker) inferLeaf(t Term, env []Term) (Term, error) {
 	switch n := t.(type) {
 	case Sort:
 		if n == SType {
@@ -164,62 +331,133 @@ func (c *Checker) infer(t Term, env []Term) (Term, error) {
 		return shift(env[len(env)-1-n.Idx], n.Idx+1, 0), nil
 	case Lit:
 		return Konst{CWord}, nil
-	case Pi:
-		if err := c.checkIsType(n.A, env); err != nil {
-			return nil, err
-		}
-		s, err := c.infer(n.B, append(env, n.A))
-		if err != nil {
-			return nil, err
-		}
-		srt, ok := Normalize(s).(Sort)
+	}
+	return nil, typeErr("unknown term %T", t)
+}
+
+func (c *Checker) inferPi(n Pi, env []Term, ctx int32) (Term, error) {
+	if err := c.checkIsType(n.A, env, ctx); err != nil {
+		return nil, err
+	}
+	s, err := c.infer(n.B, append(env, n.A), c.push(ctx, n.A))
+	if err != nil {
+		return nil, err
+	}
+	srt, ok := Normalize(s).(Sort)
+	if !ok {
+		return nil, typeErrAt(n.B, "Pi body is not a type or kind: %s", n.B)
+	}
+	return srt, nil
+}
+
+func (c *Checker) inferLam(n Lam, env []Term, ctx int32) (Term, error) {
+	if err := c.checkIsType(n.A, env, ctx); err != nil {
+		return nil, err
+	}
+	b, err := c.infer(n.M, append(env, n.A), c.push(ctx, n.A))
+	if err != nil {
+		return nil, err
+	}
+	return Pi{n.A, b}, nil
+}
+
+// inferSpine checks the application spine h a1 … an rooted at t (an
+// App already entered) in one pass. Each inner App node is charged one
+// step on the way down, in the order the nested recursion would charge
+// it; a node already inferred in this context ends the descent and its
+// type serves as the head's. The arguments are then checked left to
+// right against the head's Π-type, instantiated all at once: the
+// domain of ai is Ai[a1 … ai-1] and the result is B[a1 … an], each
+// built by one simultaneous hereditary substitution (instantiate)
+// rather than one substitution per argument.
+func (c *Checker) inferSpine(t Term, app App, env []Term, ctx int32) (Term, error) {
+	base, abase := len(c.spine), len(c.args)
+	defer func() { c.spine, c.args = c.spine[:base], c.args[:abase] }()
+	c.spine = append(c.spine, t)
+	head := app.F
+	var headTy Term
+	for {
+		inner, ok := head.(App)
 		if !ok {
-			return nil, typeErrAt(n.B, "Pi body is not a type or kind: %s", n.B)
+			break
 		}
-		return srt, nil
-	case Lam:
-		if err := c.checkIsType(n.A, env); err != nil {
-			return nil, err
-		}
-		b, err := c.infer(n.M, append(env, n.A))
-		if err != nil {
-			return nil, err
-		}
-		return Pi{n.A, b}, nil
-	case App:
-		fTy, err := c.infer(n.F, env)
-		if err != nil {
-			return nil, err
-		}
-		pi, ok := fTy.(Pi)
-		if !ok {
-			if pi, ok = Normalize(fTy).(Pi); !ok {
-				return nil, typeErrAt(t, "application of non-function: %s : %s", n.F, fTy)
+		if e, ok := c.memo[memoKey{idOf(head), ctx}]; ok {
+			hit, err := c.reuse(e)
+			if err != nil {
+				return nil, err
+			}
+			if hit {
+				headTy = e.ty
+				break
 			}
 		}
-		aTy, err := c.infer(n.X, env)
+		if err := c.enter(); err != nil {
+			return nil, err
+		}
+		c.spine = append(c.spine, head)
+		head = inner.F
+	}
+	// The primitive judgments are keyed on the true head and the
+	// argument count, which a reused inner node hides from the spine.
+	realHead, pre := head, 0
+	if headTy != nil {
+		for a, ok := realHead.(App); ok; a, ok = realHead.(App) {
+			realHead = a.F
+			pre++
+		}
+	} else {
+		var err error
+		if headTy, err = c.infer(head, env, ctx); err != nil {
+			return nil, err
+		}
+	}
+	prim := ""
+	if k, ok := realHead.(Konst); ok && (k.Name == CGr || k.Name == CNrm) {
+		prim = k.Name
+	}
+
+	n := len(c.spine) - base
+	for i := n - 1; i >= 0; i-- {
+		c.args = append(c.args, c.spine[base+i].(App).X)
+	}
+	args := c.args[abase : abase+n : abase+n]
+	cur, from := headTy, 0 // args[from:i] are pending substitution into cur
+	for i, x := range args {
+		node := c.spine[base+n-1-i]
+		pi, ok := cur.(Pi)
+		if !ok {
+			fTy := instantiate(cur, args[from:i])
+			if pi, ok = Normalize(fTy).(Pi); !ok {
+				return nil, typeErrAt(node, "application of non-function: %s : %s", node.(App).F, fTy)
+			}
+			from = i
+		}
+		aTy, err := c.infer(x, env, ctx)
 		if err != nil {
 			return nil, err
 		}
 		// Syntactic equality implies β-equality: normalize only when
 		// the types differ as written.
-		if !Equal(aTy, pi.A) {
-			if want := Normalize(pi.A); !Equal(Normalize(aTy), want) {
-				return nil, typeErrAt(n.X, "argument type mismatch:\n  got %s\n  want %s", aTy, want)
+		if dom := instantiate(pi.A, args[from:i]); !Equal(aTy, dom) {
+			if want := Normalize(dom); !Equal(Normalize(aTy), want) {
+				return nil, typeErrAt(x, "argument type mismatch:\n  got %s\n  want %s", aTy, want)
 			}
 		}
-		if err := c.checkPrimitive(t); err != nil {
-			return nil, err
+		if arity := pre + i + 1; prim == CGr && arity == 1 || prim == CNrm && arity == 2 {
+			if err := c.checkPrimitive(node, prim); err != nil {
+				return nil, err
+			}
 		}
-		return Instantiate(pi.B, n.X), nil
+		cur = pi.B
+		c.depth--
 	}
-	return nil, typeErr("unknown term %T", t)
+	return instantiate(cur, args[from:]), nil
 }
 
 // checkIsType verifies that A is a well-formed type (family of kind
 // `type`) or kind.
-func (c *Checker) checkIsType(a Term, env []Term) error {
-	s, err := c.infer(a, env)
+func (c *Checker) checkIsType(a Term, env []Term, ctx int32) error {
+	s, err := c.infer(a, env, ctx)
 	if err != nil {
 		return err
 	}
@@ -230,23 +468,13 @@ func (c *Checker) checkIsType(a Term, env []Term) error {
 }
 
 // checkPrimitive enforces the side conditions of the primitive
-// judgments: a fully applied `gr P` requires P to be closed and to
-// evaluate to true; a fully applied `nrm P Q` requires P and Q to share
-// a normal form under the trusted normalizer. Every application passes
-// through here, so the head is found first and the argument list is
-// built only for the two primitives.
-func (c *Checker) checkPrimitive(app Term) error {
-	head := app
-	for a, ok := head.(App); ok; a, ok = head.(App) {
-		head = a.F
-	}
-	k, ok := head.(Konst)
-	if !ok || (k.Name != CGr && k.Name != CNrm) {
-		return nil
-	}
+// judgments on app, a fully applied primitive: `gr P` requires P to be
+// closed and to evaluate to true; `nrm P Q` requires P and Q to share a
+// normal form under the trusted normalizer.
+func (c *Checker) checkPrimitive(app Term, prim string) error {
 	_, args := Spine(app)
-	switch {
-	case k.Name == CGr && len(args) == 1:
+	switch prim {
+	case CGr:
 		p, err := DecodePred(args[0])
 		if err != nil {
 			return typeErrAt(app, "gr: %v", err)
@@ -258,14 +486,14 @@ func (c *Checker) checkPrimitive(app Term) error {
 		if !v {
 			return typeErrAt(app, "gr applied to false predicate %s", p)
 		}
-	case k.Name == CNrm && len(args) == 2:
+	case CNrm:
 		p, err := DecodePred(args[0])
 		if err != nil {
 			return typeErrAt(app, "nrm: %v", err)
 		}
 		q, err := DecodePred(args[1])
 		if err != nil {
-			return typeErr("nrm: %v", err)
+			return typeErrAt(app, "nrm: %v", err)
 		}
 		if !logic.AlphaEqual(logic.NormPred(p), logic.NormPred(q)) {
 			return typeErrAt(app, "nrm applied to non-convertible predicates:\n  %s\n  %s", p, q)

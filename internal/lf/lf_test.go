@@ -2,6 +2,7 @@ package lf
 
 import (
 	"encoding/binary"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +21,7 @@ func TestSignatureWellFormed(t *testing.T) {
 	c := NewChecker(sig)
 	for _, name := range sig.Names() {
 		ty, _ := sig.Lookup(name)
-		if err := c.checkIsType(ty, nil); err != nil {
+		if err := c.checkIsType(ty, nil, 0); err != nil {
 			t.Errorf("constant %q has ill-formed type: %v", name, err)
 		}
 	}
@@ -219,6 +220,93 @@ func TestNrmPrimitiveChecksConvertibility(t *testing.T) {
 	bad := mk(logic.Eq(logic.Add(logic.C(3), logic.C(4)), logic.C(8)))
 	if _, err := c.Infer(Apply(Konst{CNrm}, bad, b)); err == nil {
 		t.Fatal("nrm accepted non-convertible predicates")
+	}
+}
+
+// TestNrmMalformedOperandRecordsSubterm: an nrm whose operands are
+// well-typed but do not decode as predicates is rejected with the
+// failing application as the forensic subterm — for the second operand
+// as for the first.
+func TestNrmMalformedOperandRecordsSubterm(t *testing.T) {
+	hyp := Konst{CPred}
+	for name, app := range map[string]Term{
+		"first":  Apply(Konst{CNrm}, Bound{0}, Konst{CTT}),
+		"second": Apply(Konst{CNrm}, Konst{CTT}, Bound{0}),
+	} {
+		_, err := NewChecker(NewSignature()).Infer(Lam{hyp, app})
+		var te *TypeError
+		if !errors.As(err, &te) {
+			t.Fatalf("%s operand: want a TypeError, got %v", name, err)
+		}
+		if !strings.HasPrefix(te.Msg, "nrm:") || te.Subterm != app.String() {
+			t.Errorf("%s operand: msg %q, subterm %q; want an nrm error at %s", name, te.Msg, te.Subterm, app)
+		}
+	}
+}
+
+// TestMemoDoesNotOutliveCheck: a type inferred in one check is never
+// reused by the next, even for the very same term nodes — here
+// re-checked against a signature that no longer declares a constant.
+func TestMemoDoesNotOutliveCheck(t *testing.T) {
+	with := NewSignature()
+	with.declare("extra", Konst{CPred})
+	var term Term = Lam{Konst{CExp}, App{Konst{CPf}, Konst{"extra"}}}
+	c := NewChecker(with)
+	for i := 0; i < 2; i++ {
+		if _, err := c.Infer(term); err != nil {
+			t.Fatalf("check %d: %v", i, err)
+		}
+	}
+	c.Sig = NewSignature()
+	if _, err := c.Infer(term); err == nil {
+		t.Fatal("a type inferred under the previous signature was reused")
+	}
+}
+
+// TestMemoKeyedOnBinderContext: one node, pf #0, under a pred binder
+// and under an exp binder. It checks under the first and not under the
+// second, so reusing its first type would accept an ill-typed term.
+func TestMemoKeyedOnBinderContext(t *testing.T) {
+	sig := NewSignature()
+	var shared Term = App{Konst{CPf}, Bound{0}} // one node, boxed once
+	term := Apply(Lam{Pi{Konst{CPred}, SType}, Lam{Pi{Konst{CExp}, SType}, Konst{CTT}}},
+		Lam{Konst{CPred}, shared}, Lam{Konst{CExp}, shared})
+	if _, err := NewChecker(sig).Infer(term); err == nil {
+		t.Fatal("pf applied to an exp variable was accepted")
+	}
+	compareCheckers(t, sig, term, nil, 0, 0)
+}
+
+// TestMemoPastCapacity: a valid proof with twice memoCap binder
+// contexts, every one of them holding the same subproof, so nothing
+// can be reused and the context table fills up. Past the cap the
+// checker stops memoizing and goes on: it accepts, counts one step per
+// node of the expanded tree, and trips step fuel exactly where the
+// tree walk would.
+func TestMemoPastCapacity(t *testing.T) {
+	tt, truei := Term(Konst{CTT}), Term(Konst{CTrueI})
+	q := truei // : pf tt
+	for i := 0; i < 13; i++ {
+		arm := func() Term { // a fresh annotation node, so a fresh context
+			return Apply(Konst{CImpE}, tt, tt,
+				Apply(Konst{CImpI}, tt, tt, Lam{App{Konst{CPf}, tt}, q}), truei)
+		}
+		q = Apply(Konst{CAndEL}, tt, tt, Apply(Konst{CAndI}, tt, tt, arm(), arm()))
+	}
+	want := App{Konst{CPf}, tt}
+	size := Size(q)
+	for _, maxSteps := range []int{0, size, size - 1, size / 2} {
+		c := NewChecker(NewSignature())
+		c.MaxSteps = maxSteps
+		err := c.Check(q, want)
+		wantClass, wantSteps := "ok", size
+		if maxSteps > 0 && maxSteps < size {
+			wantClass, wantSteps = "limit:check_steps", maxSteps+1
+		}
+		if ErrorClass(err) != wantClass || c.Steps != wantSteps || c.depth != 0 {
+			t.Fatalf("MaxSteps %d: %v after %d steps at depth %d; want %s after %d",
+				maxSteps, err, c.Steps, c.depth, wantClass, wantSteps)
+		}
 	}
 }
 

@@ -100,6 +100,8 @@ type refChecker struct {
 	MaxSteps int
 	MaxDepth int
 	depth    int
+	// depths, when non-nil, records the depth of every step.
+	depths *[]int
 }
 
 func (c *refChecker) Check(term, want Term) error {
@@ -122,6 +124,9 @@ func (c *refChecker) infer(t Term, env []Term) (Term, error) {
 	defer func() { c.depth-- }()
 	if c.MaxDepth > 0 && c.depth > c.MaxDepth {
 		return nil, &LimitError{Axis: "term_depth", Max: c.MaxDepth}
+	}
+	if c.depths != nil {
+		*c.depths = append(*c.depths, c.depth)
 	}
 	switch t := t.(type) {
 	case Sort:
@@ -233,7 +238,7 @@ func (c *refChecker) checkPrimitive(app App) error {
 		}
 		q, err := refDecodePred(args[1])
 		if err != nil {
-			return typeErr("nrm: %v", err)
+			return typeErrAt(app, "nrm: %v", err)
 		}
 		if !logic.AlphaEqual(logic.NormPred(p), logic.NormPred(q)) {
 			return typeErrAt(app, "nrm applied to non-convertible predicates:\n  %s\n  %s", p, q)
@@ -250,6 +255,22 @@ func RefCheck(sig *Signature, term, want Term, maxSteps, maxDepth int) (steps in
 	err = c.Check(term, want)
 	return c.Steps, err
 }
+
+// RefStepDepths runs the reference checker with no budget and returns
+// the recursion depth of each of its steps, in order. On a term that
+// checks, the verdict under any budget follows from it: MaxSteps = m
+// trips at step m+1 when m is below the step count, and MaxDepth = d
+// trips at the first step deeper than d.
+func RefStepDepths(sig *Signature, term, want Term) ([]int, error) {
+	var depths []int
+	c := &refChecker{Sig: sig, depths: &depths}
+	err := c.Check(term, want)
+	return depths, err
+}
+
+// CheckerDepth exposes the checker's recursion depth, which must be
+// back at 0 whenever a check returns.
+func CheckerDepth(c *Checker) int { return c.depth }
 
 // ErrorClass names the verdict class of a checker result: "ok",
 // "type", or "limit:<axis>". Both checkers must land in the same class.
@@ -320,6 +341,63 @@ func (g *termGen) leaf(binders int) Term {
 	return Konst{g.names[g.next(len(g.names))]}
 }
 
+// shareUnderBinder wraps a closed, well-typed term a so that its nodes
+// recur by identity inside one application spine under a binder:
+//
+//	λ_:exp. (λ_:T1. … λ_:Tk. tt) x1 … xk
+//
+// with the xs drawn from a, its spine prefix, and a again, and each Ti
+// the type of xi. The wrapper is well-typed, so the checker's memo of
+// (node, binder context) is hit: on the repeated a as an argument, and
+// on a's prefix as an inner node of a's own spine. ok is false when a
+// does not check.
+func shareUnderBinder(sig *Signature, a Term) (shared Term, ok bool) {
+	xs := []Term{a, a}
+	if app, isApp := a.(App); isApp {
+		xs = []Term{app.F, a, a}
+	}
+	var body Term = Konst{CTT}
+	for i := len(xs) - 1; i >= 0; i-- {
+		ty, err := (&refChecker{Sig: sig}).infer(xs[i], nil)
+		if err != nil {
+			return nil, false
+		}
+		// Closed types need no shifting under the wrapper's binders.
+		body = Lam{ty, body}
+	}
+	return Lam{Konst{CExp}, Apply(body, xs...)}, true
+}
+
+// shareAcrossBinders puts one node a, possibly open, under two binders
+// of different types in one spine:
+//
+//	(λ_:T1. λ_:T2. tt) (λ_:exp. a) (λ_:pred. a)
+//
+// Where #0 occurs in a, the two occurrences of a live in different
+// contexts and may have different types, or a type in only one; a memo
+// that ignored the binder context would reuse the first. Each Ti is
+// the type of its argument. When one argument does not check, its Ti
+// is what reusing a's type from the other would give it, so only the
+// context tells the checkers to reject. ok is false when neither
+// argument checks.
+func shareAcrossBinders(sig *Signature, a Term) (shared Term, ok bool) {
+	binders := [2]Term{Konst{CExp}, Konst{CPred}}
+	var xs, tys [2]Term
+	for i, b := range binders {
+		xs[i] = Lam{b, a}
+		tys[i], _ = (&refChecker{Sig: sig}).infer(xs[i], nil)
+	}
+	for i := range tys {
+		if other, ok := tys[1-i].(Pi); ok && tys[i] == nil {
+			tys[i] = Pi{binders[i], other.B}
+		}
+	}
+	if tys[0] == nil {
+		return nil, false
+	}
+	return Apply(Lam{tys[0], Lam{tys[1], Konst{CTT}}}, xs[0], xs[1]), true
+}
+
 // normalizes reports whether t reaches its normal form within a small
 // budget of nodes built by β-steps. Random raw terms are untyped, so
 // nothing else guarantees that normalizing them terminates.
@@ -383,9 +461,17 @@ func diffCorpus(t *testing.T, r *rand.Rand) []Term {
 	`, policy.PacketFilter())
 	out = append(out, proof)
 	out = append(out, mutateTerm(proof)...)
-	names := NewSignature().Names()
+	sig := NewSignature()
 	for i := 0; i < 300; i++ {
-		out = append(out, newRandTerm(r, names, 40))
+		out = append(out, newRandTerm(r, sig.Names(), 40))
+	}
+	for _, a := range out[:len(out):len(out)] {
+		if s, ok := shareUnderBinder(sig, a); ok {
+			out = append(out, s)
+		}
+		if s, ok := shareAcrossBinders(sig, a); ok {
+			out = append(out, s)
+		}
 	}
 	return out
 }
@@ -525,5 +611,12 @@ func FuzzLFDifferential(f *testing.F) {
 		}
 		compareCheckers(t, sig, a, nil, 0, 0)
 		compareCheckers(t, sig, a, b, 0, 0)
+		if s, ok := shareUnderBinder(sig, a); ok {
+			compareCheckers(t, sig, s, nil, 0, 0)
+			compareCheckers(t, sig, s, nil, 1+next(64), 1+next(16))
+		}
+		if s, ok := shareAcrossBinders(sig, a); ok {
+			compareCheckers(t, sig, s, nil, 0, 0)
+		}
 	})
 }

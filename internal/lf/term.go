@@ -20,6 +20,7 @@ package lf
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 )
 
 // Term is an LF term. A single syntactic category covers objects,
@@ -211,6 +212,103 @@ func substituted(t Term, j int, s Term) (Term, bool) {
 // Instantiate β-reduces a binder body with the given argument.
 func Instantiate(body Term, arg Term) Term { return substIdx(body, 0, arg) }
 
+// instantiate substitutes args simultaneously for the len(args)
+// innermost binders of body — args[0] for the outermost, the last for
+// #0 — in one pass, the way a spine a1 … an instantiates a Π-type
+// under n binders. The substitution is hereditary: a redex it creates
+// by putting an abstraction in head position is reduced at once, and
+// an argument is copied (shifted) only where it lands under a binder
+// of body. An abstraction applied to the variable of the one binder it
+// lands under, as in foralli's `p x`, reduces to its own body.
+func instantiate(body Term, args []Term) Term {
+	if len(args) == 0 {
+		return body
+	}
+	out, _ := hsubst{args: args}.apply(body, 0)
+	return out
+}
+
+// hsubst is a simultaneous hereditary substitution. At binder level
+// lvl, #lvl … #lvl+k-1 (k = len(args)) are replaced by args, last
+// first, shifted by lvl; the indexes above them refer past the
+// substituted binders and become #i-k+d. The arguments live at level
+// 0: d is how many binders the result sits under that the arguments do
+// not (0 when instantiating a type, the redex's level when reducing a
+// created redex).
+type hsubst struct {
+	args []Term
+	d    int
+}
+
+// arg returns the argument replacing #idx at level lvl, if any.
+func (s hsubst) arg(idx, lvl int) (Term, bool) {
+	if k := len(s.args); idx >= lvl && idx < lvl+k {
+		return s.args[k-1-(idx-lvl)], true
+	}
+	return nil, false
+}
+
+// beta reduces (λ.body) x, where the abstraction's free indexes sit d
+// binders above x's.
+func beta(body, x Term, d int) Term {
+	if d == 1 && x == Term(Bound{0}) {
+		return body
+	}
+	out, _ := hsubst{args: []Term{x}, d: d}.apply(body, 0)
+	return out
+}
+
+// apply substitutes under lvl binders, reporting whether anything
+// changed; unchanged terms come back as the input.
+func (s hsubst) apply(t Term, lvl int) (Term, bool) {
+	switch n := t.(type) {
+	case Sort, Konst, Lit:
+	case Bound:
+		if a, ok := s.arg(n.Idx, lvl); ok {
+			return shift(a, lvl, 0), true
+		}
+		if k := len(s.args); n.Idx >= lvl+k && k != s.d {
+			return Bound{n.Idx - k + s.d}, true
+		}
+	case Pi:
+		a, ca := s.apply(n.A, lvl)
+		b, cb := s.apply(n.B, lvl+1)
+		if ca || cb {
+			return Pi{a, b}, true
+		}
+	case Lam:
+		a, ca := s.apply(n.A, lvl)
+		m, cm := s.apply(n.M, lvl+1)
+		if ca || cm {
+			return Lam{a, m}, true
+		}
+	case App:
+		// A substituted abstraction in head position is reduced
+		// against the argument without first being shifted to lvl.
+		if b, ok := n.F.(Bound); ok {
+			if a, ok := s.arg(b.Idx, lvl); ok {
+				if lam, ok := a.(Lam); ok {
+					x, _ := s.apply(n.X, lvl)
+					return beta(lam.M, x, lvl), true
+				}
+			}
+		}
+		f, cf := s.apply(n.F, lvl)
+		x, cx := s.apply(n.X, lvl)
+		if lam, ok := f.(Lam); ok && cf {
+			if _, was := n.F.(Lam); !was {
+				return beta(lam.M, x, 0), true
+			}
+		}
+		if cf || cx {
+			return App{f, x}, true
+		}
+	default:
+		panic(fmt.Sprintf("lf: unknown term %T", t))
+	}
+	return t, false
+}
+
 // Normalize fully β-normalizes t (normal order). LF terms arising from
 // PCC proofs are small, so naive normalization is adequate and easy to
 // trust — the paper's criterion for the validator. A term already in
@@ -254,6 +352,12 @@ func normalized(t Term) (Term, bool) {
 // Equal reports syntactic equality (α-equality is free under de
 // Bruijn). Callers normalize first for β-equality.
 func Equal(a, b Term) bool {
+	switch a.(type) {
+	case Pi, Lam, App:
+		if idOf(a) == idOf(b) {
+			return true
+		}
+	}
 	switch a := a.(type) {
 	case Sort:
 		b, ok := b.(Sort)
@@ -328,3 +432,15 @@ func SizeBounded(t Term, max int) int {
 	walk(t)
 	return n
 }
+
+// nodeID is the identity of a term node: both words of its interface
+// value, the type word and the data pointer. It is the one place the
+// package looks beneath a Term. Two words, because small scalar values
+// share static data — Bound{0} and Lit{0} can carry the same data
+// pointer. Pointers rather than uintptrs, so a map keyed on nodeIDs
+// keeps its nodes alive and their addresses cannot be reused while the
+// map exists. Terms are immutable values, so equal identities mean
+// equal terms; equal terms need not have equal identities.
+type nodeID struct{ typ, data unsafe.Pointer }
+
+func idOf(t Term) nodeID { return *(*nodeID)(unsafe.Pointer(&t)) }

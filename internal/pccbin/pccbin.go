@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/lf"
@@ -86,6 +87,12 @@ type Binary struct {
 	// directly inflate). Not meaningful on producer-built Binaries
 	// until they round-trip through Marshal/Unmarshal.
 	ProofBytes int
+	// ProofNodes is the number of nodes in the tree Proof expands to,
+	// saturating at math.MaxInt. Unmarshal computes it once per
+	// distinct DAG node, so a hash-consed bomb costs no more to
+	// measure than to decode. Not meaningful on producer-built
+	// Binaries until they round-trip through Marshal/Unmarshal.
+	ProofNodes int
 }
 
 // Layout reports the byte layout of a marshaled binary, mirroring
@@ -279,71 +286,76 @@ type termReader struct {
 	r        *reader
 	syms     []string
 	table    []lf.Term
+	sizes    []int // tree size of each table entry, saturating
 	budget   int
 	maxNodes int
 	maxDepth int
 	depth    int
 }
 
-func (tr *termReader) read() (lf.Term, error) {
+// read decodes one term and returns it with the number of nodes in
+// its tree expansion, saturating at math.MaxInt.
+func (tr *termReader) read() (lf.Term, int, error) {
 	tr.budget--
 	if tr.budget < 0 {
-		return nil, &LimitError{Axis: "term_nodes", Max: tr.maxNodes}
+		return nil, 0, &LimitError{Axis: "term_nodes", Max: tr.maxNodes}
 	}
 	tr.depth++
 	defer func() { tr.depth-- }()
 	if tr.depth > tr.maxDepth {
-		return nil, &LimitError{Axis: "term_depth", Max: tr.maxDepth}
+		return nil, 0, &LimitError{Axis: "term_depth", Max: tr.maxDepth}
 	}
 	tag, err := tr.r.u8()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if tag == tagRef {
 		idx, err := tr.r.uvarint()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if idx >= uint64(len(tr.table)) {
-			return nil, fmt.Errorf("pccbin: forward term reference %d", idx)
+			return nil, 0, fmt.Errorf("pccbin: forward term reference %d", idx)
 		}
-		return tr.table[idx], nil
+		return tr.table[idx], tr.sizes[idx], nil
 	}
 	var t lf.Term
+	size := 1
 	switch tag {
 	case tagKonst:
 		idx, err := tr.r.uvarint()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if idx >= uint64(len(tr.syms)) {
-			return nil, fmt.Errorf("pccbin: symbol index %d out of range", idx)
+			return nil, 0, fmt.Errorf("pccbin: symbol index %d out of range", idx)
 		}
 		t = lf.Konst{Name: tr.syms[idx]}
 	case tagBound:
 		idx, err := tr.r.uvarint()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if idx > 1<<20 {
-			return nil, fmt.Errorf("pccbin: absurd de Bruijn index %d", idx)
+			return nil, 0, fmt.Errorf("pccbin: absurd de Bruijn index %d", idx)
 		}
 		t = lf.Bound{Idx: int(idx)}
 	case tagLit:
 		v, err := tr.r.uvarint()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		t = lf.Lit{V: v}
 	case tagApp, tagLam, tagPi:
-		a, err := tr.read()
+		a, sa, err := tr.read()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		b, err := tr.read()
+		b, sb, err := tr.read()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
+		size = satAdd(size, satAdd(sa, sb))
 		switch tag {
 		case tagApp:
 			t = lf.App{F: a, X: b}
@@ -357,10 +369,19 @@ func (tr *termReader) read() (lf.Term, error) {
 	case tagSortKind:
 		t = lf.SKind
 	default:
-		return nil, fmt.Errorf("pccbin: unknown term tag %d", tag)
+		return nil, 0, fmt.Errorf("pccbin: unknown term tag %d", tag)
 	}
 	tr.table = append(tr.table, t)
-	return t, nil
+	tr.sizes = append(tr.sizes, size)
+	return t, size, nil
+}
+
+// satAdd is a + b for non-negative a and b, saturating at math.MaxInt.
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }
 
 // TreeEncodedSize returns the number of bytes the term would occupy
@@ -541,7 +562,7 @@ func UnmarshalWithLimits(data []byte, lim Limits) (*Binary, error) {
 		if pc > uint64(len(b.Code)/4) {
 			return nil, fmt.Errorf("pccbin: invariant pc %d beyond code", pc)
 		}
-		pred, err := tr.read()
+		pred, _, err := tr.read()
 		if err != nil {
 			return nil, err
 		}
@@ -549,11 +570,11 @@ func UnmarshalWithLimits(data []byte, lim Limits) (*Binary, error) {
 	}
 
 	proofStart := r.pos
-	proof, err := tr.read()
+	proof, nodes, err := tr.read()
 	if err != nil {
 		return nil, err
 	}
-	b.Proof = proof
+	b.Proof, b.ProofNodes = proof, nodes
 	b.ProofBytes = r.pos - proofStart
 	if r.pos != len(data) {
 		return nil, fmt.Errorf("pccbin: %d trailing bytes", len(data)-r.pos)

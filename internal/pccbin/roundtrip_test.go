@@ -1,6 +1,8 @@
 package pccbin
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -93,6 +95,9 @@ func TestRandomTermRoundTrip(t *testing.T) {
 		if !lf.Equal(got.Proof, term) {
 			t.Fatalf("proof changed:\n in:  %s\n out: %s", term, got.Proof)
 		}
+		if got.ProofNodes != lf.Size(term) {
+			t.Fatalf("ProofNodes %d, tree size %d", got.ProofNodes, lf.Size(term))
+		}
 		if !lf.Equal(got.Invariants[0].Pred, inv) {
 			t.Fatalf("invariant changed")
 		}
@@ -124,6 +129,47 @@ func TestSharingShrinksRepeatedSubterms(t *testing.T) {
 	}
 	if !lf.Equal(got.Proof, big) {
 		t.Fatal("round trip changed the shared term")
+	}
+	if got.ProofNodes != lf.Size(big) {
+		t.Fatalf("ProofNodes %d, tree size %d", got.ProofNodes, lf.Size(big))
+	}
+}
+
+// TestProofNodesCountsTheTree: ProofNodes is the size of the tree the
+// proof DAG expands to, counted once per DAG node, and saturates
+// instead of overflowing on a bomb whose tree has 2^71-1 nodes.
+func TestProofNodesCountsTheTree(t *testing.T) {
+	base := &Binary{PolicyName: "bomb", Proof: lf.Konst{Name: lf.CTT}}
+	data, lay, err := base.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// d0 = tt, dk = App{dk-1, dk-1}: each level doubles the tree.
+	doubling := func(levels int) []byte {
+		out := append([]byte(nil), data[:lay.ProofOff]...)
+		for k := 0; k < levels; k++ {
+			out = append(out, tagApp)
+		}
+		out = append(out, tagKonst, 0)
+		for k := 0; k < levels; k++ {
+			out = append(out, tagRef)
+			out = binary.AppendUvarint(out, uint64(k))
+		}
+		return out
+	}
+	for _, c := range []struct{ levels, want int }{
+		{0, 1}, {10, 1<<11 - 1}, {61, 1<<62 - 1}, {70, math.MaxInt},
+	} {
+		got, err := Unmarshal(doubling(c.levels))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ProofNodes != c.want {
+			t.Errorf("%d levels: ProofNodes %d, want %d", c.levels, got.ProofNodes, c.want)
+		}
+		if c.levels <= 10 && got.ProofNodes != lf.Size(got.Proof) {
+			t.Errorf("%d levels: ProofNodes %d, tree size %d", c.levels, got.ProofNodes, lf.Size(got.Proof))
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -187,7 +188,14 @@ type ValidationStats struct {
 	// ProofNodes is the size (in LF term nodes) of the decoded proof
 	// term, the in-memory counterpart of ProofBytes.
 	ProofNodes int
-	// HeapBytes approximates the heap cost of validation.
+	// HeapBytes approximates the heap cost of validation: the bytes
+	// the process allocated between validation's start and end, read
+	// from the runtime's cumulative /gc/heap/allocs:bytes counter.
+	// Like runtime.MemStats.TotalAlloc, the counter is process-wide,
+	// so concurrent goroutines' allocations count too; and since each
+	// P adds to it a span at a time, one reading can be off by a few
+	// spans either way. The mean over many validations is accurate;
+	// the median reads a few percent low.
 	HeapBytes uint64
 	// BinarySize is the total PCC binary size in bytes.
 	BinarySize int
@@ -267,8 +275,7 @@ func ValidateCtx(ctx context.Context, binary []byte, pol *policy.Policy, lim *Li
 			Axis: "binary_bytes", Actual: int64(len(binary)), Max: int64(limits.MaxBinaryBytes)}
 	}
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	allocBefore := heapAllocBytes()
 	start := time.Now()
 	stats := &ValidationStats{BinarySize: len(binary)}
 
@@ -299,17 +306,15 @@ func ValidateCtx(ctx context.Context, binary []byte, pol *policy.Policy, lim *Li
 		}
 		stats.Parse = time.Since(start)
 		stats.ProofBytes = bin.ProofBytes
-		// ProofNodes is a statistic, not a gate, but the proof is a
-		// hash-consed DAG from an untrusted producer and DAGs expand to
-		// trees under traversal — an unbounded walk is exponential in
-		// wire bytes. Cap the walk at the term-node budget and accept
-		// the floor on a bomb (the checker's step fuel rejects it
-		// anyway).
+		// ProofNodes is a statistic, not a gate. The decoder counted
+		// the proof's tree size once per DAG node; a hash-consed bomb
+		// reports the term-node budget (the checker's step fuel
+		// rejects it anyway).
 		nodeCap := limits.MaxTermNodes
 		if nodeCap <= 0 {
 			nodeCap = DefaultLimits().MaxTermNodes
 		}
-		stats.ProofNodes = lf.SizeBounded(bin.Proof, nodeCap)
+		stats.ProofNodes = min(bin.ProofNodes, nodeCap)
 
 		mark := time.Now()
 		sig = signatureFor(pol)
@@ -332,8 +337,8 @@ func ValidateCtx(ctx context.Context, binary []byte, pol *policy.Policy, lim *Li
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("pcc: validation aborted: %w", err)
+	if err := endStage(ctx); err != nil {
+		return nil, nil, err
 	}
 
 	// Stage 2: VC generation — recompute the safety predicate from the
@@ -361,8 +366,8 @@ func ValidateCtx(ctx context.Context, binary []byte, pol *policy.Policy, lim *Li
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("pcc: validation aborted: %w", err)
+	if err := endStage(ctx); err != nil {
+		return nil, nil, err
 	}
 
 	// Stage 3: LF typechecking of the enclosed proof, under step fuel,
@@ -385,10 +390,33 @@ func ValidateCtx(ctx context.Context, binary []byte, pol *policy.Policy, lim *Li
 	}
 
 	stats.Time = time.Since(start)
-	runtime.ReadMemStats(&after)
-	stats.HeapBytes = after.TotalAlloc - before.TotalAlloc
+	stats.HeapBytes = heapAllocBytes() - allocBefore
+	runtime.Gosched() // the last stage ends too; see endStage
 	stats.CheckSteps = checker.Steps
 	return &Extension{Prog: prog, Policy: pol}, stats, nil
+}
+
+// endStage ends a validation stage: it yields, then reports an ended
+// context. Validation is CPU-bound and never blocks, and on a small
+// GOMAXPROCS the GC's fractional mark worker only gets a P at a
+// scheduling point; without one, mark phases stretch while validations
+// keep allocating, all of it counted live. (The stop-the-world
+// runtime.ReadMemStats that HeapBytes used to come from had been such
+// a point; perfbench reboot's peak RSS rose by half without it.)
+func endStage(ctx context.Context) error {
+	runtime.Gosched()
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("pcc: validation aborted: %w", err)
+	}
+	return nil
+}
+
+// heapAllocBytes reads the process's cumulative heap allocation
+// without stopping the world, as runtime.ReadMemStats would.
+func heapAllocBytes() uint64 {
+	s := [1]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64()
 }
 
 // ValidationKey returns the content-addressed memoization key for

@@ -7,6 +7,7 @@ package pcc
 // memo is keyed on policy content.
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/filters"
@@ -52,9 +53,10 @@ func TestCheckStepsGolden(t *testing.T) {
 	}
 }
 
-// TestValidateAllocsBound: validating Filter 1 stays under 8,000
-// allocations. The tree-rebuilding checker made ~22,000; the sharing
-// one makes ~4,000.
+// TestValidateAllocsBound: validating Filter 1 stays under 1,200
+// allocations. The tree-rebuilding checker made ~22,000, the sharing
+// one ~4,000; checking each (subterm, binder context) once, with
+// spine-form application, makes ~1,000, and ~1,300 without the memo.
 func TestValidateAllocsBound(t *testing.T) {
 	pol := policy.PacketFilter()
 	cert, err := Certify(filters.Source(filters.Filter1), pol, nil)
@@ -66,8 +68,34 @@ func TestValidateAllocsBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 8000 {
-		t.Fatalf("Validate(Filter 1) made %.0f allocations, bound 8000", allocs)
+	if allocs > 1200 {
+		t.Fatalf("Validate(Filter 1) made %.0f allocations, bound 1200", allocs)
+	}
+}
+
+// TestHeapBytesTracksAllocations: summed over many validations on one
+// goroutine, ValidationStats.HeapBytes accounts for the bytes the
+// runtime's own stop-the-world statistics see allocated.
+func TestHeapBytesTracksAllocations(t *testing.T) {
+	pol := policy.PacketFilter()
+	cert, err := Certify(filters.Source(filters.Filter2), pol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum uint64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 200; i++ {
+		_, stats, err := Validate(cert.Binary, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += stats.HeapBytes
+	}
+	runtime.ReadMemStats(&after)
+	total := after.TotalAlloc - before.TotalAlloc
+	if ratio := float64(sum) / float64(total); ratio < 0.9 || ratio > 1.1 {
+		t.Fatalf("HeapBytes sums to %d over 200 validations, runtime counted %d (ratio %.3f)", sum, total, ratio)
 	}
 }
 
