@@ -1,80 +1,81 @@
-// Command benchcheck is the dispatch-performance regression gate: it
-// reads one or more BENCH_<timestamp>.json reports (paperbench -json)
-// and fails if the compiled backend has regressed below the
-// interpreter — the whole point of install-time compilation — or if
-// the headline batch-compiled speedup has fallen under a floor.
+// Command benchcheck is the performance regression gate over the
+// schema-7 BENCH_<timestamp>.json reports paperbench -json writes. It
+// is a table of rules: each names a row of the report (or a pattern of
+// rows) and a bound, and is judged on the row's median. Every judged
+// row is printed with its median and quartiles, and marked
+// "straddles" when the quartiles lie on both sides of the bound: the
+// verdict then rests on which half of the host's spread the median
+// landed in.
 //
 // Usage:
 //
-//	benchcheck [-min-speedup X] [-max-profiling-overhead P]
-//	           [-min-parallel-speedup S] [-max-window-overhead W]
-//	           [-min-warm-recovery-speedup R]
-//	           [BENCH_file.json ...]
+//	benchcheck [-fresh] [BENCH_file.json ...]
 //
 // With no file arguments, the newest BENCH_*.json in the current
-// directory is checked. The checks are deliberately about ordering
-// and ratios, not absolute nanoseconds, so the gate is portable
-// across hosts of different speeds:
+// directory is checked. Each rule has two bounds: one for a committed
+// baseline, and a looser one for a fresh measurement on a possibly
+// loaded host, which -fresh selects. The rules are ratios and
+// orderings, not absolute nanoseconds, so the gate is portable across
+// hosts of different speeds:
 //
-//   - the report carries a dispatch section (schema ≥ 2);
-//   - for every dispatch shape measured under both backends, the
-//     compiled backend's packets/sec is at least the interpreter's;
-//   - the recorded dispatch_speedup (batch-compiled over
-//     single-interpreted) meets -min-speedup;
-//   - for schema ≥ 3 reports, the recorded profiling_overhead_pct
-//     (compiled throughput lost to always-on per-block profiling)
-//     stays under -max-profiling-overhead;
-//   - for schema ≥ 4 reports, the recorded parallel_speedup (the
-//     widest rung of the lock-free multi-goroutine dispatch ladder
-//     over one goroutine) meets the core-aware floor derived from
-//     -min-parallel-speedup;
-//   - for schema ≥ 5 reports, the cert_cost section is present with
-//     plausible per-filter sizes (nonzero proof bytes and VC nodes —
-//     the proof-size baseline must not silently vanish), the
-//     observability matrix includes the windowed configuration, and
-//     the recorded window_overhead_pct (throughput lost to the
-//     sliding-window recorder layer relative to the plain-recorder
-//     observed posture) stays under -max-window-overhead;
-//   - for schema ≥ 6 reports, the recovery section is present with
-//     both the cold and warm configurations replaying the full
-//     journal losslessly, and the recorded warm_recovery_speedup
-//     (warm records/sec over cold — the proof cache's contribution
-//     to reboot time) meets -min-warm-recovery-speedup.
-//
-// The parallel floor is core-aware because the report records the
-// GOMAXPROCS the ladder ran under: the achievable ceiling on a host
-// with C cores is min(goroutines, C), so the effective floor is
-// min(-min-parallel-speedup, 0.85 × min(widest rung, C)). On an
-// 8-core host the default demands a real 3x; on a single-core host
-// it degrades to ~0.85 — "adding goroutines must not regress
-// throughput", which is exactly the property a lock convoy would
-// break — rather than demanding physically impossible parallelism.
+//   - dispatch/speedup: batch-compiled over single-interpreted dispatch;
+//   - compiled dispatch costs no more than interpreted, in both shapes;
+//   - observability/profiling_overhead_pct: compiled throughput lost to
+//     always-on per-block profiling;
+//   - observability/observed_overhead_pct: throughput the recorder and
+//     flight recorder cost on top of profiling (the served posture);
+//   - observability/window_overhead_pct: the sliding-window recorder
+//     layer on top of the observed posture;
+//   - scaling/parallel_speedup: the widest goroutine rung over one
+//     goroutine, floor capped by the report's core budget (parallelFloor);
+//   - recovery/warm_speedup: journal replay with the proof cache over
+//     without it — the cache is what keeps reboot time bounded;
+//   - cert_cost sizes: every filter's proof bytes and VC nodes are
+//     positive, so the proof-size baseline cannot silently vanish.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"path"
 	"sort"
 
 	"repro/internal/bench"
 )
 
+// rule is one gate: every row matching row must have its median at or
+// beyond the bound.
+type rule struct {
+	row     string     // a row name, or a path.Match pattern
+	atLeast bool       // the median must be ≥ the bound; otherwise ≤
+	bound   [2]float64 // for a committed baseline, and for -fresh
+	// limit, when set, derives the bound actually applied from the
+	// report (and the table's bound).
+	limit func(rep *bench.Report, bound float64) (float64, error)
+}
+
+var rules = []rule{
+	{row: "dispatch/speedup", atLeast: true, bound: [2]float64{5.0, 2.0}},
+	{row: "dispatch/compiled/single", limit: medianOf("dispatch/interp/single")},
+	{row: "dispatch/compiled/batch", limit: medianOf("dispatch/interp/batch")},
+	{row: "observability/profiling_overhead_pct", bound: [2]float64{15, 30}},
+	{row: "observability/observed_overhead_pct", bound: [2]float64{15, 30}},
+	{row: "observability/window_overhead_pct", bound: [2]float64{20, 35}},
+	{row: "scaling/parallel_speedup", atLeast: true, bound: [2]float64{3.0, 3.0}, limit: coreAware},
+	{row: "recovery/warm_speedup", atLeast: true, bound: [2]float64{5.0, 5.0}},
+	{row: "cert_cost/*/proof_bytes", atLeast: true, bound: [2]float64{1, 1}},
+	{row: "cert_cost/*/vc_nodes", atLeast: true, bound: [2]float64{1, 1}},
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchcheck: ")
-	minSpeedup := flag.Float64("min-speedup", 1.0,
-		"minimum dispatch_speedup (batch-compiled over single-interpreted packets/sec)")
-	maxProfOverhead := flag.Float64("max-profiling-overhead", 15.0,
-		"maximum profiling_overhead_pct for schema ≥ 3 reports (percent of compiled throughput)")
-	minParallel := flag.Float64("min-parallel-speedup", 3.0,
-		"minimum parallel_speedup for schema ≥ 4 reports, capped by the report's recorded core budget (see doc)")
-	maxWinOverhead := flag.Float64("max-window-overhead", 20.0,
-		"maximum window_overhead_pct for schema ≥ 5 reports (percent of plain-recorder observed throughput)")
-	minWarmRecovery := flag.Float64("min-warm-recovery-speedup", 5.0,
-		"minimum warm_recovery_speedup for schema ≥ 6 reports (warm journal-replay records/sec over cold)")
+	fresh := flag.Bool("fresh", false,
+		"apply the fresh-measurement bounds (a report just measured on this host) instead of the committed-baseline ones")
 	flag.Parse()
 
 	files := flag.Args()
@@ -88,10 +89,8 @@ func main() {
 
 	failures := 0
 	for _, file := range files {
-		for _, msg := range checkFile(file, *minSpeedup, *maxProfOverhead, *minParallel, *maxWinOverhead, *minWarmRecovery) {
-			failures++
-			fmt.Fprintf(os.Stderr, "FAIL %s: %s\n", file, msg)
-		}
+		fmt.Printf("== %s\n", file)
+		failures += len(checkFile(file, *fresh, os.Stdout))
 	}
 	if failures > 0 {
 		log.Fatalf("%d check(s) failed", failures)
@@ -102,20 +101,9 @@ func main() {
 // newestReport finds the lexicographically last BENCH_*.json in dir —
 // the filenames embed a UTC timestamp, so last sorts newest.
 func newestReport(dir string) (string, error) {
-	names, err := listReports(dir)
-	if err != nil {
-		return "", err
-	}
-	if len(names) == 0 {
-		return "", fmt.Errorf("no BENCH_*.json in %s (run paperbench -json first)", dir)
-	}
-	return names[len(names)-1], nil
-}
-
-func listReports(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	var names []string
 	for _, e := range ents {
@@ -124,159 +112,116 @@ func listReports(dir string) ([]string, error) {
 			names = append(names, n)
 		}
 	}
+	if len(names) == 0 {
+		return "", fmt.Errorf("no BENCH_*.json in %s (run paperbench -json first)", dir)
+	}
 	sort.Strings(names)
-	return names, nil
+	return names[len(names)-1], nil
 }
 
-// checkFile returns the list of failed-check messages for one report.
-func checkFile(file string, minSpeedup, maxProfOverhead, minParallel, maxWinOverhead, minWarmRecovery float64) []string {
+// checkFile judges every rule against one report, printing a line per
+// judged row to w, and returns the failures.
+func checkFile(file string, fresh bool, w io.Writer) []string {
 	data, err := os.ReadFile(file)
 	if err != nil {
-		return []string{err.Error()}
+		return fail(w, err.Error())
 	}
 	var rep bench.Report
 	if err := json.Unmarshal(data, &rep); err != nil {
-		return []string{fmt.Sprintf("not a benchmark report: %v", err)}
+		return fail(w, fmt.Sprintf("not a benchmark report: %v", err))
 	}
-
-	var msgs []string
-	if rep.Schema < 2 {
-		return []string{fmt.Sprintf("schema %d predates the dispatch section (need ≥ 2)", rep.Schema)}
+	if rep.Schema < bench.ReportSchema {
+		return fail(w, fmt.Sprintf("schema %d predates the rows the rules read (need ≥ %d; re-run paperbench -json)",
+			rep.Schema, bench.ReportSchema))
 	}
-	if len(rep.Dispatch) == 0 {
-		return []string{"dispatch section is empty"}
+	col := 0
+	if fresh {
+		col = 1
 	}
-
-	// Per-shape ordering: compiled must not be slower than interp.
-	pps := map[string]map[string]float64{} // shape -> backend -> pps
-	for _, d := range rep.Dispatch {
-		if pps[d.Shape] == nil {
-			pps[d.Shape] = map[string]float64{}
-		}
-		pps[d.Shape][d.Backend] = d.PPS
-	}
-	shapes := make([]string, 0, len(pps))
-	for s := range pps {
-		shapes = append(shapes, s)
-	}
-	sort.Strings(shapes)
-	for _, s := range shapes {
-		interp, okI := pps[s]["interp"]
-		compiled, okC := pps[s]["compiled"]
-		if okI && okC && compiled < interp {
-			msgs = append(msgs, fmt.Sprintf(
-				"shape %s: compiled backend slower than interpreter (%.0f vs %.0f packets/sec)",
-				s, compiled, interp))
-		}
-	}
-
-	if rep.DispatchSpeedup < minSpeedup {
-		msgs = append(msgs, fmt.Sprintf(
-			"dispatch_speedup %.2fx below floor %.2fx", rep.DispatchSpeedup, minSpeedup))
-	}
-
-	// Schema 3 added the observability section: always-on compiled
-	// profiling must stay within the overhead budget.
-	if rep.Schema >= 3 {
-		if len(rep.Observability) == 0 {
-			msgs = append(msgs, "observability section is empty (schema ≥ 3 requires it)")
-		} else if rep.ProfilingOverheadPct > maxProfOverhead {
-			msgs = append(msgs, fmt.Sprintf(
-				"profiling_overhead_pct %.1f%% above ceiling %.1f%%",
-				rep.ProfilingOverheadPct, maxProfOverhead))
-		}
-	}
-
-	// Schema 4 added the lock-free scaling ladder: the widest rung must
-	// beat one goroutine by the core-aware floor.
-	if rep.Schema >= 4 {
-		if len(rep.DispatchScaling) == 0 {
-			msgs = append(msgs, "dispatch_scaling section is empty (schema ≥ 4 requires it)")
-		} else if rep.GOMAXPROCS < 1 {
-			msgs = append(msgs, fmt.Sprintf("gomaxprocs %d is implausible", rep.GOMAXPROCS))
-		} else {
-			widest := 0
-			for _, r := range rep.DispatchScaling {
-				if r.Goroutines > widest {
-					widest = r.Goroutines
+	var fails []string
+	for _, r := range rules {
+		matched := 0
+		for _, row := range rep.Rows {
+			if ok, _ := path.Match(r.row, row.Name); !ok {
+				continue
+			}
+			matched++
+			bound := r.bound[col]
+			if r.limit != nil {
+				if bound, err = r.limit(&rep, bound); err != nil {
+					fails = append(fails, fail(w, fmt.Sprintf("%s: %v", row.Name, err))...)
+					continue
 				}
 			}
-			floor := parallelFloor(minParallel, widest, rep.GOMAXPROCS)
-			if rep.ParallelSpeedup < floor {
-				msgs = append(msgs, fmt.Sprintf(
-					"parallel_speedup %.2fx below floor %.2fx (flag %.2fx, %d goroutines, gomaxprocs %d)",
-					rep.ParallelSpeedup, floor, minParallel, widest, rep.GOMAXPROCS))
+			pass, op := row.Median >= bound, "≥"
+			if !r.atLeast {
+				pass, op = row.Median <= bound, "≤"
 			}
+			line := fmt.Sprintf("%-38s %10.4g %-9s %-22s %s %.4g", row.Name, row.Median, row.Unit,
+				fmt.Sprintf("[%.4g, %.4g]", row.Q1, row.Q3), op, bound)
+			if row.Q1 < bound && bound < row.Q3 {
+				line += "  straddles"
+			}
+			if !pass {
+				fails = append(fails, fail(w, line)...)
+				continue
+			}
+			fmt.Fprintf(w, "PASS %s\n", line)
+		}
+		if matched == 0 {
+			fails = append(fails, fail(w, fmt.Sprintf("%s: no such row", r.row))...)
 		}
 	}
-
-	// Schema 5 added the certificate-cost baseline and the windowed
-	// observability configuration.
-	if rep.Schema >= 5 {
-		if len(rep.CertCost) == 0 {
-			msgs = append(msgs, "cert_cost section is empty (schema ≥ 5 requires it)")
-		}
-		for _, c := range rep.CertCost {
-			if c.ProofBytes <= 0 || c.VCNodes <= 0 {
-				msgs = append(msgs, fmt.Sprintf(
-					"cert_cost %s: implausible sizes (proof_bytes %d, vc_nodes %d)",
-					c.Filter, c.ProofBytes, c.VCNodes))
-			}
-		}
-		windowed := false
-		for _, o := range rep.Observability {
-			if o.Windowed {
-				windowed = true
-			}
-		}
-		if !windowed {
-			msgs = append(msgs, "observability matrix lacks the windowed configuration (schema ≥ 5 requires it)")
-		} else if rep.WindowOverheadPct > maxWinOverhead {
-			msgs = append(msgs, fmt.Sprintf(
-				"window_overhead_pct %.1f%% above ceiling %.1f%%",
-				rep.WindowOverheadPct, maxWinOverhead))
-		}
-	}
-
-	// Schema 6 added verified recovery: both cache configurations must
-	// have replayed the whole journal, and the warm replay must beat the
-	// cold one by the floor — the proof cache is the mechanism that
-	// keeps reboot time bounded, so losing it is a regression.
-	if rep.Schema >= 6 {
-		seen := map[string]bool{}
-		for _, r := range rep.Recovery {
-			seen[r.Config] = true
-			if r.Restored != r.Records || r.Records <= 0 {
-				msgs = append(msgs, fmt.Sprintf(
-					"recovery %s: restored %d of %d records — the benchmark journal must replay losslessly",
-					r.Config, r.Restored, r.Records))
-			}
-		}
-		if !seen["cold"] || !seen["warm"] {
-			msgs = append(msgs, "recovery section lacks the cold/warm pair (schema ≥ 6 requires both)")
-		} else if rep.WarmRecoverySpeedup < minWarmRecovery {
-			msgs = append(msgs, fmt.Sprintf(
-				"warm_recovery_speedup %.2fx below floor %.2fx",
-				rep.WarmRecoverySpeedup, minWarmRecovery))
-		}
-	}
-	return msgs
+	return fails
 }
 
-// parallelFloor is the effective parallel-speedup floor: the flag
-// value, capped at 85% of the physically achievable ceiling
+// fail prints msg as a failure and returns it as the only one.
+func fail(w io.Writer, msg string) []string {
+	fmt.Fprintf(w, "FAIL %s\n", msg)
+	return []string{msg}
+}
+
+// medianOf is a limit that replaces the bound with another row's median.
+func medianOf(name string) func(*bench.Report, float64) (float64, error) {
+	return func(rep *bench.Report, _ float64) (float64, error) {
+		row, ok := rep.Row(name)
+		if !ok {
+			return 0, fmt.Errorf("no %s row to compare with", name)
+		}
+		return row.Median, nil
+	}
+}
+
+// coreAware caps the parallel-speedup bound by what the report's host
+// could show: its widest scaling/g<N> rung and its GOMAXPROCS.
+func coreAware(rep *bench.Report, bound float64) (float64, error) {
+	widest := 0
+	for _, row := range rep.Rows {
+		var g int
+		if _, err := fmt.Sscanf(row.Name, "scaling/g%d", &g); err == nil && g > widest {
+			widest = g
+		}
+	}
+	if widest == 0 || rep.GOMAXPROCS < 1 {
+		return 0, fmt.Errorf("no scaling/g<N> rungs or gomaxprocs %d: the floor cannot be capped", rep.GOMAXPROCS)
+	}
+	return parallelFloor(bound, widest, rep.GOMAXPROCS), nil
+}
+
+// parallelFloor is the effective parallel-speedup floor: the bound,
+// capped at 85% of the physically achievable ceiling
 // min(goroutines, cores). The cap is what keeps the gate honest on
 // narrow hosts — a single-core runner cannot show 3x parallelism, but
 // it CAN show a lock convoy (speedup well below 1), which the capped
 // floor of 0.85 still catches.
-func parallelFloor(flag float64, goroutines, cores int) float64 {
+func parallelFloor(bound float64, goroutines, cores int) float64 {
 	ceiling := goroutines
 	if cores < ceiling {
 		ceiling = cores
 	}
 	capped := 0.85 * float64(ceiling)
-	if capped < flag {
+	if capped < bound {
 		return capped
 	}
-	return flag
+	return bound
 }

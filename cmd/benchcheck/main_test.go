@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
+	"path"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -31,40 +33,59 @@ func TestParallelFloor(t *testing.T) {
 	}
 }
 
-// writeReport drops a minimal passing current-schema report into dir
-// and returns its path; the mutate hook lets each case break one field.
+// passingReport is a current-schema report every rule passes, each row
+// a single point (median = q1 = q3).
+func passingReport() *bench.Report {
+	rep := &bench.Report{Schema: bench.ReportSchema, GOMAXPROCS: 8, Trials: 12}
+	for name, v := range map[string]float64{
+		"dispatch/interp/single":               1000,
+		"dispatch/interp/batch":                800,
+		"dispatch/compiled/single":             500,
+		"dispatch/compiled/batch":              100,
+		"dispatch/speedup":                     10,
+		"observability/profiling_overhead_pct": 5,
+		"observability/observed_overhead_pct":  8,
+		"observability/window_overhead_pct":    2.2,
+		"scaling/g2":                           52,
+		"scaling/g4":                           30,
+		"scaling/g8":                           29,
+		"scaling/parallel_speedup":             3.4,
+		"recovery/cold":                        400,
+		"recovery/warm":                        10,
+		"recovery/warm_speedup":                39,
+		"cert_cost/filter1/proof_bytes":        300,
+		"cert_cost/filter1/vc_nodes":           120,
+	} {
+		rep.Rows = append(rep.Rows, bench.Row{Name: name, N: 12, Median: v, Q1: v, Q3: v})
+	}
+	return rep
+}
+
+// set gives every row matching pattern the median v (quartiles too).
+func set(rep *bench.Report, pattern string, v float64) {
+	for i, r := range rep.Rows {
+		if ok, _ := path.Match(pattern, r.Name); ok {
+			rep.Rows[i].Median, rep.Rows[i].Q1, rep.Rows[i].Q3 = v, v, v
+		}
+	}
+}
+
+// drop removes every row matching pattern.
+func drop(rep *bench.Report, pattern string) {
+	kept := rep.Rows[:0]
+	for _, r := range rep.Rows {
+		if ok, _ := path.Match(pattern, r.Name); !ok {
+			kept = append(kept, r)
+		}
+	}
+	rep.Rows = kept
+}
+
+// writeReport drops passingReport, changed by mutate, into dir and
+// returns its path.
 func writeReport(t *testing.T, dir string, mutate func(*bench.Report)) string {
 	t.Helper()
-	rep := &bench.Report{
-		Schema: bench.ReportSchema,
-		Dispatch: []bench.DispatchJSON{
-			{Backend: "interp", Shape: "single", PPS: 100},
-			{Backend: "compiled", Shape: "single", PPS: 500},
-			{Backend: "interp", Shape: "batch1024", PPS: 200},
-			{Backend: "compiled", Shape: "batch1024", PPS: 900},
-		},
-		DispatchSpeedup: 9.0,
-		CertCost: []bench.CertCostJSON{
-			{Filter: "Filter 1", CodeBytes: 64, ProofBytes: 300, ProofNodes: 400, VCNodes: 120, CheckSteps: 500},
-		},
-		Observability: []bench.ObservabilityJSON{
-			{Config: "compiled+prof+obs", PPS: 900, Observers: true},
-			{Config: "compiled+prof+obs+win", PPS: 880, Observers: true, Windowed: true},
-		},
-		ProfilingOverheadPct: 5,
-		WindowOverheadPct:    2.2,
-		DispatchScaling: []bench.ScalingJSON{
-			{Goroutines: 1, PPS: 900},
-			{Goroutines: 8, PPS: 3100},
-		},
-		ParallelSpeedup: 3.4,
-		GOMAXPROCS:      8,
-		Recovery: []bench.RecoveryJSON{
-			{Config: "cold", Records: 200, Restored: 200, RecordsPerSec: 230},
-			{Config: "warm", Records: 200, Restored: 200, RecordsPerSec: 9000},
-		},
-		WarmRecoverySpeedup: 39.1,
-	}
+	rep := passingReport()
 	if mutate != nil {
 		mutate(rep)
 	}
@@ -72,112 +93,150 @@ func writeReport(t *testing.T, dir string, mutate func(*bench.Report)) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "BENCH_20260807T000000Z.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	p := filepath.Join(dir, "BENCH_20260807T000000Z.json")
+	if err := os.WriteFile(p, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	return p
+}
+
+// check runs checkFile on a mutated passing report under the committed
+// bounds.
+func check(t *testing.T, mutate func(*bench.Report)) []string {
+	t.Helper()
+	return checkFile(writeReport(t, t.TempDir(), mutate), false, io.Discard)
+}
+
+// wantOne fails unless msgs is exactly one failure mentioning substr.
+func wantOne(t *testing.T, msgs []string, substr string) {
+	t.Helper()
+	if len(msgs) != 1 || !strings.Contains(msgs[0], substr) {
+		t.Fatalf("want one failure mentioning %q, got %v", substr, msgs)
+	}
+}
+
+// TestRules judges every rule, under both bound columns, on a report
+// whose matching row sits exactly at the bound (passes: bounds are
+// inclusive) and on one whose row is just past it (fails, naming the
+// row).
+func TestRules(t *testing.T) {
+	for _, r := range rules {
+		for col, fresh := range []bool{false, true} {
+			bound := r.bound[col]
+			if r.limit != nil {
+				var err error
+				if bound, err = r.limit(passingReport(), bound); err != nil {
+					t.Fatalf("%s: %v", r.row, err)
+				}
+			}
+			worse := bound + 0.01*bound + 0.01
+			if r.atLeast {
+				worse = bound - 0.01*bound - 0.01
+			}
+			for _, c := range []struct {
+				v    float64
+				pass bool
+			}{{bound, true}, {worse, false}} {
+				name := strings.ReplaceAll(r.row, "*", "any")
+				if fresh {
+					name += "/fresh"
+				}
+				if c.pass {
+					name += "/passes"
+				} else {
+					name += "/fails"
+				}
+				t.Run(name, func(t *testing.T) {
+					p := writeReport(t, t.TempDir(), func(rep *bench.Report) { set(rep, r.row, c.v) })
+					msgs := checkFile(p, fresh, io.Discard)
+					if c.pass && len(msgs) != 0 {
+						t.Fatalf("median %v at the bound %v failed: %v", c.v, bound, msgs)
+					}
+					if !c.pass {
+						wantOne(t, msgs, strings.Split(r.row, "*")[0])
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestCheckFileRejectsOldSchema: rows are schema 7; an older report has
+// none of them and is rejected by name rather than judged.
+func TestCheckFileRejectsOldSchema(t *testing.T) {
+	wantOne(t, check(t, func(r *bench.Report) { r.Schema = 6 }), "schema 6")
 }
 
 func TestCheckFileParallelGate(t *testing.T) {
 	t.Run("passes", func(t *testing.T) {
-		path := writeReport(t, t.TempDir(), nil)
-		if msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0); len(msgs) != 0 {
+		if msgs := check(t, nil); len(msgs) != 0 {
 			t.Fatalf("unexpected failures: %v", msgs)
 		}
 	})
 	t.Run("slow ladder fails on a wide host", func(t *testing.T) {
-		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
-			r.ParallelSpeedup = 1.1 // 8 cores available: a convoy
-		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "parallel_speedup") {
-			t.Fatalf("want one parallel_speedup failure, got %v", msgs)
-		}
+		// 8 cores available: a convoy.
+		wantOne(t, check(t, func(r *bench.Report) { set(r, "scaling/parallel_speedup", 1.1) }), "parallel_speedup")
 	})
 	t.Run("same ratio passes on a single core", func(t *testing.T) {
-		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
-			r.ParallelSpeedup = 1.1
+		msgs := check(t, func(r *bench.Report) {
+			set(r, "scaling/parallel_speedup", 1.1)
 			r.GOMAXPROCS = 1 // floor degrades to 0.85
 		})
-		if msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0); len(msgs) != 0 {
+		if len(msgs) != 0 {
 			t.Fatalf("unexpected failures: %v", msgs)
 		}
 	})
 	t.Run("convoy fails even on a single core", func(t *testing.T) {
-		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
-			r.ParallelSpeedup = 0.4
+		wantOne(t, check(t, func(r *bench.Report) {
+			set(r, "scaling/parallel_speedup", 0.4)
 			r.GOMAXPROCS = 1
-		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "parallel_speedup") {
-			t.Fatalf("want one parallel_speedup failure, got %v", msgs)
-		}
+		}), "parallel_speedup")
 	})
 	t.Run("schema 4 requires the section", func(t *testing.T) {
-		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
-			r.DispatchScaling = nil
-		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "dispatch_scaling") {
-			t.Fatalf("want one dispatch_scaling failure, got %v", msgs)
-		}
+		wantOne(t, check(t, func(r *bench.Report) { drop(r, "scaling/*") }), "scaling/parallel_speedup: no such row")
 	})
 	t.Run("older schema skips the gate", func(t *testing.T) {
-		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
+		// A convoy the gate would fail goes unjudged: the one failure
+		// is the schema, not the row.
+		wantOne(t, check(t, func(r *bench.Report) {
+			set(r, "scaling/parallel_speedup", 0.4)
 			r.Schema = 3
-			r.DispatchScaling = nil
-			r.ParallelSpeedup = 0
-			r.GOMAXPROCS = 0
-		})
-		if msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0); len(msgs) != 0 {
-			t.Fatalf("unexpected failures: %v", msgs)
-		}
+		}), "schema 3 predates")
 	})
 }
 
 func TestCheckFileSchema5Gate(t *testing.T) {
 	t.Run("missing cert_cost fails", func(t *testing.T) {
-		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
-			r.CertCost = nil
-		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "cert_cost") {
-			t.Fatalf("want one cert_cost failure, got %v", msgs)
+		msgs := check(t, func(r *bench.Report) { drop(r, "cert_cost/*/*") })
+		if len(msgs) != 2 || !strings.Contains(msgs[0], "cert_cost") || !strings.Contains(msgs[1], "cert_cost") {
+			t.Fatalf("want the two cert_cost rules to fail, got %v", msgs)
 		}
 	})
 	t.Run("vanished proof sizes fail", func(t *testing.T) {
-		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
-			r.CertCost[0].ProofBytes = 0
-		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "implausible sizes") {
-			t.Fatalf("want one implausible-sizes failure, got %v", msgs)
-		}
+		wantOne(t, check(t, func(r *bench.Report) { set(r, "cert_cost/filter1/proof_bytes", 0) }),
+			"cert_cost/filter1/proof_bytes")
 	})
 	t.Run("missing windowed config fails", func(t *testing.T) {
-		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
-			r.Observability = r.Observability[:1] // drop the +win row
-		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "windowed configuration") {
-			t.Fatalf("want one windowed-configuration failure, got %v", msgs)
-		}
+		wantOne(t, check(t, func(r *bench.Report) { drop(r, "observability/window_overhead_pct") }), "no such row")
 	})
 	t.Run("window overhead above ceiling fails", func(t *testing.T) {
-		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
-			r.WindowOverheadPct = 45.0
+		// The median decides even when the quartiles straddle the
+		// ceiling; the line says so.
+		msgs := check(t, func(r *bench.Report) {
+			for i := range r.Rows {
+				if r.Rows[i].Name == "observability/window_overhead_pct" {
+					r.Rows[i].Median, r.Rows[i].Q1, r.Rows[i].Q3 = 21, 18, 24
+				}
+			}
 		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "window_overhead_pct") {
-			t.Fatalf("want one window_overhead_pct failure, got %v", msgs)
+		wantOne(t, msgs, "window_overhead_pct")
+		if !strings.Contains(msgs[0], "[18, 24]") || !strings.Contains(msgs[0], "straddles") {
+			t.Fatalf("failure line lacks the quartiles or the straddle mark: %q", msgs[0])
 		}
 	})
 	t.Run("negative overhead is noise, passes", func(t *testing.T) {
-		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
-			r.WindowOverheadPct = -1.5 // windowed run measured faster
-		})
-		if msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0); len(msgs) != 0 {
+		// The windowed run measured faster.
+		if msgs := check(t, func(r *bench.Report) { set(r, "observability/window_overhead_pct", -1.5) }); len(msgs) != 0 {
 			t.Fatalf("unexpected failures: %v", msgs)
 		}
 	})
@@ -185,40 +244,17 @@ func TestCheckFileSchema5Gate(t *testing.T) {
 
 func TestCheckFileSchema6Gate(t *testing.T) {
 	t.Run("missing recovery pair fails", func(t *testing.T) {
-		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
-			r.Recovery = r.Recovery[:1] // drop the warm row
-		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "cold/warm pair") {
-			t.Fatalf("want one cold/warm-pair failure, got %v", msgs)
-		}
-	})
-	t.Run("lossy replay fails", func(t *testing.T) {
-		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
-			r.Recovery[1].Restored = 180
-		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "losslessly") {
-			t.Fatalf("want one lossless-replay failure, got %v", msgs)
-		}
+		wantOne(t, check(t, func(r *bench.Report) { drop(r, "recovery/*") }), "recovery/warm_speedup: no such row")
 	})
 	t.Run("slow warm replay fails", func(t *testing.T) {
-		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
-			r.WarmRecoverySpeedup = 2.0
-		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "warm_recovery_speedup") {
-			t.Fatalf("want one warm_recovery_speedup failure, got %v", msgs)
-		}
+		wantOne(t, check(t, func(r *bench.Report) { set(r, "recovery/warm_speedup", 2.0) }), "warm_speedup")
 	})
 	t.Run("schema 5 skips the gate", func(t *testing.T) {
-		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
+		// A missing recovery pair goes unjudged: the one failure is
+		// the schema, not the row.
+		wantOne(t, check(t, func(r *bench.Report) {
+			drop(r, "recovery/*")
 			r.Schema = 5
-			r.Recovery = nil
-			r.WarmRecoverySpeedup = 0
-		})
-		if msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0); len(msgs) != 0 {
-			t.Fatalf("unexpected failures: %v", msgs)
-		}
+		}), "schema 5 predates")
 	})
 }

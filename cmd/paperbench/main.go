@@ -5,15 +5,16 @@
 //
 // Usage:
 //
-//	paperbench [-packets N] [-fig7] [-table1] [-stages] [-certcost] [-fig8] [-fig9] [-checksum] [-sfipcc]
-//	paperbench -dispatch [-backend interp|compiled]   # backend × shape throughput matrix
-//	paperbench -observability                         # instrumentation overhead matrix
-//	paperbench -scaling                               # multi-goroutine dispatch-scaling ladder
-//	paperbench -recovery                              # verified journal replay, cold vs warm proof cache
+//	paperbench [-packets N] [-fig7] [-table1] [-stages] [-certcost] [-fig8] [-fig9] [-checksum] [-sfipcc] [-ablation]
+//	paperbench [-packets N] [-dispatch] [-observability] [-scaling] [-recovery]
 //	paperbench -json [-packets N]   # write BENCH_<timestamp>.json
 //
-// With no selection flags, everything runs (the full Figure 8/9 pass
-// over 200,000 packets takes a few minutes of simulation).
+// -dispatch, -observability, -scaling and -recovery select sections of
+// one host-timed matrix (internal/bench/harness.go): every row is the
+// median and quartiles of bench.Trials interleaved trials over the
+// -packets trace. With no selection flags, everything runs (the full
+// Figure 8/9 pass over 200,000 packets takes a few minutes of
+// simulation).
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"time"
 
 	"repro/internal/alpha"
@@ -35,7 +37,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paperbench: ")
-	packets := flag.Int("packets", bench.TraceSize, "trace length for Figures 8 and 9")
+	packets := flag.Int("packets", bench.TraceSize, "trace length for Figures 8 and 9 and the host-timed matrix")
 	fig7 := flag.Bool("fig7", false, "Figure 7: PCC binary layout")
 	table1 := flag.Bool("table1", false, "Table 1: proof size and validation cost")
 	stages := flag.Bool("stages", false, "Table 1 split: validation cost by pipeline stage")
@@ -44,13 +46,11 @@ func main() {
 	checksum := flag.Bool("checksum", false, "§4 checksum-loop experiment")
 	sfipcc := flag.Bool("sfipcc", false, "§3.1 PCC-for-SFI hybrid experiment")
 	ablation := flag.Bool("ablation", false, "design-choice ablations (proof encoding, cost-model sensitivity)")
-	pipeline := flag.Bool("pipeline", false, "validation pipeline: proof cache + concurrent batch install")
-	dispatch := flag.Bool("dispatch", false, "dispatch throughput: backend × shape matrix (host wall-clock)")
-	backend := flag.String("backend", "", "restrict -dispatch to one backend: interp or compiled (default both)")
-	observability := flag.Bool("observability", false, "observability overhead: dispatch throughput with profiling/observers toggled")
+	dispatch := flag.Bool("dispatch", false, "dispatch cost: backend × shape (host-timed matrix)")
+	observability := flag.Bool("observability", false, "observability overhead: dispatch cost with profiling/observers toggled (host-timed matrix)")
 	certcost := flag.Bool("certcost", false, "certificate cost: proof bytes/nodes and VC nodes per filter")
-	scaling := flag.Bool("scaling", false, "dispatch scaling: multi-goroutine throughput over one shared lock-free kernel")
-	recovery := flag.Bool("recovery", false, "verified recovery: journal replay through the proof pipeline, cold vs warm cache")
+	scaling := flag.Bool("scaling", false, "dispatch scaling: goroutines sharing one lock-free kernel (host-timed matrix)")
+	recovery := flag.Bool("recovery", false, "verified recovery: journal replay, cold vs warm proof cache (host-timed matrix)")
 	jsonOut := flag.Bool("json", false, "write machine-readable results to BENCH_<timestamp>.json and exit")
 	flag.Parse()
 
@@ -75,7 +75,14 @@ func main() {
 		return
 	}
 
-	all := !(*fig7 || *table1 || *stages || *fig8 || *fig9 || *checksum || *sfipcc || *ablation || *pipeline || *dispatch || *observability || *scaling || *certcost || *recovery)
+	var sections []string
+	for name, on := range map[string]bool{"dispatch": *dispatch, "observability": *observability,
+		"scaling": *scaling, "recovery": *recovery} {
+		if on {
+			sections = append(sections, name)
+		}
+	}
+	all := !(*fig7 || *table1 || *stages || *fig8 || *fig9 || *checksum || *sfipcc || *ablation || *certcost || len(sections) > 0)
 
 	if all || *fig7 {
 		cert, err := bench.Fig7()
@@ -84,26 +91,20 @@ func main() {
 		}
 		fmt.Println(bench.FormatFig7(cert.Layout))
 	}
-	if all || *table1 {
+	if all || *table1 || *stages || *certcost {
 		rows, err := bench.Table1()
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println(bench.FormatTable1(rows))
-	}
-	if all || *stages {
-		rows, err := bench.Stages()
-		if err != nil {
-			log.Fatal(err)
+		if all || *table1 {
+			fmt.Println(bench.FormatTable1(rows))
 		}
-		fmt.Println(bench.FormatStages(rows))
-	}
-	if all || *certcost {
-		rows, err := bench.CertCost()
-		if err != nil {
-			log.Fatal(err)
+		if all || *stages {
+			fmt.Println(bench.FormatStages(rows))
 		}
-		fmt.Println(bench.FormatCertCost(rows))
+		if all || *certcost {
+			fmt.Println(bench.FormatCertCost(rows))
+		}
 	}
 	if all || *fig8 {
 		rows, err := bench.Fig8(*packets)
@@ -144,52 +145,14 @@ func main() {
 	if all || *sfipcc {
 		runSFIPCC()
 	}
-	if all || *pipeline {
-		res, err := bench.Pipeline(5)
+	if all || len(sections) > 0 {
+		rows, err := bench.Matrix(*packets, sections...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println(bench.FormatPipeline(res))
-	}
-	if all || *dispatch {
-		n := *packets
-		if n > 50000 {
-			n = 50000 // host wall-clock; enough packets for a stable rate
-		}
-		rows, err := bench.DispatchBackends(n, *backend)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(bench.FormatDispatch(rows))
-	}
-	if all || *observability {
-		n := *packets
-		if n > 50000 {
-			n = 50000 // host wall-clock; enough packets for a stable rate
-		}
-		rows, err := bench.Observability(n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(bench.FormatObservability(rows))
-	}
-	if all || *scaling {
-		n := *packets
-		if n > 50000 {
-			n = 50000 // host wall-clock; enough packets for a stable rate
-		}
-		rows, err := bench.DispatchScaling(n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(bench.FormatScaling(rows))
-	}
-	if all || *recovery {
-		rows, err := bench.Recovery(bench.RecoveryRecords)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(bench.FormatRecovery(rows))
+		fmt.Printf("Host-timed matrix: %d-packet trace, median [q1, q3] of %d interleaved trials, GOMAXPROCS=%d\n",
+			*packets, bench.Trials, runtime.GOMAXPROCS(0))
+		fmt.Println(bench.FormatRows(rows))
 	}
 	if all || *ablation {
 		rows, err := bench.EncodingAblation()

@@ -13,6 +13,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	pcc "repro"
@@ -157,19 +158,66 @@ func buildVariants(f filters.Filter) (*variantSet, error) {
 
 // --- Table 1 ------------------------------------------------------------
 
-// Table1Row reports, for one filter, the PCC binary metrics of Table 1.
+// validationRuns is how many times Table1 validates each filter. The
+// one-time costs are timed on a multiprogrammed host, so each timed
+// column is the median and quartiles of this many validations.
+const validationRuns = 20
+
+// The cost columns of a Table1Row: the whole pcc.Validate call, its
+// four stages, the static WCET analysis the kernel runs before it
+// commits a filter, and the heap each validation allocates.
+const (
+	costValidate = iota
+	costParse
+	costSig
+	costVCGen
+	costCheck
+	costWCET
+	costHeap
+	numCosts
+)
+
+// costColumns names each cost column's report row (%s is the filter)
+// and the package whose work it measures.
+var costColumns = [numCosts]struct{ name, layer, unit string }{
+	{"table1/%s/validation_us", "pcc", "us"},
+	{"stages/%s/parse_us", "pccbin", "us"},
+	{"stages/%s/lfsig_us", "lf", "us"},
+	{"stages/%s/vcgen_us", "vcgen", "us"},
+	{"stages/%s/lfcheck_us", "lf", "us"},
+	{"stages/%s/wcet_us", "machine", "us"},
+	{"table1/%s/heap_kb", "pcc", "kB"},
+}
+
+// Table1Row reports, for one filter, the paper's Table 1 columns, the
+// split of its validation cost by pipeline stage, and the size of its
+// certificate, all from one loop of validations.
 type Table1Row struct {
 	Filter       filters.Filter
 	Instructions int
-	BinarySize   int           // bytes, total PCC binary
-	Validation   time.Duration // one-time proof validation (host)
-	HeapKB       float64       // heap allocated during validation
-	ProofBytes   int           // proof section size
-	CodeBytes    int           // native code section size
+	BinarySize   int // bytes, total PCC binary
+	CodeBytes    int // native code section
+	ProofBytes   int // encoded proof section
+	ProofNodes   int // decoded proof term, LF nodes
+	VCNodes      int // recomputed safety predicate, LF nodes
+	CheckSteps   int // LF inference steps to check the proof
+	// HeapKB is the mean heap allocated per validation: one
+	// validation's HeapBytes is only accurate to a few spans, so the
+	// median (Cost[costHeap]) reads a few percent low.
+	HeapKB float64
+	// Cost holds the timed columns (µs) and the heap column (kB) over
+	// validationRuns validations.
+	Cost [numCosts]Row
 }
 
-// Table1 certifies and validates the four PCC filters, reporting the
-// paper's Table 1 columns.
+// rowKey is a filter's name in report rows ("filter1").
+func rowKey(f filters.Filter) string {
+	return strings.ToLower(strings.ReplaceAll(f.String(), " ", ""))
+}
+
+// Table1 certifies the four PCC filters and validates each
+// validationRuns times, reporting the paper's Table 1 columns, the
+// per-stage split and the certificate sizes.
 func Table1() ([]Table1Row, error) {
 	pol := policy.PacketFilter()
 	rows := make([]Table1Row, 0, len(filters.All))
@@ -178,33 +226,58 @@ func Table1() ([]Table1Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", f, err)
 		}
-		// Validate a few times and keep the fastest, as one does for
-		// one-time costs on a multiprogrammed host. Heap is the mean:
-		// one validation's HeapBytes is only accurate to a few spans.
-		const runs = 20
-		var best *pcc.ValidationStats
-		var heap uint64
-		for i := 0; i < runs; i++ {
-			_, stats, err := pcc.Validate(cert.Binary, pol)
+		var samples [numCosts][]float64
+		var stats *pcc.ValidationStats
+		for i := 0; i < validationRuns; i++ {
+			var ext *pcc.Extension
+			ext, stats, err = pcc.Validate(cert.Binary, pol)
 			if err != nil {
 				return nil, fmt.Errorf("%v: %w", f, err)
 			}
-			if best == nil || stats.Time < best.Time {
-				best = stats
+			start := time.Now()
+			if _, err := machine.DEC21064.MaxCost(ext.Prog); err != nil {
+				return nil, fmt.Errorf("%v: wcet: %w", f, err)
 			}
-			heap += stats.HeapBytes
+			wcet := time.Since(start)
+			for c, d := range [...]time.Duration{stats.Time, stats.Parse, stats.SigCheck, stats.VCGen, stats.Check, wcet} {
+				samples[c] = append(samples[c], float64(d.Nanoseconds())/1e3)
+			}
+			samples[costHeap] = append(samples[costHeap], float64(stats.HeapBytes)/1024)
 		}
-		rows = append(rows, Table1Row{
+		row := Table1Row{
 			Filter:       f,
 			Instructions: cert.Instructions,
 			BinarySize:   len(cert.Binary),
-			Validation:   best.Time,
-			HeapKB:       float64(heap) / runs / 1024,
-			ProofBytes:   cert.Layout.ProofLen,
 			CodeBytes:    cert.Layout.CodeLen,
-		})
+			ProofBytes:   cert.Layout.ProofLen,
+			ProofNodes:   stats.ProofNodes,
+			VCNodes:      stats.VCNodes,
+			CheckSteps:   stats.CheckSteps,
+		}
+		for _, kb := range samples[costHeap] {
+			row.HeapKB += kb / validationRuns
+		}
+		for c, col := range costColumns {
+			row.Cost[c] = summarize(fmt.Sprintf(col.name, rowKey(f)), col.layer, col.unit, samples[c])
+		}
+		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// rows are the filter's report rows: the deterministic sizes and
+// counts (N = 1), then the cost columns.
+func (r Table1Row) rows() []Row {
+	f := rowKey(r.Filter)
+	return append([]Row{
+		count("table1/"+f+"/instructions", "pcc", "instrs", float64(r.Instructions)),
+		count("table1/"+f+"/binary_bytes", "pccbin", "B", float64(r.BinarySize)),
+		count("cert_cost/"+f+"/code_bytes", "pccbin", "B", float64(r.CodeBytes)),
+		count("cert_cost/"+f+"/proof_bytes", "pccbin", "B", float64(r.ProofBytes)),
+		count("cert_cost/"+f+"/proof_nodes", "pccbin", "nodes", float64(r.ProofNodes)),
+		count("cert_cost/"+f+"/vc_nodes", "vcgen", "nodes", float64(r.VCNodes)),
+		count("cert_cost/"+f+"/check_steps", "lf", "steps", float64(r.CheckSteps)),
+	}, r.Cost[:]...)
 }
 
 // --- Figure 7 ------------------------------------------------------------

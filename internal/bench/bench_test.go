@@ -28,7 +28,7 @@ func TestTable1(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range rows {
-		if r.Instructions == 0 || r.BinarySize == 0 || r.Validation <= 0 {
+		if r.Instructions == 0 || r.BinarySize == 0 || r.Cost[costValidate].Median <= 0 {
 			t.Errorf("row %d degenerate: %+v", i, r)
 		}
 		// §2.3: proofs are "about 3 times larger than the code"; allow
@@ -42,7 +42,28 @@ func TestTable1(t *testing.T) {
 	if !(rows[0].BinarySize < rows[2].BinarySize) {
 		t.Errorf("binary sizes not ordered: %d vs %d", rows[0].BinarySize, rows[2].BinarySize)
 	}
-	_ = FormatTable1(rows)
+	// The stage split and the certificate sizes come from the same
+	// validations: the stages account for most of the whole call, and
+	// every size is positive.
+	for _, r := range rows {
+		stages := r.Cost[costParse].Median + r.Cost[costSig].Median + r.Cost[costVCGen].Median + r.Cost[costCheck].Median
+		if stages <= 0 || r.Cost[costValidate].Median < stages/2 {
+			t.Errorf("%v: implausible stage split: %.1f µs of stages in %.1f µs", r.Filter, stages, r.Cost[costValidate].Median)
+		}
+		if r.ProofNodes <= 0 || r.VCNodes <= 0 || r.CheckSteps <= 0 || r.HeapKB <= 0 {
+			t.Errorf("%v: implausible certificate cost: %+v", r.Filter, r)
+		}
+		for _, c := range r.Cost {
+			if c.N != validationRuns || c.Q1 > c.Median || c.Median > c.Q3 {
+				t.Errorf("%v: bad cost row %+v", r.Filter, c)
+			}
+		}
+	}
+	for _, out := range []string{FormatTable1(rows), FormatStages(rows), FormatCertCost(rows)} {
+		if !strings.Contains(out, "Filter 4") {
+			t.Errorf("format missing Filter 4:\n%s", out)
+		}
+	}
 }
 
 func TestFig7(t *testing.T) {

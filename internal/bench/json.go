@@ -1,8 +1,7 @@
-// Machine-readable benchmark output: `paperbench -json` serializes
-// the paper's tables into one BENCH_<timestamp>.json document so the
-// perf trajectory is trackable across commits — every duration in
-// integer nanoseconds, every modeled quantity in DEC 21064 cycles,
-// and the validation cost split by pipeline stage.
+// Machine-readable benchmark output: `paperbench -json` writes every
+// row of the paper's tables and of the host-timed matrix into one
+// BENCH_<timestamp>.json document, so the performance trajectory is
+// trackable across commits and cmd/benchcheck can judge it.
 package bench
 
 import (
@@ -14,185 +13,46 @@ import (
 )
 
 // ReportSchema versions the JSON layout; bump on incompatible change.
-// 2: added the dispatch section (backend × shape throughput matrix).
-// 3: added the observability section (instrumentation overhead matrix
-// and the headline profiling_overhead_pct).
-// 4: added the dispatch_scaling section (multi-goroutine throughput
-// ladder over one shared lock-free kernel), its headline
-// parallel_speedup, and gomaxprocs — the core count the speedup was
-// measured under, without which the ratio is uninterpretable.
-// 5: added the cert_cost section (per-filter certificate size: proof
-// bytes/nodes, VC nodes, check steps — the proof-size baseline), the
-// windowed observability configuration (compiled+prof+obs+win, a
-// `windowed` flag on observability rows), and its headline
-// window_overhead_pct.
-// 6: added the recovery section (verified journal replay, cold vs
-// warm proof cache: records/sec and per-record p99) and its headline
-// warm_recovery_speedup.
-const ReportSchema = 6
-
-// Table1JSON is one Table 1 row with durations in nanoseconds.
-type Table1JSON struct {
-	Filter       string  `json:"filter"`
-	Instructions int     `json:"instructions"`
-	BinaryBytes  int     `json:"binary_bytes"`
-	ProofBytes   int     `json:"proof_bytes"`
-	CodeBytes    int     `json:"code_bytes"`
-	ValidationNs int64   `json:"validation_ns"`
-	HeapKB       float64 `json:"heap_kb"`
-}
-
-// StageJSON is one validation-cost row split by pipeline stage.
-type StageJSON struct {
-	Filter  string `json:"filter"`
-	ParseNs int64  `json:"parse_ns"`
-	SigNs   int64  `json:"lfsig_ns"`
-	VCGenNs int64  `json:"vcgen_ns"`
-	CheckNs int64  `json:"lfcheck_ns"`
-	WCETNs  int64  `json:"wcet_ns"`
-	TotalNs int64  `json:"total_ns"`
-}
-
-// Fig8JSON is one Figure 8 row: modeled per-packet cost per approach,
-// both in microseconds (the paper's axis) and DEC 21064 cycles.
-type Fig8JSON struct {
-	Filter         string             `json:"filter"`
-	MicrosPerPkt   map[string]float64 `json:"micros_per_packet"`
-	CyclesPerPkt   map[string]float64 `json:"cycles_per_packet"`
-	AcceptedOfPkts string             `json:"accepted"`
-}
-
-// ChecksumJSON is the §4 loop experiment.
-type ChecksumJSON struct {
-	Instructions int     `json:"instructions"`
-	LoopInstrs   int     `json:"loop_instructions"`
-	BinaryBytes  int     `json:"binary_bytes"`
-	ValidationNs int64   `json:"validation_ns"`
-	SpeedupVsC   float64 `json:"speedup_vs_c"`
-}
-
-// DispatchJSON is one row of the dispatch-throughput matrix: host
-// wall-clock cost of kernel dispatch under one backend × shape
-// configuration (see dispatch.go).
-type DispatchJSON struct {
-	Backend     string  `json:"backend"` // interp | compiled
-	Shape       string  `json:"shape"`   // single | batch<N>
-	Packets     int     `json:"packets"`
-	Filters     int     `json:"filters"`
-	WallNs      int64   `json:"wall_ns"`
-	NsPerPacket float64 `json:"ns_per_packet"`
-	PPS         float64 `json:"packets_per_sec"`
-	Accepted    int     `json:"accepted"`
-}
-
-// CertCostJSON is one filter's certificate-cost row: the size of the
-// safety evidence itself (see certcost.go).
-type CertCostJSON struct {
-	Filter       string  `json:"filter"`
-	CodeBytes    int     `json:"code_bytes"`
-	ProofBytes   int     `json:"proof_bytes"`
-	ProofNodes   int     `json:"proof_nodes"`
-	VCNodes      int     `json:"vc_nodes"`
-	CheckSteps   int     `json:"check_steps"`
-	ProofPerCode float64 `json:"proof_per_code"`
-}
-
-// ObservabilityJSON is one row of the instrumentation-overhead
-// matrix: vectorized-dispatch throughput with profiling and the
-// telemetry observers toggled (see observability.go).
-type ObservabilityJSON struct {
-	Config      string  `json:"config"`  // e.g. compiled+prof
-	Backend     string  `json:"backend"` // interp | compiled
-	Profiling   bool    `json:"profiling"`
-	Observers   bool    `json:"observers"` // recorder + flight recorder
-	Windowed    bool    `json:"windowed"`  // sliding-window recorder layer
-	Packets     int     `json:"packets"`
-	Filters     int     `json:"filters"`
-	WallNs      int64   `json:"wall_ns"`
-	NsPerPacket float64 `json:"ns_per_packet"`
-	PPS         float64 `json:"packets_per_sec"`
-	Accepted    int     `json:"accepted"`
-}
-
-// RecoveryJSON is one verified-recovery configuration: journal replay
-// rate with the proof cache disabled (cold) or enabled (warm), plus
-// the per-record restore-latency tail (see recovery.go).
-type RecoveryJSON struct {
-	Config        string  `json:"config"` // cold | warm
-	Records       int     `json:"records"`
-	Distinct      int     `json:"distinct_binaries"`
-	Restored      int     `json:"restored"`
-	WallNs        int64   `json:"wall_ns"`
-	RecordsPerSec float64 `json:"records_per_sec"`
-	P99Ns         int64   `json:"p99_ns"`
-}
-
-// ScalingJSON is one rung of the multi-goroutine dispatch-scaling
-// ladder: aggregate throughput of G goroutines sharing one kernel's
-// lock-free filter table (see scaling.go).
-type ScalingJSON struct {
-	Goroutines  int     `json:"goroutines"`
-	Packets     int     `json:"packets"`
-	Filters     int     `json:"filters"`
-	WallNs      int64   `json:"wall_ns"`
-	NsPerPacket float64 `json:"ns_per_packet"`
-	PPS         float64 `json:"packets_per_sec"`
-	Accepted    int     `json:"accepted"`
-}
+// Schemas 2–6 grew one bespoke section per experiment, each a
+// best-of-3 point. 7 replaces them all with one list of rows, each the
+// median and quartiles of its samples (see harness.go).
+const ReportSchema = 7
 
 // Report is the whole document.
 type Report struct {
-	Schema    int            `json:"schema"`
-	Timestamp string         `json:"timestamp"` // RFC 3339, UTC
-	GoVersion string         `json:"go_version"`
-	Packets   int            `json:"packets"`
-	Table1    []Table1JSON   `json:"table1"`
-	Stages    []StageJSON    `json:"stages"`
-	Fig8      []Fig8JSON     `json:"fig8"`
-	Checksum  *ChecksumJSON  `json:"checksum,omitempty"`
-	Dispatch  []DispatchJSON `json:"dispatch"`
-	// DispatchSpeedup is the headline batch-compiled over
-	// single-interpreted packets/sec ratio.
-	DispatchSpeedup float64 `json:"dispatch_speedup"`
-	// CertCost is the per-filter certificate-size table — the
-	// proof-size baseline future certificate compression regresses
-	// against.
-	CertCost []CertCostJSON `json:"cert_cost"`
-	// Observability is the instrumentation-overhead matrix;
-	// ProfilingOverheadPct is its headline: the percentage of
-	// unprofiled compiled throughput lost to per-block profiling;
-	// WindowOverheadPct the analogous cost of the sliding-window
-	// recorder layer relative to the plain-recorder observed posture.
-	Observability        []ObservabilityJSON `json:"observability"`
-	ProfilingOverheadPct float64             `json:"profiling_overhead_pct"`
-	WindowOverheadPct    float64             `json:"window_overhead_pct"`
-	// DispatchScaling is the multi-goroutine throughput ladder;
-	// ParallelSpeedup is its headline (widest rung over one
-	// goroutine) and GOMAXPROCS the core budget it ran under — the
-	// achievable ceiling is min(goroutines, GOMAXPROCS).
-	DispatchScaling []ScalingJSON `json:"dispatch_scaling"`
-	ParallelSpeedup float64       `json:"parallel_speedup"`
-	GOMAXPROCS      int           `json:"gomaxprocs"`
-	// Recovery is the verified-recovery matrix (cold vs warm journal
-	// replay); WarmRecoverySpeedup is its headline: warm records/sec
-	// over cold — the proof cache's contribution to reboot time.
-	Recovery            []RecoveryJSON `json:"recovery"`
-	WarmRecoverySpeedup float64        `json:"warm_recovery_speedup"`
+	Schema    int    `json:"schema"`
+	Timestamp string `json:"timestamp"` // RFC 3339, UTC
+	GoVersion string `json:"go_version"`
+	// GOMAXPROCS is the core budget the matrix ran under: the ceiling
+	// of scaling/parallel_speedup is min(goroutines, GOMAXPROCS).
+	GOMAXPROCS int   `json:"gomaxprocs"`
+	Packets    int   `json:"packets"`
+	Trials     int   `json:"trials"`
+	Rows       []Row `json:"rows"`
 }
 
-// cyclesPerMicro converts the paper's microsecond axis back to cycles
-// on the modeled 175-MHz Alpha.
-const cyclesPerMicro = 175.0
+// Row returns the named row.
+func (r *Report) Row(name string) (Row, bool) {
+	for _, row := range r.Rows {
+		if row.Name == name {
+			return row, true
+		}
+	}
+	return Row{}, false
+}
 
-// BuildReport runs Table 1, the stage split, Figure 8 over an
-// n-packet trace, and the checksum experiment, and assembles the
+// BuildReport runs Table 1 (with its stage split and certificate
+// sizes), Figure 8 over an n-packet trace, the checksum experiment and
+// the whole host-timed matrix over the same trace, and assembles the
 // document. now is injected so runs are reproducible in tests.
 func BuildReport(n int, now time.Time) (*Report, error) {
 	rep := &Report{
-		Schema:    ReportSchema,
-		Timestamp: now.UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Packets:   n,
+		Schema:     ReportSchema,
+		Timestamp:  now.UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Packets:    n,
+		Trials:     Trials,
 	}
 
 	t1, err := Table1()
@@ -200,31 +60,7 @@ func BuildReport(n int, now time.Time) (*Report, error) {
 		return nil, fmt.Errorf("table1: %w", err)
 	}
 	for _, r := range t1 {
-		rep.Table1 = append(rep.Table1, Table1JSON{
-			Filter:       r.Filter.String(),
-			Instructions: r.Instructions,
-			BinaryBytes:  r.BinarySize,
-			ProofBytes:   r.ProofBytes,
-			CodeBytes:    r.CodeBytes,
-			ValidationNs: r.Validation.Nanoseconds(),
-			HeapKB:       r.HeapKB,
-		})
-	}
-
-	st, err := Stages()
-	if err != nil {
-		return nil, fmt.Errorf("stages: %w", err)
-	}
-	for _, r := range st {
-		rep.Stages = append(rep.Stages, StageJSON{
-			Filter:  r.Filter.String(),
-			ParseNs: r.Parse.Nanoseconds(),
-			SigNs:   r.SigCheck.Nanoseconds(),
-			VCGenNs: r.VCGen.Nanoseconds(),
-			CheckNs: r.Check.Nanoseconds(),
-			WCETNs:  r.WCET.Nanoseconds(),
-			TotalNs: r.Total.Nanoseconds(),
-		})
+		rep.Rows = append(rep.Rows, r.rows()...)
 	}
 
 	f8, err := Fig8(n)
@@ -232,133 +68,28 @@ func BuildReport(n int, now time.Time) (*Report, error) {
 		return nil, fmt.Errorf("fig8: %w", err)
 	}
 	for _, r := range f8 {
-		row := Fig8JSON{
-			Filter:         r.Filter.String(),
-			MicrosPerPkt:   map[string]float64{},
-			CyclesPerPkt:   map[string]float64{},
-			AcceptedOfPkts: fmt.Sprintf("%d/%d", r.Accepted, n),
-		}
 		for _, a := range Approaches {
-			row.MicrosPerPkt[a.String()] = r.Micros[a]
-			row.CyclesPerPkt[a.String()] = r.Micros[a] * cyclesPerMicro
+			rep.Rows = append(rep.Rows, count(fmt.Sprintf("fig8/%s/%s", rowKey(r.Filter), a),
+				"machine", "us/pkt", r.Micros[a]))
 		}
-		rep.Fig8 = append(rep.Fig8, row)
 	}
 
-	cn := n
-	if cn > 2000 {
-		cn = 2000
-	}
-	cs, err := Checksum(cn)
+	cs, err := Checksum(min(n, 2000))
 	if err != nil {
 		return nil, fmt.Errorf("checksum: %w", err)
 	}
-	rep.Checksum = &ChecksumJSON{
-		Instructions: cs.Instructions,
-		LoopInstrs:   cs.LoopInstrs,
-		BinaryBytes:  cs.BinarySize,
-		ValidationNs: cs.Validation.Nanoseconds(),
-		SpeedupVsC:   cs.SpeedupVsC,
-	}
+	rep.Rows = append(rep.Rows,
+		count("checksum/instructions", "pcc", "instrs", float64(cs.Instructions)),
+		count("checksum/loop_instructions", "pcc", "instrs", float64(cs.LoopInstrs)),
+		count("checksum/binary_bytes", "pccbin", "B", float64(cs.BinarySize)),
+		count("checksum/validation_us", "pcc", "us", float64(cs.Validation.Nanoseconds())/1e3),
+		count("checksum/speedup_vs_c", "machine", "x", cs.SpeedupVsC))
 
-	dn := n
-	if dn > 50000 {
-		dn = 50000 // host-wall-clock measurement; 50k packets is stable
-	}
-	disp, err := Dispatch(dn)
+	m, err := Matrix(n)
 	if err != nil {
-		return nil, fmt.Errorf("dispatch: %w", err)
+		return nil, fmt.Errorf("matrix: %w", err)
 	}
-	for _, r := range disp {
-		shape := "single"
-		if r.Batch {
-			shape = fmt.Sprintf("batch%d", DispatchBatchSize)
-		}
-		rep.Dispatch = append(rep.Dispatch, DispatchJSON{
-			Backend:     r.Backend,
-			Shape:       shape,
-			Packets:     r.Packets,
-			Filters:     r.Filters,
-			WallNs:      r.Wall.Nanoseconds(),
-			NsPerPacket: r.NsPerPacket(),
-			PPS:         r.PPS(),
-			Accepted:    r.Accepted,
-		})
-	}
-	rep.DispatchSpeedup = DispatchSpeedup(disp)
-
-	cc, err := CertCost()
-	if err != nil {
-		return nil, fmt.Errorf("cert cost: %w", err)
-	}
-	for _, r := range cc {
-		rep.CertCost = append(rep.CertCost, CertCostJSON{
-			Filter:       r.Filter.String(),
-			CodeBytes:    r.CodeBytes,
-			ProofBytes:   r.ProofBytes,
-			ProofNodes:   r.ProofNodes,
-			VCNodes:      r.VCNodes,
-			CheckSteps:   r.CheckSteps,
-			ProofPerCode: r.ProofPerCode(),
-		})
-	}
-
-	obs, err := Observability(dn)
-	if err != nil {
-		return nil, fmt.Errorf("observability: %w", err)
-	}
-	for _, r := range obs {
-		rep.Observability = append(rep.Observability, ObservabilityJSON{
-			Config:      r.Config(),
-			Backend:     r.Backend,
-			Profiling:   r.Profiling,
-			Observers:   r.Observers,
-			Windowed:    r.Windowed,
-			Packets:     r.Packets,
-			Filters:     r.Filters,
-			WallNs:      r.Wall.Nanoseconds(),
-			NsPerPacket: r.NsPerPacket(),
-			PPS:         r.PPS(),
-			Accepted:    r.Accepted,
-		})
-	}
-	rep.ProfilingOverheadPct = ProfilingOverheadPct(obs)
-	rep.WindowOverheadPct = WindowOverheadPct(obs)
-
-	sc, err := DispatchScaling(dn)
-	if err != nil {
-		return nil, fmt.Errorf("dispatch scaling: %w", err)
-	}
-	for _, r := range sc {
-		rep.DispatchScaling = append(rep.DispatchScaling, ScalingJSON{
-			Goroutines:  r.Goroutines,
-			Packets:     r.Packets,
-			Filters:     r.Filters,
-			WallNs:      r.Wall.Nanoseconds(),
-			NsPerPacket: r.NsPerPacket(),
-			PPS:         r.PPS(),
-			Accepted:    r.Accepted,
-		})
-	}
-	rep.ParallelSpeedup = ParallelSpeedup(sc)
-	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
-
-	rc, err := Recovery(RecoveryRecords)
-	if err != nil {
-		return nil, fmt.Errorf("recovery: %w", err)
-	}
-	for _, r := range rc {
-		rep.Recovery = append(rep.Recovery, RecoveryJSON{
-			Config:        r.Config,
-			Records:       r.Records,
-			Distinct:      r.Distinct,
-			Restored:      r.Restored,
-			WallNs:        r.Wall.Nanoseconds(),
-			RecordsPerSec: r.RecordsPerSec(),
-			P99Ns:         r.P99.Nanoseconds(),
-		})
-	}
-	rep.WarmRecoverySpeedup = WarmRecoverySpeedup(rc)
+	rep.Rows = append(rep.Rows, m...)
 	return rep, nil
 }
 

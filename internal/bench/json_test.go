@@ -9,121 +9,55 @@ import (
 )
 
 // TestBuildReport runs the whole -json path over a short trace and
-// checks the document round-trips with plausible contents: every
-// filter present, nanosecond stage splits that sum near the total,
-// and cycle figures consistent with the microsecond axis.
+// checks the document round-trips with every row it promises: the
+// paper tables as deterministic counts, the cost columns and the
+// host-timed matrix as Trials-sample summaries with ordered quartiles.
 func TestBuildReport(t *testing.T) {
 	now := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
 	rep, err := BuildReport(40, now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != ReportSchema || rep.Packets != 40 || rep.Timestamp != "2026-08-06T12:00:00Z" {
+	if rep.Schema != ReportSchema || rep.Packets != 40 || rep.Timestamp != "2026-08-06T12:00:00Z" ||
+		rep.Trials != Trials || rep.GOMAXPROCS != runtime.GOMAXPROCS(0) {
 		t.Fatalf("bad header: %+v", rep)
 	}
-	if len(rep.Table1) != 4 || len(rep.Stages) != 4 || len(rep.Fig8) != 4 || rep.Checksum == nil {
-		t.Fatalf("incomplete report: %d/%d/%d table1/stages/fig8 rows", len(rep.Table1), len(rep.Stages), len(rep.Fig8))
+	want := map[string]int{ // row → N
+		"table1/filter1/instructions":   1,
+		"table1/filter4/validation_us":  validationRuns,
+		"stages/filter3/lfcheck_us":     validationRuns,
+		"cert_cost/filter2/proof_bytes": 1,
+		"cert_cost/filter4/vc_nodes":    1,
+		"fig8/filter4/PCC":              1,
+		"checksum/speedup_vs_c":         1,
 	}
-	for _, r := range rep.Table1 {
-		if r.ValidationNs <= 0 || r.BinaryBytes <= 0 || r.Instructions <= 0 {
-			t.Errorf("implausible table1 row: %+v", r)
+	for _, c := range matrix {
+		want[c.name] = Trials
+	}
+	for _, r := range ratios {
+		want[r.name] = Trials
+	}
+	want["recovery/cold"], want["recovery/warm"] = Trials, Trials
+	for name, n := range want {
+		r, ok := rep.Row(name)
+		if !ok {
+			t.Errorf("row %s missing", name)
+			continue
+		}
+		if r.N != n || r.Unit == "" || r.Layer == "" || r.Q1 > r.Median || r.Median > r.Q3 {
+			t.Errorf("implausible row: %+v (want n=%d)", r, n)
+		}
+		if r.Unit != "%" && r.Median <= 0 {
+			t.Errorf("non-positive row: %+v", r)
 		}
 	}
-	for _, r := range rep.Stages {
-		stages := r.ParseNs + r.SigNs + r.VCGenNs + r.CheckNs + r.WCETNs
-		if stages <= 0 || r.TotalNs < stages/2 {
-			t.Errorf("implausible stage split: %+v", r)
-		}
+	if r, _ := rep.Row("checksum/speedup_vs_c"); r.Median <= 1 {
+		t.Errorf("checksum speedup %.2f, want > 1", r.Median)
 	}
-	for _, r := range rep.Fig8 {
-		pccUs, ok := r.MicrosPerPkt["PCC"]
-		if !ok || pccUs <= 0 {
-			t.Errorf("fig8 row missing PCC micros: %+v", r)
-		}
-		if got := r.CyclesPerPkt["PCC"]; got != pccUs*cyclesPerMicro {
-			t.Errorf("cycles/micros inconsistent: %v vs %v", got, pccUs)
-		}
-	}
-	if rep.Checksum.SpeedupVsC <= 1 {
-		t.Errorf("checksum speedup %.2f, want > 1", rep.Checksum.SpeedupVsC)
-	}
-	if len(rep.Dispatch) != 4 {
-		t.Fatalf("dispatch matrix has %d rows, want 4", len(rep.Dispatch))
-	}
-	for _, r := range rep.Dispatch {
-		if r.Packets != 40 || r.Filters != 4 || r.WallNs <= 0 || r.PPS <= 0 {
-			t.Errorf("implausible dispatch row: %+v", r)
-		}
-		if (r.Backend != "interp" && r.Backend != "compiled") ||
-			(r.Shape != "single" && r.Shape != "batch1024") {
-			t.Errorf("unexpected dispatch configuration: %+v", r)
-		}
-	}
-	// Accept counts are cross-checked inside Dispatch; here just pin
-	// that all four configurations agree with each other.
-	for _, r := range rep.Dispatch[1:] {
-		if r.Accepted != rep.Dispatch[0].Accepted {
-			t.Errorf("dispatch accepts diverge: %+v vs %+v", r, rep.Dispatch[0])
-		}
-	}
-
-	// Schema 3 (grown by schema 5): the observability matrix with the
-	// fully observed postures last, verdicts agreeing across every
-	// instrumentation.
-	if len(rep.Observability) != 6 {
-		t.Fatalf("observability matrix has %d rows, want 6", len(rep.Observability))
-	}
-	for _, r := range rep.Observability {
-		if r.Packets != 40 || r.Filters != 4 || r.WallNs <= 0 || r.PPS <= 0 {
-			t.Errorf("implausible observability row: %+v", r)
-		}
-		if r.Accepted != rep.Observability[0].Accepted {
-			t.Errorf("observability accepts diverge: %+v vs %+v", r, rep.Observability[0])
-		}
-	}
-	obs := rep.Observability[4]
-	if obs.Config != "compiled+prof+obs" || !obs.Observers || !obs.Profiling || obs.Windowed {
-		t.Errorf("fully observed posture missing or mislabeled: %+v", obs)
-	}
-	win := rep.Observability[5]
-	if win.Config != "compiled+prof+obs+win" || !win.Observers || !win.Windowed {
-		t.Errorf("windowed posture missing or mislabeled: %+v", win)
-	}
-
-	// Schema 5: the certificate-cost baseline.
-	if len(rep.CertCost) != 4 {
-		t.Fatalf("cert_cost has %d rows, want 4", len(rep.CertCost))
-	}
-	for i, c := range rep.CertCost {
-		if c.ProofBytes <= 0 || c.ProofNodes <= 0 || c.VCNodes <= 0 || c.CheckSteps <= 0 || c.CodeBytes <= 0 {
-			t.Errorf("implausible cert_cost row: %+v", c)
-		}
-		if c.Filter != rep.Table1[i].Filter {
-			t.Errorf("cert_cost filter order diverges from table1: %q vs %q", c.Filter, rep.Table1[i].Filter)
-		}
-		if c.ProofBytes != rep.Table1[i].ProofBytes {
-			t.Errorf("cert_cost proof bytes disagree with table1: %d vs %d", c.ProofBytes, rep.Table1[i].ProofBytes)
-		}
-	}
-
-	// Schema 4: the multi-goroutine scaling ladder over one shared
-	// lock-free kernel, with the core budget recorded beside it.
-	if len(rep.DispatchScaling) != len(ScalingGoroutines) {
-		t.Fatalf("dispatch_scaling has %d rungs, want %d", len(rep.DispatchScaling), len(ScalingGoroutines))
-	}
-	for i, r := range rep.DispatchScaling {
-		if r.Goroutines != ScalingGoroutines[i] || r.Packets != 40 || r.Filters != 4 || r.WallNs <= 0 || r.PPS <= 0 {
-			t.Errorf("implausible scaling rung: %+v", r)
-		}
-		if r.Accepted != rep.DispatchScaling[0].Accepted {
-			t.Errorf("scaling accepts diverge: %+v vs %+v", r, rep.DispatchScaling[0])
-		}
-	}
-	if rep.ParallelSpeedup <= 0 {
-		t.Errorf("parallel_speedup = %v, want > 0", rep.ParallelSpeedup)
-	}
-	if rep.GOMAXPROCS != runtime.GOMAXPROCS(0) {
-		t.Errorf("gomaxprocs = %d, want %d", rep.GOMAXPROCS, runtime.GOMAXPROCS(0))
+	pcc, _ := rep.Row("fig8/filter1/PCC")
+	bpf, _ := rep.Row("fig8/filter1/BPF")
+	if pcc.Median >= bpf.Median {
+		t.Errorf("fig8: PCC %.3f µs/pkt not below BPF %.3f", pcc.Median, bpf.Median)
 	}
 
 	var buf bytes.Buffer
@@ -134,7 +68,7 @@ func TestBuildReport(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("report does not round-trip: %v", err)
 	}
-	if back.Fig8[0].Filter != rep.Fig8[0].Filter {
+	if len(back.Rows) != len(rep.Rows) || back.Rows[0] != rep.Rows[0] {
 		t.Fatal("round-trip lost rows")
 	}
 

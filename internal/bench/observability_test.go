@@ -3,72 +3,51 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
-// TestProfilingOverheadPct pins the headline arithmetic on synthetic
-// rows: overhead is the profiled-compiled throughput shortfall as a
-// percentage of the unprofiled compiled rate, ignoring the observed
-// posture and the interpreter rows.
+// TestProfilingOverheadPct pins the overhead arithmetic on synthetic
+// samples: the share of the base configuration's throughput the
+// compared one loses, in percent (1 µs vs 1.1 µs per packet: 9.09%).
+// A faster compared run is noise and reads negative, as measured.
 func TestProfilingOverheadPct(t *testing.T) {
-	rows := []ObservabilityRow{
-		{Backend: "interp", Profiling: false, Packets: 1000, Wall: 10 * time.Millisecond},
-		{Backend: "interp", Profiling: true, Packets: 1000, Wall: 20 * time.Millisecond},
-		{Backend: "compiled", Profiling: false, Packets: 1000, Wall: 1 * time.Millisecond},
-		{Backend: "compiled", Profiling: true, Packets: 1000, Wall: 1100 * time.Microsecond},
-		{Backend: "compiled", Profiling: true, Observers: true, Packets: 1000, Wall: 5 * time.Millisecond},
-		{Backend: "compiled", Profiling: true, Observers: true, Windowed: true, Packets: 1000, Wall: 5500 * time.Microsecond},
+	r := ratio{"observability/profiling_overhead_pct", "%", "plain", "prof", overheadPct}
+	row := ratioRow(r, map[string][]float64{"plain": {1000, 1000}, "prof": {1100, 1100}})
+	if row.Median < 9.0 || row.Median > 9.2 || row.N != 2 {
+		t.Fatalf("profiling overhead = %+v, want ≈ 9.09 over 2 trials", row)
 	}
-	got := ProfilingOverheadPct(rows)
-	// plain = 1e6 pps, prof = 1e6/1.1 pps → (1 - 1/1.1)*100 ≈ 9.09%.
-	if got < 9.0 || got > 9.2 {
-		t.Fatalf("ProfilingOverheadPct = %.3f, want ≈ 9.09", got)
-	}
-	// Missing either compiled row: no number rather than a wrong one.
-	if pct := ProfilingOverheadPct(rows[:3]); pct != 0 {
-		t.Fatalf("overhead without a profiled row = %.3f, want 0", pct)
-	}
-
-	// Windowed overhead compares the two observed postures: 5 ms plain
-	// vs 5.5 ms windowed → (1 - 1/1.1)*100 ≈ 9.09% again.
-	winGot := WindowOverheadPct(rows)
-	if winGot < 9.0 || winGot > 9.2 {
-		t.Fatalf("WindowOverheadPct = %.3f, want ≈ 9.09", winGot)
-	}
-	if pct := WindowOverheadPct(rows[:5]); pct != 0 {
-		t.Fatalf("window overhead without a windowed row = %.3f, want 0", pct)
-	}
-
-	text := FormatObservability(rows)
-	for _, want := range []string{"interp+plain", "interp+prof", "compiled+plain",
-		"compiled+prof", "compiled+prof+obs", "compiled+prof+obs+win",
-		"profiling overhead", "windowed recording overhead"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("FormatObservability missing %q:\n%s", want, text)
-		}
+	row = ratioRow(r, map[string][]float64{"plain": {1000}, "prof": {950}})
+	if row.Median >= 0 {
+		t.Fatalf("faster profiled run reads %.2f%%, want negative", row.Median)
 	}
 }
 
-// TestObservabilityMeasures runs the real matrix over a tiny trace:
-// all six configurations must dispatch, agree with the reference
-// verdicts (checked inside Observability), and report positive walls.
+// TestObservabilityMeasures runs the observability section over a tiny
+// trace: every instrumented configuration dispatches with the
+// reference verdicts (checked inside Matrix), alongside the plain
+// compiled base, and all three overhead rows are reported.
 func TestObservabilityMeasures(t *testing.T) {
-	rows, err := Observability(64)
+	rows, err := Matrix(64, "observability")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("%d rows, want 6", len(rows))
-	}
-	if last := rows[len(rows)-1]; !last.Windowed || !last.Observers {
-		t.Fatalf("last row must be the windowed posture: %+v", last)
-	}
+	got := map[string]Row{}
 	for _, r := range rows {
-		if r.Wall <= 0 || r.Packets != 64 || r.PPS() <= 0 {
-			t.Errorf("implausible row: %+v", r)
+		got[r.Name] = r
+		if r.N != Trials {
+			t.Errorf("row %s has %d samples, want %d", r.Name, r.N, Trials)
 		}
-		if r.Accepted != rows[0].Accepted {
-			t.Errorf("verdicts diverge across instrumentation: %+v vs %+v", r, rows[0])
+		if !strings.HasPrefix(r.Name, "observability/") && r.Name != "dispatch/compiled/batch" {
+			t.Errorf("unexpected row %s", r.Name)
 		}
+	}
+	for _, name := range []string{"dispatch/compiled/batch", "observability/interp+prof",
+		"observability/compiled+prof", "observability/compiled+prof+obs", "observability/compiled+prof+obs+win",
+		"observability/profiling_overhead_pct", "observability/observed_overhead_pct", "observability/window_overhead_pct"} {
+		if _, ok := got[name]; !ok {
+			t.Errorf("row %s missing", name)
+		}
+	}
+	if text := FormatRows(rows); !strings.Contains(text, "compiled+prof+obs+win") || !strings.Contains(text, "[q1, q3]") {
+		t.Errorf("FormatRows output:\n%s", text)
 	}
 }

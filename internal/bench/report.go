@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/filters"
 )
 
 // Paper reference values, for side-by-side reporting. Figure 8 values
@@ -81,11 +79,59 @@ func FormatTable1(rows []Table1Row) string {
 			r.Filter,
 			r.Instructions, PaperTable1[i][0],
 			r.BinarySize, PaperTable1[i][1],
-			float64(r.Validation.Microseconds()), PaperTable1[i][2],
+			r.Cost[costValidate].Median, PaperTable1[i][2],
 			r.HeapKB, PaperTable1[i][3],
 			float64(r.ProofBytes)/float64(r.CodeBytes))
 	}
-	fmt.Fprintf(&b, "(parenthesized: the paper's values; host validation time vs 175-MHz Alpha)\n")
+	fmt.Fprintf(&b, "(parenthesized: the paper's values; host validation time, median of %d, vs 175-MHz Alpha; heap is the mean)\n",
+		validationRuns)
+	return b.String()
+}
+
+// FormatStages renders the per-stage validation-cost medians with each
+// stage's share of the total (validation plus WCET), showing where the
+// paper's one-time cost goes (LF proof checking dominates).
+func FormatStages(rows []Table1Row) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Validation cost by pipeline stage (µs, host, median of %d; Table 1 split)\n", validationRuns)
+	fmt.Fprintf(&b, "%-10s %9s %9s %9s %9s %9s %9s\n",
+		"", "parse", "lfsig", "vcgen", "lfcheck", "wcet", "total")
+	stages := []int{costParse, costSig, costVCGen, costCheck, costWCET}
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-10s", r.Filter)
+		for _, c := range stages {
+			fmt.Fprintf(&b, " %9.0f", r.Cost[c].Median)
+		}
+		fmt.Fprintf(&b, " %9.0f\n", r.total())
+	}
+	fmt.Fprintf(&b, "shares of total:\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-10s", r.Filter)
+		for _, c := range stages {
+			fmt.Fprintf(&b, " %8.1f%%", 100*r.Cost[c].Median/r.total())
+		}
+		fmt.Fprintf(&b, "\n")
+	}
+	return b.String()
+}
+
+// total is the median validation plus the median WCET analysis (µs).
+func (r Table1Row) total() float64 { return r.Cost[costValidate].Median + r.Cost[costWCET].Median }
+
+// FormatCertCost renders the size of the safety evidence per filter:
+// the baseline proof-size engineering (ACC-style certificate
+// compression, see PAPERS.md) must regress against.
+func FormatCertCost(rows []Table1Row) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Certificate cost: size of the safety evidence per filter\n")
+	fmt.Fprintf(&b, "%-10s %10s %12s %12s %10s %12s %12s\n",
+		"", "code (B)", "proof (B)", "proof/code", "VC nodes", "proof nodes", "check steps")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-10s %10d %12d %11.1fx %10d %12d %12d\n",
+			r.Filter, r.CodeBytes, r.ProofBytes, float64(r.ProofBytes)/float64(r.CodeBytes),
+			r.VCNodes, r.ProofNodes, r.CheckSteps)
+	}
+	fmt.Fprintf(&b, "(live counterparts: pcc_proof_bytes / pcc_vc_nodes value histograms per install)\n")
 	return b.String()
 }
 
@@ -208,5 +254,3 @@ func ShapeCheck(rows []Fig8Row) []string {
 	}
 	return bad
 }
-
-var _ = filters.All // keep the import explicit for documentation links

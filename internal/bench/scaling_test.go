@@ -1,53 +1,41 @@
 package bench
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// TestDispatchScaling runs the ladder over a short trace and checks
-// shape and internal consistency; the verdict census is cross-checked
-// inside DispatchScaling itself, so an error return is the real gate.
+// TestDispatchScaling runs the scaling section over a short trace: the
+// rungs share one kernel each, and the verdict census is cross-checked
+// inside Matrix, so an error return is the real gate.
 func TestDispatchScaling(t *testing.T) {
-	rows, err := DispatchScaling(400)
+	rows, err := Matrix(400, "scaling")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(ScalingGoroutines) {
-		t.Fatalf("%d rungs, want %d", len(rows), len(ScalingGoroutines))
-	}
-	for i, r := range rows {
-		if r.Goroutines != ScalingGoroutines[i] {
-			t.Errorf("rung %d: goroutines = %d, want %d", i, r.Goroutines, ScalingGoroutines[i])
-		}
-		if r.Packets != 400 || r.Wall <= 0 || r.PPS() <= 0 || r.NsPerPacket() <= 0 {
-			t.Errorf("implausible rung: %+v", r)
-		}
-		if r.Accepted != rows[0].Accepted {
-			t.Errorf("accepts diverge across rungs: %+v vs %+v", r, rows[0])
+	var names []string
+	for _, r := range rows {
+		names = append(names, r.Name)
+		if r.N != Trials || r.Median <= 0 {
+			t.Errorf("implausible row: %+v", r)
 		}
 	}
-	if s := ParallelSpeedup(rows); s <= 0 {
-		t.Errorf("ParallelSpeedup = %v, want > 0", s)
+	want := []string{"dispatch/compiled/batch", "scaling/g2", "scaling/g4", "scaling/g8", "scaling/parallel_speedup"}
+	if len(names) != len(want) {
+		t.Fatalf("rows %v, want %v", names, want)
 	}
-	out := FormatScaling(rows)
-	for _, want := range []string{"goroutines", "GOMAXPROCS", "packets/sec"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FormatScaling output missing %q:\n%s", want, out)
+	for i := range want {
+		if names[i] != want[i] {
+			t.Fatalf("rows %v, want %v", names, want)
 		}
 	}
 }
 
-// TestParallelSpeedupEdges pins the degenerate inputs.
+// TestParallelSpeedupEdges pins the speedup arithmetic and the
+// degenerate input: no samples make an empty row, not a number.
 func TestParallelSpeedupEdges(t *testing.T) {
-	if s := ParallelSpeedup(nil); s != 0 {
-		t.Errorf("ParallelSpeedup(nil) = %v, want 0", s)
+	r := ratio{"scaling/parallel_speedup", "x", "g1", "g8", speedup}
+	if row := ratioRow(r, nil); row.N != 0 || row.Median != 0 {
+		t.Errorf("speedup over no samples = %+v, want an empty row", row)
 	}
-	rows := []ScalingRow{
-		{Goroutines: 1, Packets: 100, Wall: 200},
-		{Goroutines: 8, Packets: 100, Wall: 50},
-	}
-	if s := ParallelSpeedup(rows); s < 3.99 || s > 4.01 {
-		t.Errorf("ParallelSpeedup = %v, want 4.0", s)
+	if row := ratioRow(r, map[string][]float64{"g1": {200}, "g8": {50}}); row.Median < 3.99 || row.Median > 4.01 {
+		t.Errorf("speedup = %v, want 4.0", row.Median)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -28,6 +29,48 @@ func certAll(t testing.TB) map[filters.Filter][]byte {
 		out[f] = cert.Binary
 	}
 	return out
+}
+
+// TestBatchInstallSpeedup: given at least 4 cores, installing the four
+// paper filters all-cold as one concurrent batch is at least 2x faster
+// than installing them one at a time. Each side is the best of three
+// rounds on fresh cache-disabled kernels, as for the paper's one-time
+// costs on a multiprogrammed host. Cores means schedulable CPUs, not
+// GOMAXPROCS alone: verify.sh runs this package with -cpu 4, which on a
+// 2-CPU host gives 4 Ps but no more parallelism.
+func TestBatchInstallSpeedup(t *testing.T) {
+	bins := certAll(t)
+	var reqs []InstallRequest
+	for _, f := range filters.All {
+		reqs = append(reqs, InstallRequest{Owner: f.String(), Binary: bins[f]})
+	}
+	serial := func() time.Duration {
+		k := NewWithCacheSize(0)
+		start := time.Now()
+		for _, r := range reqs {
+			if err := k.InstallFilter(r.Owner, r.Binary); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	batch := func() time.Duration {
+		k := NewWithCacheSize(0)
+		start := time.Now()
+		for _, err := range k.InstallFilterBatch(reqs) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	s := min(serial(), serial(), serial())
+	p := min(batch(), batch(), batch())
+	if n := min(runtime.GOMAXPROCS(0), runtime.NumCPU()); n < 4 {
+		t.Logf("only %d core(s): the >= 2x bar needs >= 4; measured %.2fx", n, float64(s)/float64(p))
+	} else if s < 2*p {
+		t.Errorf("concurrent batch install %v vs serial %v on %d cores: %.2fx, want >= 2x", p, s, n, float64(s)/float64(p))
+	}
 }
 
 // TestSerialVsBatchDifferential is the differential harness: for every
@@ -249,42 +292,41 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestWarmInstallSpeedup is the acceptance gate: a warm-cache
-// re-install of an already-verified filter must be at least 10x
-// faster than its cold validation. (In practice the gap is three
-// orders of magnitude — a SHA-256 and a map lookup versus VC
+// TestWarmInstallSpeedup is the acceptance gate: for every paper
+// filter, a warm-cache re-install of an already-verified binary must
+// be at least 10x faster than its cold validation, with every re-install
+// a cache hit and nothing rejected. (In practice the gap is two to
+// three orders of magnitude — a SHA-256 and a map lookup versus VC
 // generation plus LF proof checking.)
 func TestWarmInstallSpeedup(t *testing.T) {
-	pol := policy.PacketFilter()
-	cert, err := pcc.Certify(filters.SrcFilter3, pol, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := New()
-	start := time.Now()
-	if err := k.InstallFilter("cold", cert.Binary); err != nil {
-		t.Fatal(err)
-	}
-	cold := time.Since(start)
-
-	warm := time.Duration(1 << 62)
-	for i := 0; i < 5; i++ {
-		start = time.Now()
-		if err := k.InstallFilter("warm", cert.Binary); err != nil {
+	bins := certAll(t)
+	for _, f := range filters.All {
+		k := New()
+		start := time.Now()
+		if err := k.InstallFilter("cold", bins[f]); err != nil {
 			t.Fatal(err)
 		}
-		if d := time.Since(start); d < warm {
-			warm = d
+		cold := time.Since(start)
+
+		warm := time.Duration(1 << 62)
+		for i := 0; i < 5; i++ {
+			start = time.Now()
+			if err := k.InstallFilter("warm", bins[f]); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); d < warm {
+				warm = d
+			}
 		}
+		if st := k.Stats(); st.CacheHits != 5 || st.Rejections != 0 {
+			t.Fatalf("%v: cache hits = %d, rejections = %d, want 5 and 0", f, st.CacheHits, st.Rejections)
+		}
+		if cold < 10*warm {
+			t.Fatalf("%v: warm install is only %.1fx faster than cold (%v vs %v), want >= 10x",
+				f, float64(cold)/float64(warm), cold, warm)
+		}
+		t.Logf("%v: cold %v, warm %v (%.0fx)", f, cold, warm, float64(cold)/float64(warm))
 	}
-	if st := k.Stats(); st.CacheHits != 5 {
-		t.Fatalf("cache hits = %d, want 5", st.CacheHits)
-	}
-	if cold < 10*warm {
-		t.Fatalf("warm install is only %.1fx faster than cold (%v vs %v), want >= 10x",
-			float64(cold)/float64(warm), cold, warm)
-	}
-	t.Logf("cold %v, warm %v (%.0fx)", cold, warm, float64(cold)/float64(warm))
 }
 
 // TestValidateAsync: the async install path reports the same verdicts

@@ -490,7 +490,7 @@ func TestStatsAggregatedOnScrape(t *testing.T) {
 
 // BenchmarkDeliverPacketsParallel measures batch-dispatch throughput
 // at 1/2/4/8 goroutines over one shared kernel — the microbenchmark
-// behind the dispatch_scaling section of paperbench (internal/bench).
+// behind the scaling rows of paperbench's host-timed matrix (internal/bench).
 // On a multi-core host the lock-free snapshot path scales with
 // goroutines; on a single-core host the figure of merit is that added
 // goroutines cost nothing (no lock convoy to collapse into).

@@ -13,6 +13,16 @@ go build ./...
 echo '== go vet ./...'
 go vet ./...
 
+# Formatting gate: gofmt -l names every file whose layout differs from
+# gofmt's; any name fails the build.
+echo '== gofmt -l .'
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: not formatted:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 # The telemetry, kernel, and machine packages lean on sync/atomic and
 # carry lock-free invariants (the profiler hot path merges pooled
 # scratch profiles into per-filter atomic accumulators); run the
