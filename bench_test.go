@@ -118,8 +118,12 @@ func BenchmarkFig7ResourceAccessLayout(b *testing.B) {
 // BenchmarkFig9Amortization reproduces the Figure 9 analysis end to
 // end on a small calibration trace.
 func BenchmarkFig9Amortization(b *testing.B) {
+	rows, err := bench.Table1()
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		res, err := bench.Fig9(500, 50000)
+		res, err := bench.Fig9(rows[filters.Filter4-1], 500, 50000)
 		if err != nil {
 			b.Fatal(err)
 		}

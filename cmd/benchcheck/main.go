@@ -23,7 +23,7 @@
 //   - observability/profiling_overhead_pct: compiled throughput lost to
 //     always-on per-block profiling;
 //   - observability/observed_overhead_pct: throughput the recorder and
-//     flight recorder cost on top of profiling (the served posture);
+//     its event log cost on top of profiling (the served posture);
 //   - observability/window_overhead_pct: the sliding-window recorder
 //     layer on top of the observed posture;
 //   - scaling/parallel_speedup: the widest goroutine rung over one

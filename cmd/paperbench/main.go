@@ -91,9 +91,12 @@ func main() {
 		}
 		fmt.Println(bench.FormatFig7(cert.Layout))
 	}
-	if all || *table1 || *stages || *certcost {
-		rows, err := bench.Table1()
-		if err != nil {
+	// Figure 9's PCC startup cost is Table 1's Filter 4 median, so the
+	// table is measured once for either.
+	var rows []bench.Table1Row
+	if all || *table1 || *stages || *certcost || *fig9 {
+		var err error
+		if rows, err = bench.Table1(); err != nil {
 			log.Fatal(err)
 		}
 		if all || *table1 {
@@ -125,7 +128,7 @@ func main() {
 		if n > 20000 {
 			n = 20000 // calibration trace; the curve extrapolates
 		}
-		res, err := bench.Fig9(n, 50000)
+		res, err := bench.Fig9(rows[filters.Filter4-1], n, 50000)
 		if err != nil {
 			log.Fatal(err)
 		}

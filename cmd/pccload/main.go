@@ -596,7 +596,7 @@ func batchInstall(ctx context.Context, files []string, backend string) {
 }
 
 // printStageTable renders the cold pass's per-file validation-stage
-// breakdown from the telemetry trace (µs per stage, one row per file),
+// breakdown from the telemetry spans (µs per stage, one row per file),
 // with each install's correlation EventID — the key that joins the row
 // to its audit record and any flight events in offline dumps.
 func printStageTable(rec *telemetry.Recorder, reqs []kernel.InstallRequest) {
@@ -606,16 +606,16 @@ func printStageTable(rec *telemetry.Recorder, reqs []kernel.InstallRequest) {
 	}
 	byFile := map[string]map[string]float64{} // file -> stage -> µs
 	eidByFile := map[string]uint64{}          // file -> correlation EventID
-	for _, e := range rec.Trace().Events() {
+	for _, e := range rec.Log().Events(telemetry.Query{Class: telemetry.ClassSpan}) {
 		if e.Stage == telemetry.StageValidate {
-			eidByFile[e.Detail] = e.Event
+			eidByFile[e.Owner] = e.Event
 		}
 		for _, s := range stages {
 			if e.Stage == s {
-				if byFile[e.Detail] == nil {
-					byFile[e.Detail] = map[string]float64{}
+				if byFile[e.Owner] == nil {
+					byFile[e.Owner] = map[string]float64{}
 				}
-				byFile[e.Detail][s] += float64(e.DurNanos) / 1e3
+				byFile[e.Owner][s] += float64(e.DurNanos) / 1e3
 			}
 		}
 	}

@@ -48,7 +48,7 @@ func main() {
 	budget := flag.Int64("budget", 0, "per-packet worst-case cycle budget enforced at install (0 = off)")
 	telem := flag.Bool("telemetry", false, "attach a telemetry recorder; dump the metrics exposition page and slowest validations")
 	backendFlag := flag.String("backend", "interp", "execution backend for installed filters (interp or compiled)")
-	flightRec := flag.Bool("flightrecorder", false, "attach a dispatch flight recorder; dump the anomaly ring after the run")
+	flightRec := flag.Bool("flightrecorder", false, "record dispatch anomalies in a telemetry recorder's event log; dump them after the run")
 	slowest := flag.Int("slowest", 5, "with -telemetry, how many slowest validations to list")
 	traceOut := flag.String("trace-out", "", "with -telemetry, write the span trace as JSON-lines to a file")
 	serve := flag.String("serve", "", "serve the live observability endpoints on this address (e.g. :6060) instead of a one-shot report")
@@ -91,15 +91,12 @@ func main() {
 	}
 
 	k := kernel.New()
+	// Anomalies land in the recorder's event log, so -flightrecorder
+	// attaches a recorder too.
 	var rec *telemetry.Recorder
-	if *telem {
+	if *telem || *flightRec {
 		rec = telemetry.New()
 		k.SetRecorder(rec)
-	}
-	var fr *telemetry.FlightRecorder
-	if *flightRec {
-		fr = telemetry.NewFlightRecorder(0)
-		k.SetFlightRecorder(fr)
 	}
 	be, err := kernel.ParseBackend(*backendFlag)
 	if err != nil {
@@ -187,23 +184,22 @@ func main() {
 		"proof cache %d hits / %d misses / %d evictions\n",
 		st.BatchInstalls, st.QueueWaitMicros, st.CacheHits, st.CacheMisses, st.CacheEvictions)
 
-	if rec != nil {
+	if *telem {
 		reportTelemetry(rec, *slowest, *traceOut)
 	}
-	if fr != nil {
-		reportFlightRecorder(fr)
+	if *flightRec {
+		reportFlightRecorder(rec.Log().Snapshot(telemetry.ClassFlight))
 	}
 }
 
-// reportFlightRecorder dumps the anomaly ring: a human-readable event
-// line per retained event, oldest first, plus the ring accounting.
+// reportFlightRecorder dumps the log's flight class: a human-readable
+// line per retained anomaly, oldest first, plus the class accounting.
 // With nothing abnormal in the run the timeline is just the config
 // changes — which is itself the finding.
-func reportFlightRecorder(fr *telemetry.FlightRecorder) {
-	evs := fr.Events()
+func reportFlightRecorder(snap telemetry.ClassSnapshot) {
 	fmt.Printf("\n== flight recorder (%d events retained, %d recorded, %d dropped) ==\n",
-		len(evs), fr.Appended(), fr.Dropped())
-	for _, e := range evs {
+		len(snap.Events), snap.Appended, snap.Dropped)
+	for _, e := range snap.Events {
 		owner := e.Owner
 		if owner == "" {
 			owner = "-"
@@ -235,10 +231,8 @@ func reportTelemetry(rec *telemetry.Recorder, slowest int, traceOut string) {
 		err   string
 	}
 	var vals []val
-	for _, e := range rec.Trace().Events() {
-		if e.Stage == telemetry.StageValidate {
-			vals = append(vals, val{e.Detail, float64(e.DurNanos) / 1e3, e.Err})
-		}
+	for _, e := range rec.Log().Events(telemetry.Query{Class: telemetry.ClassSpan, Stage: telemetry.StageValidate}) {
+		vals = append(vals, val{e.Owner, float64(e.DurNanos) / 1e3, e.Err})
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i].dur > vals[j].dur })
 	if len(vals) > slowest {
@@ -263,14 +257,14 @@ func reportTelemetry(rec *telemetry.Recorder, slowest int, traceOut string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := rec.Trace().WriteJSONL(f); err != nil {
+		spans := rec.Log().Snapshot(telemetry.ClassSpan)
+		if err := telemetry.WriteJSONL(f, spans.Events); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		tr := rec.Trace()
 		fmt.Printf("\nwrote %d spans to %s (%d recorded, %d dropped by the ring)\n",
-			len(tr.Events()), traceOut, tr.Appended(), tr.Dropped())
+			len(spans.Events), traceOut, spans.Appended, spans.Dropped)
 	}
 }

@@ -7,11 +7,12 @@
 //	/healthz               liveness: 200 once filters are installed
 //	/metrics               Prometheus text exposition (telemetry recorder)
 //	/debug/vars            JSON snapshot: kernel stats, traffic, telemetry
-//	/debug/flightrecorder  JSON ring of the last dispatch anomalies and
-//	                       config changes, oldest first
-//	/debug/timeline        correlated event timeline: spans, audit
-//	                       records, and flight events joined on the
-//	                       shared EventID (?id=&owner=&stage=&kind=&since=)
+//	/debug/flightrecorder  JSON snapshot of the event log's flight class:
+//	                       the last dispatch anomalies and config
+//	                       changes, oldest first
+//	/debug/timeline        the event log filtered by one query: spans,
+//	                       audit records, and flight events sharing an
+//	                       EventID, owner, … (?id=&owner=&stage=&kind=&since=)
 //	/debug/pprof/*         the host Go runtime's own profiles
 //	/debug/pprof/filters   pprof-compatible *simulated* profile: cycles
 //	                       per Alpha instruction across installed filters
@@ -19,14 +20,14 @@
 //	/profile/{filter}      annotated disassembly with cycle attribution
 //	/tenants               JSON index of the hosted tenants
 //	/t/{name}/…            any of the per-tenant endpoints above, routed
-//	                       to that tenant's kernel, recorder, and flight
-//	                       recorder (e.g. /t/alpha/metrics)
+//	                       to that tenant's kernel and recorder
+//	                       (e.g. /t/alpha/metrics)
 //
 // The bare paths serve the default tenant (the first -tenants name),
 // so single-tenant deployments and their dashboards keep working
 // unchanged. Tenant isolation is the kernel registry's: each tenant
-// has its own filter table, sharded statistics, telemetry recorder,
-// and flight recorder, so one tenant's churn never moves another's
+// has its own filter table, sharded statistics, and telemetry recorder
+// with its event log, so one tenant's churn never moves another's
 // metrics (see docs/OBSERVABILITY.md).
 //
 // The process runs until SIGINT/SIGTERM and then shuts the listener
@@ -66,14 +67,12 @@ import (
 )
 
 // monitor is one tenant's serving state: its kernel (with recorder
-// and flight recorder attached via the registry) plus the
-// synthetic-traffic counters the endpoints report.
+// attached via the registry) plus the synthetic-traffic counters the
+// endpoints report.
 type monitor struct {
 	name  string
 	k     *kernel.Kernel
 	rec   *telemetry.Recorder
-	fr    *telemetry.FlightRecorder
-	ar    *telemetry.AuditRing
 	start time.Time
 
 	packets atomic.Int64 // synthetic packets delivered
@@ -131,14 +130,13 @@ func bootTenant(reg *kernel.Registry, name string, auditLog *slog.Logger, storeB
 		name:  name,
 		k:     tn.Kernel,
 		rec:   tn.Rec,
-		fr:    tn.Flight,
-		ar:    tn.Audit,
 		start: time.Now(),
 	}
-	// Tee audit records through the tenant's ring on their way to the
-	// durable sink, so /debug/timeline can join recent install decisions
-	// against spans and flight events without re-parsing log files.
-	m.k.SetAuditLog(slog.New(m.ar.Handler(auditLog.Handler())).With("tenant", name))
+	// Tee audit records through the tenant's event log on their way to
+	// the durable sink, so /debug/timeline can select recent install
+	// decisions with spans and flight events without re-parsing log
+	// files.
+	m.k.SetAuditLog(slog.New(tn.Audit.Handler(auditLog.Handler())).With("tenant", name))
 	// Serve on the compiled backend with profiling attached: profiled
 	// threaded code is the always-on production posture this monitor
 	// demonstrates (profiling no longer reroutes dispatch to the
@@ -311,11 +309,17 @@ func (s *server) handleTenants(w http.ResponseWriter, _ *http.Request) {
 			Ready:   m.ready.Load(),
 		})
 	}
+	writeJSON(w, "tenants", map[string]any{"default": s.def().name, "tenants": rows})
+}
+
+// writeJSON serves v as one indented JSON document; what names the
+// endpoint in the log line of a failed write.
+func writeJSON(w http.ResponseWriter, what string, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(map[string]any{"default": s.def().name, "tenants": rows}); err != nil {
-		log.Printf("tenants: %v", err)
+	if err := enc.Encode(v); err != nil {
+		log.Printf("%s: %v", what, err)
 	}
 }
 
@@ -411,7 +415,8 @@ func (m *monitor) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // document.
 func (m *monitor) handleVars(w http.ResponseWriter, _ *http.Request) {
 	st := m.k.Stats()
-	doc := map[string]any{
+	flight := m.rec.Log().Snapshot(telemetry.ClassFlight)
+	writeJSON(w, "vars", map[string]any{
 		"tenant":           m.name,
 		"uptime_seconds":   time.Since(m.start).Seconds(),
 		"kernel":           st,
@@ -423,16 +428,10 @@ func (m *monitor) handleVars(w http.ResponseWriter, _ *http.Request) {
 		"extension_micros": machine.Micros(st.ExtensionCycles),
 		"telemetry":        m.rec.Snapshot(false),
 		"flight_recorder": map[string]int64{
-			"appended": m.fr.Appended(),
-			"dropped":  m.fr.Dropped(),
+			"appended": flight.Appended,
+			"dropped":  flight.Dropped,
 		},
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		log.Printf("vars: %v", err)
-	}
+	})
 }
 
 // handleProfile serves annotated cycle listings: /profile/ indexes
@@ -466,31 +465,26 @@ func (m *monitor) profilePage(w http.ResponseWriter, name string) {
 	io.WriteString(w, snap.AnnotatedListing())
 }
 
-// handleFlightRecorder serves the dispatch flight recorder's ring as
-// one JSON document: capacity, appended/dropped accounting, and the
-// retained anomaly events oldest first.
+// handleFlightRecorder serves the event log's flight class as one JSON
+// document: capacity, appended/dropped accounting, and the retained
+// anomaly events oldest first.
 func (m *monitor) handleFlightRecorder(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	if err := m.fr.WriteJSON(w); err != nil {
-		log.Printf("flight recorder: %v", err)
-	}
+	writeJSON(w, "flight recorder", m.rec.Log().Snapshot(telemetry.ClassFlight))
 }
 
-// handleTimeline serves the correlated event timeline: spans from the
-// telemetry trace ring, audit records from the tenant's audit ring, and
-// flight events from the flight recorder, joined and filtered by the
-// query parameters:
+// handleTimeline serves the tenant's event log filtered by the query
+// parameters, split into spans, audit records and flight events:
 //
-//	id=N        only records carrying correlation EventID N
-//	owner=S     only records for owner/detail S
+//	id=N        only events carrying correlation EventID N
+//	owner=S     only events for owner S
 //	stage=S     only spans of pipeline stage S
 //	kind=S      only audit records / flight events of kind S
-//	since=DUR   only records newer than now-DUR (Go duration, e.g. 30s)
+//	since=DUR   only events newer than now-DUR (Go duration, e.g. 30s)
 //
 // With id= the response is the full causal story of one kernel
-// operation across all three rings.
+// operation across all three classes.
 func (m *monitor) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	q := telemetry.TimelineQuery{
+	q := telemetry.Query{
 		Owner: r.URL.Query().Get("owner"),
 		Stage: r.URL.Query().Get("stage"),
 		Kind:  r.URL.Query().Get("kind"),
@@ -511,12 +505,9 @@ func (m *monitor) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		}
 		q.SinceUnixNanos = time.Now().Add(-d).UnixNano()
 	}
-	tl := telemetry.BuildTimeline(m.rec, m.ar, m.fr, q)
+	tl := m.rec.Log().Timeline(q)
 	tl.Tenant = m.name
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	if err := tl.WriteJSON(w); err != nil {
-		log.Printf("timeline: %v", err)
-	}
+	writeJSON(w, "timeline", tl)
 }
 
 // handleFilterProfile serves the simulated-machine pprof profile:

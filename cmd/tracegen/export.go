@@ -1,19 +1,15 @@
-// Correlated-stream export: `tracegen -export DIR` replays the
-// generated trace through a fully observed kernel and writes the three
-// observability streams side by side —
+// Event-log export: `tracegen -export DIR` replays the generated trace
+// through a fully observed kernel and writes its event log — spans,
+// audit records and flight events, one JSON object per line — to
+// DIR/events.jsonl (decoded by telemetry.ReadJSONL).
 //
-//	DIR/spans.jsonl   telemetry span ring (telemetry.ReadJSONL)
-//	DIR/audit.jsonl   audit-record ring (telemetry.ReadAuditJSONL)
-//	DIR/flight.json   flight-recorder snapshot (telemetry.FlightSnapshot)
-//
-// Every record carries the kernel's correlation EventID, so the files
-// join offline on one key: the same joins /debug/timeline performs
-// live, but against artifacts a bug report can attach.
+// Every event carries the kernel's correlation EventID, so one filter
+// on that key selects an operation's whole story offline: the same
+// query /debug/timeline answers live, but against an artifact a bug
+// report can attach.
 package main
 
 import (
-	"encoding/json"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -27,15 +23,12 @@ import (
 
 // exportStreams installs the paper filters into an instrumented
 // kernel, delivers pkts through the vectorized dispatch path, and
-// writes the three correlated streams into dir.
+// writes the kernel's event log into dir/events.jsonl.
 func exportStreams(dir string, pkts []pktgen.Packet) error {
 	k := kernel.New()
 	rec := telemetry.New()
 	k.SetRecorder(rec)
-	fr := telemetry.NewFlightRecorder(0)
-	k.SetFlightRecorder(fr)
-	ring := telemetry.NewAuditRing(0)
-	k.SetAuditLog(slog.New(ring.Handler(nil)))
+	k.SetAuditLog(slog.New(rec.Log().Handler(nil)))
 
 	var reqs []kernel.InstallRequest
 	for _, f := range filters.All {
@@ -51,9 +44,9 @@ func exportStreams(dir string, pkts []pktgen.Packet) error {
 		}
 	}
 	// A config change is the one operation that lands in all three
-	// streams by construction (span + audit record + flight event on
-	// one EventID), so the export always demonstrates a three-way join
-	// even over a clean trace with no dispatch anomalies.
+	// classes by construction (span + audit record + flight event on
+	// one EventID), so the export always demonstrates a three-class
+	// selection even over a clean trace with no dispatch anomalies.
 	if err := k.SetBackend(kernel.BackendCompiled); err != nil {
 		return err
 	}
@@ -73,26 +66,11 @@ func exportStreams(dir string, pkts []pktgen.Packet) error {
 		}
 	}
 
-	if err := writeTo(filepath.Join(dir, "spans.jsonl"), rec.Trace().WriteJSONL); err != nil {
-		return err
-	}
-	if err := writeTo(filepath.Join(dir, "audit.jsonl"), ring.WriteJSONL); err != nil {
-		return err
-	}
-	return writeTo(filepath.Join(dir, "flight.json"), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(fr.Snapshot())
-	})
-}
-
-// writeTo creates path and streams write into it.
-func writeTo(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
+	f, err := os.Create(filepath.Join(dir, "events.jsonl"))
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if err := telemetry.WriteJSONL(f, rec.Log().Events(telemetry.Query{})); err != nil {
 		f.Close()
 		return err
 	}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,9 +9,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestExportStreamsRoundTrip: -export writes the three observability
-// streams, they decode with the package readers, and they join on the
-// shared correlation EventID — installs across spans+audit, and the
+// TestExportStreamsRoundTrip: -export writes the event log as one
+// events.jsonl, it decodes with telemetry.ReadJSONL, and its classes
+// share the correlation EventID — installs across spans+audit, and the
 // config change across all three (span + audit record + flight event).
 func TestExportStreamsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -21,42 +20,27 @@ func TestExportStreamsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sf, err := os.Open(filepath.Join(dir, "spans.jsonl"))
+	f, err := os.Open(filepath.Join(dir, "events.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sf.Close()
-	spans, err := telemetry.ReadJSONL(sf)
+	defer f.Close()
+	events, err := telemetry.ReadJSONL(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	af, err := os.Open(filepath.Join(dir, "audit.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer af.Close()
-	audit, err := telemetry.ReadAuditJSONL(af)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := os.ReadFile(filepath.Join(dir, "flight.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flight telemetry.FlightSnapshot
-	if err := json.Unmarshal(fb, &flight); err != nil {
-		t.Fatal(err)
-	}
-
+	byClass := map[string][]telemetry.Event{}
 	spanIDs := map[uint64][]telemetry.Event{}
-	for _, e := range spans {
-		if e.Event != 0 {
+	for _, e := range events {
+		byClass[e.Class] = append(byClass[e.Class], e)
+		if e.Class == telemetry.ClassSpan && e.Event != 0 {
 			spanIDs[e.Event] = append(spanIDs[e.Event], e)
 		}
 	}
 	if len(spanIDs) == 0 {
 		t.Fatal("exported spans carry no EventIDs")
 	}
+	audit, flight := byClass[telemetry.ClassAudit], byClass[telemetry.ClassFlight]
 
 	// Every install audit record joins back to a validate span tree on
 	// its EventID.
@@ -75,7 +59,7 @@ func TestExportStreamsRoundTrip(t *testing.T) {
 		}
 		var foundValidate bool
 		for _, e := range es {
-			if e.Stage == telemetry.StageValidate && e.Detail == r.Owner {
+			if e.Stage == telemetry.StageValidate && e.Owner == r.Owner {
 				foundValidate = true
 			}
 		}
@@ -91,7 +75,7 @@ func TestExportStreamsRoundTrip(t *testing.T) {
 	// EventID present as a config span, a config audit record, and a
 	// config_change flight event.
 	joined := false
-	for _, fe := range flight.Events {
+	for _, fe := range flight {
 		if fe.Kind != telemetry.FlightConfigChange || fe.Event == 0 {
 			continue
 		}
@@ -111,10 +95,15 @@ func TestExportStreamsRoundTrip(t *testing.T) {
 		}
 	}
 	if !joined {
-		t.Fatal("no EventID joins all three exported streams")
+		t.Fatal("no EventID joins all three exported classes")
 	}
 
-	if flight.Appended != int64(len(flight.Events))+flight.Dropped {
-		t.Fatalf("flight snapshot accounting broken: %+v", flight)
+	// Each class is exported oldest first with unique sequence numbers.
+	for class, es := range byClass {
+		for i := 1; i < len(es); i++ {
+			if es[i].Seq <= es[i-1].Seq {
+				t.Fatalf("%s events out of sequence at %d: %d then %d", class, i, es[i-1].Seq, es[i].Seq)
+			}
+		}
 	}
 }

@@ -7,9 +7,9 @@
 //	tracegen -n 200000 -seed 1996 -o trace.pcap [-export DIR]
 //
 // With -export DIR, the trace is additionally replayed through an
-// instrumented kernel and the three correlated observability streams
-// (span JSONL, audit-record JSONL, flight-recorder snapshot) are
-// written into DIR, joinable offline on the shared EventID.
+// instrumented kernel and its event log (spans, audit records and
+// flight events) is written to DIR/events.jsonl, selectable offline by
+// the shared EventID.
 package main
 
 import (
@@ -29,7 +29,7 @@ func main() {
 	seed := flag.Uint64("seed", 1996, "trace seed")
 	out := flag.String("o", "trace.pcap", "output pcap file")
 	ipShare := flag.Int("ip", 0, "IPv4 share in per-mille (0 = default 800)")
-	export := flag.String("export", "", "also replay the trace through an instrumented kernel and write the correlated observability streams (spans.jsonl, audit.jsonl, flight.json) into this directory")
+	export := flag.String("export", "", "also replay the trace through an instrumented kernel and write its event log (events.jsonl) into this directory")
 	flag.Parse()
 
 	pkts := pktgen.Generate(*n, pktgen.Config{Seed: *seed, IPPerMille: *ipShare})
@@ -40,7 +40,7 @@ func main() {
 		if err := exportStreams(*export, pkts); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("exported correlated streams (spans.jsonl, audit.jsonl, flight.json) to %s\n", *export)
+		fmt.Printf("exported the event log (events.jsonl) to %s\n", *export)
 	}
 	f, err := os.Create(*out)
 	if err != nil {

@@ -313,8 +313,9 @@ type Fig9Point struct {
 // per-packet cost as a function of packets processed, and the
 // crossover points after which PCC is cheaper than each alternative.
 type Fig9Result struct {
-	// Startup costs in milliseconds: PCC proof validation, BPF program
-	// check, M3 compilation, SFI rewrite+validation (host wall-clock).
+	// Startup costs in milliseconds: PCC proof validation (Table 1's
+	// median), BPF program check, M3 compilation, SFI
+	// rewrite+validation (host wall-clock).
 	StartupMS [numApproaches]float64
 	// PerPacketUS are the Figure 8 per-packet microseconds.
 	PerPacketUS [numApproaches]float64
@@ -326,38 +327,28 @@ type Fig9Result struct {
 }
 
 // Fig9 computes the amortization analysis over a calibration trace of
-// n packets and a curve up to maxPackets.
-func Fig9(n, maxPackets int) (*Fig9Result, error) {
+// n packets and a curve up to maxPackets. PCC's startup cost is the
+// median validation time of f4, Filter 4's Table 1 row, so Figure 9
+// and Table 1 report one measurement.
+func Fig9(f4 Table1Row, n, maxPackets int) (*Fig9Result, error) {
+	if f4.Filter != filters.Filter4 {
+		return nil, fmt.Errorf("fig9: startup row is %v, want %v", f4.Filter, filters.Filter4)
+	}
 	rows, err := Fig8(n)
 	if err != nil {
 		return nil, err
 	}
-	var f4 *Fig8Row
+	var perPacket *Fig8Row
 	for i := range rows {
 		if rows[i].Filter == filters.Filter4 {
-			f4 = &rows[i]
+			perPacket = &rows[i]
 		}
 	}
 
-	res := &Fig9Result{PerPacketUS: f4.Micros}
+	res := &Fig9Result{PerPacketUS: perPacket.Micros}
 
 	// Startup costs.
-	pol := policy.PacketFilter()
-	cert, err := pcc.Certify(filters.Source(filters.Filter4), pol, nil)
-	if err != nil {
-		return nil, err
-	}
-	bestValidate := time.Duration(1 << 62)
-	for i := 0; i < 5; i++ {
-		start := time.Now()
-		if _, _, err := pcc.Validate(cert.Binary, pol); err != nil {
-			return nil, err
-		}
-		if d := time.Since(start); d < bestValidate {
-			bestValidate = d
-		}
-	}
-	res.StartupMS[PCC] = bestValidate.Seconds() * 1000
+	res.StartupMS[PCC] = f4.Cost[costValidate].Median / 1000
 
 	start := time.Now()
 	if err := bpf.Validate(filters.BPFProg(filters.Filter4)); err != nil {

@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/filters"
 )
 
 func TestFig8SmallTraceShape(t *testing.T) {
@@ -89,7 +91,11 @@ func TestFig7(t *testing.T) {
 }
 
 func TestFig9(t *testing.T) {
-	res, err := Fig9(3000, 50000)
+	rows, err := Table1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Fig9(rows[filters.Filter4-1], 3000, 50000)
 	if err != nil {
 		t.Fatal(err)
 	}

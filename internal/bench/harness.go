@@ -98,7 +98,7 @@ type config struct {
 	backend    kernel.Backend
 	single     bool // DeliverPacket per packet instead of DeliverPackets per batch
 	profiling  bool // per-block cycle profiling
-	observers  bool // telemetry recorder + flight recorder attached
+	observers  bool // telemetry recorder (spans + flight events) attached
 	windowed   bool // the recorder carries the sliding-window layer
 	goroutines int  // workers sharing the one kernel; 0 means 1
 }
@@ -287,7 +287,6 @@ func (c config) boot(bins [][]byte) (*kernel.Kernel, error) {
 			opts.Window = &telemetry.WindowOptions{}
 		}
 		k.SetRecorder(telemetry.NewWith(opts))
-		k.SetFlightRecorder(telemetry.NewFlightRecorder(0))
 	}
 	if err := k.SetBackend(c.backend); err != nil {
 		return nil, err

@@ -59,7 +59,7 @@ func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 func (k *Kernel) deliver(pkts [][]byte, stage string, rows [][]string) ([]string, error) {
 	tel := k.tel.Load()
 	eid := k.nextEvent(tel)
-	span := tel.span(stage, "", eid)
+	span := tel.span(stage, "", "", eid)
 	supervised := k.brkArmed.Load() != 0
 	if supervised {
 		// Probe expired breakers before the snapshot load so a

@@ -61,9 +61,7 @@ var (
 func TestBreakerDemotesReadmitsCloses(t *testing.T) {
 	k := New()
 	rec := telemetry.New()
-	fr := telemetry.NewFlightRecorder(64)
 	k.SetRecorder(rec)
-	k.SetFlightRecorder(fr)
 	k.SetBreaker(BreakerConfig{Threshold: 2, Base: 50 * time.Millisecond, Max: time.Second})
 	injectFaultyCompiled(t, k, "flaky", condFaultSrc)
 	if !compiledForm(k, "flaky") {
@@ -119,7 +117,7 @@ func TestBreakerDemotesReadmitsCloses(t *testing.T) {
 	}
 
 	kinds := map[string]int{}
-	for _, e := range fr.Events() {
+	for _, e := range flightEvents(rec) {
 		if e.Owner == "flaky" {
 			kinds[e.Kind]++
 		}
@@ -163,8 +161,7 @@ func TestBreakerReopensFromProbation(t *testing.T) {
 // owner embargoed under the quarantine config.
 func TestBreakerEscalates(t *testing.T) {
 	k := New()
-	fr := telemetry.NewFlightRecorder(64)
-	k.SetFlightRecorder(fr)
+	k.SetRecorder(telemetry.New())
 	k.SetQuarantine(QuarantineConfig{Threshold: 3, Base: time.Minute})
 	k.SetBreaker(BreakerConfig{Threshold: 1, Base: 10 * time.Millisecond, MaxTrips: 2})
 	injectFaultyCompiled(t, k, "doomed", condFaultSrc)

@@ -125,8 +125,8 @@ func TestDispatchBackendFallbackPerDelivery(t *testing.T) {
 			if err := k.SetBackend(BackendCompiled); err != nil {
 				t.Fatal(err)
 			}
-			fr := telemetry.NewFlightRecorder(64)
-			k.SetFlightRecorder(fr)
+			rec := telemetry.New()
+			k.SetRecorder(rec)
 			injectInterpreted(t, k, "interp-only", "RET")
 			pkts := [][]byte{cleanPkt.Data, cleanPkt.Data, cleanPkt.Data}
 			calls, err := ep.deliver(k, pkts)
@@ -134,7 +134,7 @@ func TestDispatchBackendFallbackPerDelivery(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := 0
-			for _, e := range fr.Events() {
+			for _, e := range flightEvents(rec) {
 				if e.Kind == telemetry.FlightBackendFallback && e.Owner == "interp-only" {
 					n++
 				}

@@ -1,37 +1,26 @@
-// Flight-recorder plumbing: the kernel-side hooks feeding the
-// telemetry.FlightRecorder anomaly ring. Metrics say how often;
-// the audit log says what was decided at install time; the flight
-// recorder says what went wrong on the dispatch path just now, with
-// owner identity and wall timestamps. Recording is lock-free and the
-// happy path never calls it, so it is safe to leave attached in
-// production.
+// Anomaly plumbing: the kernel-side hooks feeding the flight class of
+// the attached recorder's telemetry.Log. Metrics say how often; the
+// audit log says what was decided at install time; flight events say
+// what went wrong on the dispatch path just now, with owner identity
+// and wall timestamps. Recording is lock-free and the happy path never
+// calls it, so it is safe to leave attached in production.
 package kernel
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/machine"
 	"repro/internal/telemetry"
 )
 
-// SetFlightRecorder attaches a dispatch flight recorder to the kernel
-// (nil detaches). The swap is atomic and safe while deliveries are in
-// flight; anomalies observe either the old or the new ring.
-func (k *Kernel) SetFlightRecorder(fr *telemetry.FlightRecorder) {
-	k.flightRec.Store(fr)
-}
-
-// FlightRecorder returns the attached flight recorder, or nil.
-func (k *Kernel) FlightRecorder() *telemetry.FlightRecorder {
-	return k.flightRec.Load()
-}
-
-// flight records one anomaly, tagged with the operation's correlation
-// EventID; a nil recorder makes it a no-op.
+// flight records one anomaly in the attached recorder's log, tagged
+// with the operation's correlation EventID; with no recorder it is a
+// no-op.
 func (k *Kernel) flight(kind, owner, detail string, eid uint64) {
-	k.flightRec.Load().RecordEvent(kind, owner, detail, eid)
+	if tel := k.tel.Load(); tel != nil {
+		tel.rec.Log().Record(telemetry.Event{Class: telemetry.ClassFlight, Kind: kind, Owner: owner, Detail: detail, Event: eid})
+	}
 }
 
 // dispatchFaultKind classifies a dispatch-path execution error into a
@@ -56,12 +45,10 @@ func dispatchFaultKind(err error) string {
 func (k *Kernel) configChange(setting, oldVal, newVal string) {
 	tel := k.tel.Load()
 	eid := k.nextEvent(tel)
-	start := time.Now()
+	// A config span puts the EventID in the span class too, so one ID
+	// selects all three classes for posture changes.
+	span := tel.span(telemetry.StageConfig, "", setting, eid)
 	k.audit.Load().configChange(setting, oldVal, newVal, eid)
 	k.flight(telemetry.FlightConfigChange, "", fmt.Sprintf("%s: %s -> %s", setting, oldVal, newVal), eid)
-	if tel != nil {
-		// A config span puts the EventID in the span ring too, so one ID
-		// joins all three streams for posture changes.
-		tel.rec.RecordSpan(telemetry.StageConfig, setting, 0, eid, start, time.Since(start), nil)
-	}
+	span.End(nil)
 }

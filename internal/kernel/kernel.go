@@ -167,11 +167,6 @@ type Kernel struct {
 	tel atomic.Pointer[telem]
 	// audit is the optional structured audit sink (audit.go).
 	audit atomic.Pointer[auditor]
-	// flightRec is the optional dispatch flight recorder: a lock-free
-	// ring of the last N anomalies (faults, fuel exhaustion, oversize
-	// fallbacks, backend fallbacks, quarantine trips, config changes).
-	// nil means anomalies cost one atomic load each.
-	flightRec atomic.Pointer[telemetry.FlightRecorder]
 	// profiling selects the profiled dispatch path (profile.go).
 	profiling atomic.Bool
 	// backend is the default execution backend (backend.go), read on
@@ -242,13 +237,13 @@ func NewWithCacheSize(size int) *Kernel {
 }
 
 // nextEvent allocates the correlation EventID for one kernel
-// operation, or 0 when no observer — telemetry recorder, audit sink,
-// or flight recorder — is attached, so the unobserved path pays the
+// operation, or 0 when no observer — telemetry recorder or audit
+// sink — is attached, so the unobserved path pays the
 // loads it already paid and no shared-counter write. tel is the
 // already-loaded telemetry bundle (callers on instrumented paths load
 // it first).
 func (k *Kernel) nextEvent(tel *telem) uint64 {
-	if tel == nil && k.audit.Load() == nil && k.flightRec.Load() == nil {
+	if tel == nil && k.audit.Load() == nil {
 		return 0
 	}
 	return k.events.Add(1)
@@ -287,7 +282,7 @@ func (k *Kernel) SetCycleBudget(b CycleBudget) {
 func (k *Kernel) NegotiateFilterPolicy(proposed *policy.Policy) error {
 	tel := k.tel.Load()
 	eid := k.nextEvent(tel)
-	span := tel.span(telemetry.StageNegotiate, proposed.Name, eid)
+	span := tel.span(telemetry.StageNegotiate, "", proposed.Name, eid)
 	aud := k.audit.Load()
 	k.mu.RLock()
 	base := k.filterPolicy
@@ -349,7 +344,7 @@ func newCacheSlot(key cacheKey, ext *pcc.Extension) *cacheSlot {
 func (k *Kernel) validateFilter(ctx context.Context, owner string, binary []byte, eid uint64) (*cacheSlot, *validationAudit, error) {
 	k.stats.validations.Add(1)
 	tel := k.tel.Load()
-	span := tel.span(telemetry.StageValidate, owner, eid)
+	span := tel.span(telemetry.StageValidate, owner, owner, eid)
 	va := k.audit.Load().newValidationAudit("filter", owner, binary, eid)
 	// An expired context or a live embargo rejects before any byte of
 	// the binary is examined — in particular before the cache probe, so
@@ -465,7 +460,7 @@ func (k *Kernel) commitFilter(owner string, binary []byte, slot *cacheSlot, va *
 			return err
 		}
 	}
-	span := tel.span(telemetry.StageCommit, owner, eid)
+	span := tel.span(telemetry.StageCommit, owner, owner, eid)
 	err := func() error {
 		k.mu.Lock()
 		defer k.mu.Unlock()
@@ -832,7 +827,7 @@ func (k *Kernel) InstallHandler(pid int, binary []byte) error {
 	if tel != nil || k.audit.Load() != nil {
 		owner = fmt.Sprintf("pid-%d", pid)
 	}
-	span := tel.span(telemetry.StageValidate, owner, eid)
+	span := tel.span(telemetry.StageValidate, owner, owner, eid)
 	va := k.audit.Load().newValidationAudit("handler", owner, binary, eid)
 	va.setPolicy(k.resourcePolicy)
 	key := k.resourceKeyer.Key(binary)

@@ -101,9 +101,7 @@ func TestProfiledCompiledKernelDifferential(t *testing.T) {
 func TestObservabilityStressReconciles(t *testing.T) {
 	k := New()
 	rec := telemetry.New()
-	fr := telemetry.NewFlightRecorder(64)
 	k.SetRecorder(rec)
-	k.SetFlightRecorder(fr)
 	owners := installProfiledSet(t, k)
 	if err := k.SetBackend(BackendCompiled); err != nil {
 		t.Fatal(err)
@@ -136,7 +134,7 @@ func TestObservabilityStressReconciles(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := fr.WriteJSON(io.Discard); err != nil {
+			if err := telemetry.WriteJSONL(io.Discard, rec.Log().Events(telemetry.Query{})); err != nil {
 				t.Error(err)
 				return
 			}
@@ -208,14 +206,14 @@ func TestObservabilityStressReconciles(t *testing.T) {
 }
 
 // TestConfigChangeEvents: every kernel posture change must land in
-// both the audit log (event=config with old/new values) and the
-// flight recorder's timeline.
+// both the audit log (event=config with old/new values) and the event
+// log's flight class.
 func TestConfigChangeEvents(t *testing.T) {
 	k := New()
 	var buf bytes.Buffer
 	k.SetAuditLog(slog.New(slog.NewJSONHandler(&buf, nil)))
-	fr := telemetry.NewFlightRecorder(32)
-	k.SetFlightRecorder(fr)
+	rec := telemetry.New()
+	k.SetRecorder(rec)
 
 	if err := k.SetBackend(BackendCompiled); err != nil {
 		t.Fatal(err)
@@ -225,9 +223,9 @@ func TestConfigChangeEvents(t *testing.T) {
 	k.SetQuarantine(QuarantineConfig{Threshold: 2, Base: time.Minute})
 	k.SetQuarantine(QuarantineConfig{}) // back off
 
-	evs := fr.Events()
+	evs := flightEvents(rec)
 	if len(evs) != 5 {
-		t.Fatalf("flight recorder holds %d events, want 5 config changes: %+v", len(evs), evs)
+		t.Fatalf("flight class holds %d events, want 5 config changes: %+v", len(evs), evs)
 	}
 	var details []string
 	for _, e := range evs {
@@ -263,6 +261,12 @@ func TestConfigChangeEvents(t *testing.T) {
 	}
 }
 
+// flightEvents returns the flight class of rec's event log, oldest
+// first.
+func flightEvents(rec *telemetry.Recorder) []telemetry.Event {
+	return rec.Log().Snapshot(telemetry.ClassFlight).Events
+}
+
 // injectFilter publishes a program into the dispatch snapshot
 // directly, bypassing validation — the only way to make dispatch
 // fault, which validated filters cannot. It goes through the same
@@ -280,18 +284,21 @@ func injectFilter(k *Kernel, owner, src string) {
 // faults, and fuel exhaustion on the dispatch path must each leave a
 // flight event with the owner's identity, on both dispatch paths.
 func TestFlightRecorderDispatchAnomalies(t *testing.T) {
-	kindsOf := func(fr *telemetry.FlightRecorder) map[string]string {
+	kindsOf := func(rec *telemetry.Recorder) map[string]string {
 		m := map[string]string{} // kind -> owner
-		for _, e := range fr.Events() {
+		for _, e := range flightEvents(rec) {
 			m[e.Kind] = e.Owner
 		}
 		return m
 	}
+	appended := func(rec *telemetry.Recorder) int64 {
+		return rec.Log().Snapshot(telemetry.ClassFlight).Appended
+	}
 
 	t.Run("oversize", func(t *testing.T) {
 		k := New()
-		fr := telemetry.NewFlightRecorder(8)
-		k.SetFlightRecorder(fr)
+		rec := telemetry.New()
+		k.SetRecorder(rec)
 		installProfiledSet(t, k)
 		big := make([]byte, maxPooledPacket+64)
 		big[12], big[13] = 0x08, 0x00 // ethertype IP, so filters decode it
@@ -301,18 +308,18 @@ func TestFlightRecorderDispatchAnomalies(t *testing.T) {
 		if _, err := k.DeliverPackets([][]byte{big}); err != nil {
 			t.Fatal(err)
 		}
-		if got := fr.Appended(); got != 2 {
+		if got := appended(rec); got != 2 {
 			t.Fatalf("oversize fallbacks recorded %d events, want 2", got)
 		}
-		if kinds := kindsOf(fr); len(kinds) != 1 || kinds[telemetry.FlightOversizePacket] != "" {
-			t.Fatalf("unexpected events: %+v", fr.Events())
+		if kinds := kindsOf(rec); len(kinds) != 1 || kinds[telemetry.FlightOversizePacket] != "" {
+			t.Fatalf("unexpected events: %+v", flightEvents(rec))
 		}
 	})
 
 	t.Run("memory_fault", func(t *testing.T) {
 		k := New()
-		fr := telemetry.NewFlightRecorder(8)
-		k.SetFlightRecorder(fr)
+		rec := telemetry.New()
+		k.SetRecorder(rec)
 		injectFilter(k, "wild", "LDQ r0, 0(r4)\nRET") // r4 = 0: unmapped load
 		p := pktgen.Generate(1, pktgen.Config{Seed: 1})[0]
 		if _, err := k.DeliverPacket(p); err == nil {
@@ -321,30 +328,30 @@ func TestFlightRecorderDispatchAnomalies(t *testing.T) {
 		if _, err := k.DeliverPackets([][]byte{p.Data}); err == nil {
 			t.Fatal("wild load did not fault on the batch path")
 		}
-		kinds := kindsOf(fr)
-		if kinds[telemetry.FlightMemoryFault] != "wild" || fr.Appended() != 2 {
-			t.Fatalf("memory fault not recorded with owner: %+v", fr.Events())
+		kinds := kindsOf(rec)
+		if kinds[telemetry.FlightMemoryFault] != "wild" || appended(rec) != 2 {
+			t.Fatalf("memory fault not recorded with owner: %+v", flightEvents(rec))
 		}
 	})
 
 	t.Run("fuel_exhausted", func(t *testing.T) {
 		k := New()
-		fr := telemetry.NewFlightRecorder(8)
-		k.SetFlightRecorder(fr)
+		rec := telemetry.New()
+		k.SetRecorder(rec)
 		injectFilter(k, "spinner", "loop: BR loop")
 		p := pktgen.Generate(1, pktgen.Config{Seed: 2})[0]
 		if _, err := k.DeliverPacket(p); err == nil {
 			t.Fatal("runaway loop did not exhaust fuel")
 		}
-		kinds := kindsOf(fr)
+		kinds := kindsOf(rec)
 		if kinds[telemetry.FlightFuelExhausted] != "spinner" {
-			t.Fatalf("fuel exhaustion not recorded with owner: %+v", fr.Events())
+			t.Fatalf("fuel exhaustion not recorded with owner: %+v", flightEvents(rec))
 		}
 	})
 }
 
 // TestBatchZeroAllocWithObservabilityOff pins the off switch: with no
-// recorder, no flight recorder, and profiling off, the batch dispatch
+// recorder, no audit log, and profiling off, the batch dispatch
 // path must not allocate beyond its result rows — the new
 // instrumentation must cost nothing when disabled.
 func TestBatchZeroAllocWithObservabilityOff(t *testing.T) {
@@ -371,12 +378,13 @@ func TestBatchZeroAllocWithObservabilityOff(t *testing.T) {
 // durations and collects their EventIDs.
 func dispatchSpans(t *testing.T, rec *telemetry.Recorder) (time.Duration, map[uint64]bool) {
 	t.Helper()
-	if d := rec.Trace().Dropped(); d != 0 {
-		t.Fatalf("trace ring dropped %d spans; the reconciliation needs them all", d)
+	spans := rec.Log().Snapshot(telemetry.ClassSpan)
+	if spans.Dropped != 0 {
+		t.Fatalf("span ring dropped %d spans; the reconciliation needs them all", spans.Dropped)
 	}
 	var total time.Duration
 	eids := map[uint64]bool{}
-	for _, e := range rec.Trace().Events() {
+	for _, e := range spans.Events {
 		if e.Stage == telemetry.StageDispatch || e.Stage == telemetry.StageDispatchBatch {
 			total += time.Duration(e.DurNanos)
 			eids[e.Event] = true

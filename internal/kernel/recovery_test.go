@@ -138,7 +138,7 @@ func TestRecoverRestoresVerdictEquivalent(t *testing.T) {
 // untouched ones. The rejection must be fully observable: audit
 // records, a recovery_skip flight event, and the
 // pcc_rejects_total{reason="recovery"} counter, all joined on one
-// EventID across all three streams.
+// EventID across all three classes of the event log.
 func TestRecoverRejectsTamperedProof(t *testing.T) {
 	dir := t.TempDir()
 	s, err := store.Open(dir, store.Options{})
@@ -166,11 +166,8 @@ func TestRecoverRejectsTamperedProof(t *testing.T) {
 
 	kb := New()
 	rec := telemetry.New()
-	fr := telemetry.NewFlightRecorder(64)
-	ring := telemetry.NewAuditRing(0)
 	kb.SetRecorder(rec)
-	kb.SetFlightRecorder(fr)
-	kb.SetAuditLog(slog.New(ring.Handler(nil)))
+	kb.SetAuditLog(slog.New(rec.Log().Handler(nil)))
 	s2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -201,23 +198,21 @@ func TestRecoverRejectsTamperedProof(t *testing.T) {
 		t.Fatalf("pcc_rejects_total{reason=recovery} not incremented: %+v", snap.Labeled)
 	}
 
-	// One EventID joins the three streams: the recovery_skip flight
+	// One EventID selects all three classes: the recovery_skip flight
 	// event, the audit records (the install rejection and the recovery
 	// summary line), and the validate span of the re-check that failed.
 	var eid uint64
-	for _, e := range fr.Events() {
+	for _, e := range flightEvents(rec) {
 		if e.Kind == telemetry.FlightRecoverySkip && e.Owner == "victim" {
 			eid = e.Event
 		}
 	}
 	if eid == 0 {
-		t.Fatalf("no recovery_skip flight event for victim: %+v", fr.Events())
+		t.Fatalf("no recovery_skip flight event for victim: %+v", flightEvents(rec))
 	}
+	tl := rec.Log().Timeline(telemetry.Query{Event: eid})
 	var auditSkip, auditInstall bool
-	for _, r := range ring.Records() {
-		if r.Event != eid {
-			continue
-		}
+	for _, r := range tl.Audit {
 		switch r.Kind {
 		case "recovery_skip":
 			auditSkip = true
@@ -229,11 +224,11 @@ func TestRecoverRejectsTamperedProof(t *testing.T) {
 	}
 	if !auditSkip || !auditInstall {
 		t.Fatalf("audit records for event %d incomplete (skip=%v install=%v):\n%+v",
-			eid, auditSkip, auditInstall, ring.Records())
+			eid, auditSkip, auditInstall, tl.Audit)
 	}
 	var spanJoined bool
-	for _, e := range rec.Trace().Events() {
-		if e.Event == eid && e.Stage == telemetry.StageValidate {
+	for _, e := range tl.Spans {
+		if e.Stage == telemetry.StageValidate {
 			spanJoined = true
 		}
 	}
@@ -328,8 +323,8 @@ func TestRecoverSkipsCorruptFrame(t *testing.T) {
 	}
 
 	kb := New()
-	fr := telemetry.NewFlightRecorder(16)
-	kb.SetFlightRecorder(fr)
+	rec := telemetry.New()
+	kb.SetRecorder(rec)
 	s2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +342,7 @@ func TestRecoverSkipsCorruptFrame(t *testing.T) {
 		t.Fatalf("skip error %v is not a *store.CorruptRecordError", rep.Skipped[0].Err)
 	}
 	var flagged bool
-	for _, e := range fr.Events() {
+	for _, e := range flightEvents(rec) {
 		if e.Kind == telemetry.FlightRecoverySkip {
 			flagged = true
 		}

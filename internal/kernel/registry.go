@@ -1,6 +1,6 @@
 // Multi-tenant kernel registry. One process can host several isolated
 // kernels — one per tenant — each with its own filter table, sharded
-// statistics, telemetry recorder, and dispatch flight recorder.
+// statistics, and telemetry recorder with its event log.
 // Isolation is structural: tenants share no counters and no filter
 // table, so one tenant's install churn, quarantine state, or traffic
 // mix cannot perturb another's metrics or verdicts. The registry is
@@ -23,17 +23,19 @@ import (
 
 // Tenant is one isolated kernel with its observability surfaces
 // attached. The fields are wired together at Create time (the recorder
-// and flight recorder are already attached to the kernel) and never
-// reassigned, so they may be read without holding the registry lock.
-// Audit is the tenant's queryable audit-record ring; callers wiring
-// their own audit logger should tee through Audit.Handler so
-// /debug/timeline keeps seeing install decisions.
+// is already attached to the kernel) and never reassigned, so they may
+// be read without holding the registry lock.
 type Tenant struct {
 	Name   string
 	Kernel *Kernel
 	Rec    *telemetry.Recorder
-	Flight *telemetry.FlightRecorder
-	Audit  *telemetry.AuditRing
+	// Audit is the tenant's one event log, Rec.Log(): spans, audit
+	// records and anomalies. Callers wiring their own audit logger
+	// should tee through Audit.Handler so /debug/timeline keeps seeing
+	// install decisions. The field keeps the name it had when it held
+	// only audit records because external harnesses wire their audit
+	// loggers through tn.Audit.Handler.
+	Audit *telemetry.Log
 	// Store is the tenant's durability journal, non-nil only after
 	// AttachStore. Set during boot wiring, before the tenant serves
 	// traffic, so like the other fields it is read without the registry
@@ -101,8 +103,8 @@ func NewRegistry() *Registry {
 	return &Registry{tenants: make(map[string]*Tenant)}
 }
 
-// Create boots a fresh kernel for name with a telemetry recorder and
-// flight recorder attached, and registers it. The tenant comes up on
+// Create boots a fresh kernel for name with a telemetry recorder
+// attached, and registers it. The tenant comes up on
 // the interpreter backend with no filters; callers configure backend,
 // budget, and quarantine posture on t.Kernel before installing.
 func (r *Registry) Create(name string) (*Tenant, error) {
@@ -115,12 +117,10 @@ func (r *Registry) Create(name string) (*Tenant, error) {
 		// Windowed recorder: registry tenants serve live endpoints, so
 		// they get recent rates and windowed quantiles, not just
 		// since-boot cumulatives.
-		Rec:    telemetry.NewWith(telemetry.Options{Window: &telemetry.WindowOptions{}}),
-		Flight: telemetry.NewFlightRecorder(0),
-		Audit:  telemetry.NewAuditRing(0),
+		Rec: telemetry.NewWith(telemetry.Options{Window: &telemetry.WindowOptions{}}),
 	}
+	t.Audit = t.Rec.Log()
 	t.Kernel.SetRecorder(t.Rec)
-	t.Kernel.SetFlightRecorder(t.Flight)
 	t.Kernel.SeedEventBase(eventBase(name))
 	r.mu.Lock()
 	defer r.mu.Unlock()

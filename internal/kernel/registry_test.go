@@ -132,7 +132,7 @@ func TestRegistryDirectory(t *testing.T) {
 		t.Fatalf("Tenants() order wrong: %v", ts)
 	}
 	tn, ok := reg.Get("mid")
-	if !ok || tn.Name != "mid" || tn.Kernel == nil || tn.Rec == nil || tn.Flight == nil {
+	if !ok || tn.Name != "mid" || tn.Kernel == nil || tn.Rec == nil || tn.Audit != tn.Rec.Log() {
 		t.Fatalf("Get(mid) = %+v, %v", tn, ok)
 	}
 	if !reg.Remove("mid") {

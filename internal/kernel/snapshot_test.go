@@ -537,7 +537,7 @@ func BenchmarkDeliverPacketsParallel(b *testing.B) {
 // three postures at 1 and 2 goroutines over one shared kernel: bare
 // (compiled backend, no observers), compiled+prof (cycle profiling on),
 // and served (the posture a registry tenant serves in: windowed
-// recorder, flight recorder, audit log, compiled backend, profiling).
+// recorder with its event log, audit log, compiled backend, profiling).
 // The served/compiled+prof gap is the cost of always-on telemetry.
 func BenchmarkDeliverPacketsObserved(b *testing.B) {
 	bins := certAll(b)

@@ -142,7 +142,7 @@ func (k *Kernel) Recover(ctx context.Context, s *store.Store) (*RecoveryReport, 
 	start := time.Now()
 	tel := k.tel.Load()
 	eid := k.nextEvent(tel)
-	span := tel.span(telemetry.StageRecover, s.Dir(), eid)
+	span := tel.span(telemetry.StageRecover, "", s.Dir(), eid)
 	rep := &RecoveryReport{}
 
 	recs, rr, err := s.Replay()

@@ -37,7 +37,7 @@ L1:     RET
 func TestKernelStressRace(t *testing.T) {
 	bins := certAll(t)
 	k := New()
-	rec := telemetry.NewWith(telemetry.Options{TraceCapacity: 512})
+	rec := telemetry.New()
 	k.SetRecorder(rec)
 	handlerCert, err := pcc.Certify(handlerSrc, k.ResourcePolicy(), nil)
 	if err != nil {
@@ -159,7 +159,7 @@ func TestKernelStressRace(t *testing.T) {
 						fail("scrape: %v", err)
 						return
 					}
-					rec.Trace().Events()
+					rec.Log().Timeline(telemetry.Query{})
 				}
 			}
 		}()
@@ -186,8 +186,8 @@ func TestKernelStressRace(t *testing.T) {
 	// Telemetry must agree exactly with the kernel accounting once
 	// quiesced: every install attempt produced one validate-histogram
 	// observation and one outcome count, every delivery one dispatch
-	// observation, and every span exactly one trace append (lost only
-	// to explicit ring drops).
+	// observation, and every span exactly one span-class append (lost
+	// only to explicit ring drops).
 	get := func(name string) int64 { return rec.Counter(name).Value() }
 	if n := rec.StageHistogram(telemetry.StageValidate).Count(); n != int64(st.Validations) {
 		t.Errorf("validate histogram = %d, validations = %d", n, st.Validations)
@@ -214,13 +214,13 @@ func TestKernelStressRace(t *testing.T) {
 	for _, stage := range telemetry.Stages {
 		histTotal += rec.StageHistogram(stage).Count()
 	}
-	tr := rec.Trace()
-	if histTotal != tr.Appended() {
-		t.Errorf("stage histogram totals = %d, spans appended = %d", histTotal, tr.Appended())
+	spans := rec.Log().Snapshot(telemetry.ClassSpan)
+	if histTotal != spans.Appended {
+		t.Errorf("stage histogram totals = %d, spans appended = %d", histTotal, spans.Appended)
 	}
-	if int64(len(tr.Events()))+tr.Dropped() != tr.Appended() {
+	if int64(len(spans.Events))+spans.Dropped != spans.Appended {
 		t.Errorf("ring (%d) + dropped (%d) != appended (%d)",
-			len(tr.Events()), tr.Dropped(), tr.Appended())
+			len(spans.Events), spans.Dropped, spans.Appended)
 	}
 }
 

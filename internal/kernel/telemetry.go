@@ -93,16 +93,19 @@ func newTelem(rec *telemetry.Recorder) *telem {
 	}
 }
 
-// span opens a root span for a stage, carrying the operation's
-// correlation EventID (no-op Span when disabled).
-func (t *telem) span(stage, detail string, eid uint64) telemetry.Span {
+// span opens a root span for a stage, carrying the operation's owner
+// and correlation EventID (no-op Span when disabled). Install stages
+// pass the owner as detail too: exported spans' detail names the
+// install's owner (docs/OBSERVABILITY.md, "Span taxonomy").
+func (t *telem) span(stage, owner, detail string, eid uint64) telemetry.Span {
 	if t == nil {
 		return telemetry.Span{}
 	}
-	return t.rec.StartSpanEvent(stage, detail, eid)
+	return t.rec.StartSpan(stage, owner, detail, eid)
 }
 
-// probe records the cache-probe child span and the hit/miss counter.
+// probe records the cache-probe child span, its verdict as detail, and
+// the hit/miss counter.
 func (t *telem) probe(parent telemetry.Span, start time.Time, hit bool) {
 	if t == nil {
 		return
@@ -114,7 +117,7 @@ func (t *telem) probe(parent telemetry.Span, start time.Time, hit bool) {
 		ctr = t.cacheHits
 	}
 	ctr.Inc()
-	t.rec.RecordSpan(telemetry.StageCacheProbe, verdict, parent.ID(), parent.Event(), start, time.Since(start), nil)
+	parent.Record(telemetry.StageCacheProbe, verdict, start, time.Since(start), nil)
 }
 
 // validationStages replays pcc.Validate's stage breakdown as child
@@ -124,8 +127,6 @@ func (t *telem) validationStages(parent telemetry.Span, owner string, start time
 	if t == nil {
 		return
 	}
-	id := parent.ID()
-	eid := parent.Event()
 	cur := start
 	for _, stage := range []struct {
 		name string
@@ -136,7 +137,7 @@ func (t *telem) validationStages(parent telemetry.Span, owner string, start time
 		{telemetry.StageVCGen, st.VCGen},
 		{telemetry.StageLFCheck, st.Check},
 	} {
-		t.rec.RecordSpan(stage.name, owner, id, eid, cur, stage.dur, nil)
+		parent.Record(stage.name, owner, cur, stage.dur, nil)
 		cur = cur.Add(stage.dur)
 	}
 }
@@ -146,7 +147,7 @@ func (t *telem) wcet(parent telemetry.Span, owner string, start time.Time, err e
 	if t == nil {
 		return
 	}
-	t.rec.RecordSpan(telemetry.StageWCET, owner, parent.ID(), parent.Event(), start, time.Since(start), err)
+	parent.Record(telemetry.StageWCET, owner, start, time.Since(start), err)
 }
 
 // certCost records the certificate-cost value histograms for one full

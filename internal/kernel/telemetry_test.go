@@ -75,12 +75,12 @@ func TestKernelTelemetryPipeline(t *testing.T) {
 	}
 
 	// Span tree: each cold validate span has the full child set.
-	events := rec.Trace().Events()
+	events := rec.Log().Events(telemetry.Query{Class: telemetry.ClassSpan})
 	children := map[uint64][]string{}
 	validates := map[uint64]string{}
 	for _, e := range events {
 		if e.Stage == telemetry.StageValidate {
-			validates[e.ID] = e.Detail
+			validates[e.ID] = e.Owner
 		}
 		if e.Parent != 0 {
 			children[e.Parent] = append(children[e.Parent], e.Stage)
@@ -173,7 +173,7 @@ func TestTelemetryNegotiateSpan(t *testing.T) {
 	if err := k.NegotiateFilterPolicy(weaker); err != nil {
 		t.Fatal(err)
 	}
-	events := rec.Trace().Events()
+	events := rec.Log().Events(telemetry.Query{})
 	if len(events) != 1 || events[0].Stage != telemetry.StageNegotiate || events[0].Detail != "negotiated/v1" {
 		t.Fatalf("negotiate trace = %+v", events)
 	}

@@ -2,32 +2,34 @@ package telemetry
 
 import (
 	"bytes"
-	"io"
 	"log/slog"
 	"sync"
 	"testing"
 )
 
+// auditEvents returns the audit class of l, oldest first.
+func auditEvents(l *Log) []Event { return l.Snapshot(ClassAudit).Events }
+
 // TestAuditRingHandler: records logged through the tee handler land in
-// the ring with the join keys hoisted (event → Kind, owner → Owner,
-// event_id → Event) and everything else flattened into Attrs, while
-// still forwarding to the next handler.
+// the log's audit class with the join keys hoisted (event → Kind,
+// owner → Owner, event_id → Event) and everything else flattened into
+// Attrs, while still forwarding to the next handler.
 func TestAuditRingHandler(t *testing.T) {
-	ring := NewAuditRing(8)
+	l := New().Log()
 	var fwd bytes.Buffer
-	log := slog.New(ring.Handler(slog.NewJSONHandler(&fwd, nil)))
+	log := slog.New(l.Handler(slog.NewJSONHandler(&fwd, nil)))
 	log.Info("pcc install",
 		slog.String("event", "install"),
 		slog.String("owner", "alice"),
 		slog.Uint64("event_id", 42),
 		slog.String("policy", "packet-filter/v1"),
 	)
-	recs := ring.Records()
+	recs := auditEvents(l)
 	if len(recs) != 1 {
-		t.Fatalf("ring holds %d records, want 1", len(recs))
+		t.Fatalf("log holds %d audit records, want 1", len(recs))
 	}
 	r := recs[0]
-	if r.Kind != "install" || r.Owner != "alice" || r.Event != 42 {
+	if r.Class != ClassAudit || r.Kind != "install" || r.Owner != "alice" || r.Event != 42 {
 		t.Fatalf("join keys not hoisted: %+v", r)
 	}
 	if r.Attrs["policy"] != "packet-filter/v1" {
@@ -44,12 +46,12 @@ func TestAuditRingHandler(t *testing.T) {
 // TestAuditRingWithAttrsAndGroups: logger.With attributes (the
 // per-tenant tag) and groups survive into the captured record.
 func TestAuditRingWithAttrsAndGroups(t *testing.T) {
-	ring := NewAuditRing(8)
-	log := slog.New(ring.Handler(nil)).With("tenant", "a")
+	l := New().Log()
+	log := slog.New(l.Handler(nil)).With("tenant", "a")
 	log.WithGroup("lf").Info("m", slog.Int("steps", 7), slog.Uint64("event_id", 3))
-	recs := ring.Records()
+	recs := auditEvents(l)
 	if len(recs) != 1 {
-		t.Fatalf("ring holds %d records, want 1", len(recs))
+		t.Fatalf("log holds %d audit records, want 1", len(recs))
 	}
 	r := recs[0]
 	if r.Attrs["tenant"] != "a" {
@@ -67,26 +69,27 @@ func TestAuditRingWithAttrsAndGroups(t *testing.T) {
 	}
 }
 
-// TestAuditRingWrapAndJSONL: ring overwrite accounting and the
-// JSONL round trip.
+// TestAuditRingWrapAndJSONL: audit-class overwrite accounting, and the
+// JSONL round trip of what is left.
 func TestAuditRingWrapAndJSONL(t *testing.T) {
-	ring := NewAuditRing(4)
-	log := slog.New(ring.Handler(nil))
+	l := newLog(8, 4, 8)
+	log := slog.New(l.Handler(nil))
 	for i := 0; i < 6; i++ {
 		log.Info("m", slog.Uint64("event_id", uint64(i+1)))
 	}
-	if ring.Appended() != 6 {
-		t.Fatalf("appended = %d, want 6", ring.Appended())
+	snap := l.Snapshot(ClassAudit)
+	if snap.Appended != 6 || snap.Dropped != 2 {
+		t.Fatalf("appended/dropped = %d/%d, want 6/2", snap.Appended, snap.Dropped)
 	}
-	recs := ring.Records()
+	recs := snap.Events
 	if len(recs) != 4 || recs[0].Seq != 2 || recs[3].Seq != 5 {
 		t.Fatalf("wrap must keep the newest 4: %+v", recs)
 	}
 	var buf bytes.Buffer
-	if err := ring.WriteJSONL(&buf); err != nil {
+	if err := WriteJSONL(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadAuditJSONL(&buf)
+	back, err := ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,23 +98,25 @@ func TestAuditRingWrapAndJSONL(t *testing.T) {
 	}
 }
 
-// TestAuditRingNil: a nil ring is a silent no-op sink.
+// TestAuditRingNil: a handler over a nil log is a silent no-op sink
+// that still forwards.
 func TestAuditRingNil(t *testing.T) {
-	var ring *AuditRing
-	ring.add(&AuditRecord{})
-	if ring.Appended() != 0 || ring.Records() != nil {
-		t.Fatal("nil ring must be inert")
+	var l *Log
+	var fwd bytes.Buffer
+	slog.New(l.Handler(slog.NewJSONHandler(&fwd, nil))).Info("m", "owner", "x")
+	if len(auditEvents(l)) != 0 {
+		t.Fatal("nil log must be inert")
 	}
-	if err := ring.WriteJSONL(io.Discard); err != nil {
-		t.Fatal(err)
+	if !bytes.Contains(fwd.Bytes(), []byte(`"owner":"x"`)) {
+		t.Fatalf("nil log must still forward: %s", fwd.String())
 	}
 }
 
 // TestAuditRingConcurrent: racing writers against a snapshotting
 // reader under -race; Seq stays strictly increasing in every snapshot.
 func TestAuditRingConcurrent(t *testing.T) {
-	ring := NewAuditRing(32)
-	log := slog.New(ring.Handler(nil))
+	l := newLog(8, 32, 8)
+	log := slog.New(l.Handler(nil))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -119,17 +124,17 @@ func TestAuditRingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				log.Info("m", slog.Uint64("event_id", uint64(i)))
-				recs := ring.Records()
+				recs := auditEvents(l)
 				for j := 1; j < len(recs); j++ {
 					if recs[j].Seq <= recs[j-1].Seq {
-						panic("audit ring snapshot out of order")
+						panic("audit snapshot out of order")
 					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if ring.Appended() != 2400 {
-		t.Fatalf("appended = %d, want 2400", ring.Appended())
+	if got := l.Snapshot(ClassAudit).Appended; got != 2400 {
+		t.Fatalf("appended = %d, want 2400", got)
 	}
 }

@@ -127,8 +127,8 @@ func (r *Recorder) Snapshot(withBuckets bool) Snapshot {
 		Counters:      map[string]int64{},
 		Gauges:        map[string]int64{},
 		Histograms:    map[string]HistogramSnapshot{},
-		TraceAppended: r.trace.Appended(),
-		TraceDropped:  r.trace.Dropped(),
+		TraceAppended: r.log.spans.appended(),
+		TraceDropped:  r.log.spans.dropped(),
 	}
 	windowed := r.winOpts != nil
 	if windowed {
@@ -278,8 +278,8 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 	r.mu.RUnlock()
 
 	lines = append(lines,
-		line{"pcc_trace_events_total", fmt.Sprintf("# TYPE pcc_trace_events_total counter\npcc_trace_events_total %d\n", r.trace.Appended())},
-		line{"pcc_trace_dropped_total", fmt.Sprintf("# TYPE pcc_trace_dropped_total counter\npcc_trace_dropped_total %d\n", r.trace.Dropped())},
+		line{"pcc_trace_events_total", fmt.Sprintf("# TYPE pcc_trace_events_total counter\npcc_trace_events_total %d\n", r.log.spans.appended())},
+		line{"pcc_trace_dropped_total", fmt.Sprintf("# TYPE pcc_trace_dropped_total counter\npcc_trace_dropped_total %d\n", r.log.spans.dropped())},
 	)
 
 	for name, h := range r.histogramSet() {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -10,25 +11,22 @@ import (
 )
 
 func TestFlightRecorderRingAndJSON(t *testing.T) {
-	f := NewFlightRecorder(4)
-	if f.Cap() != 4 {
-		t.Fatalf("Cap = %d, want 4", f.Cap())
-	}
+	l := newLog(8, 8, 4)
 	for i := 0; i < 6; i++ {
-		f.Record(FlightConfigChange, "owner", "detail")
+		l.Record(Event{Class: ClassFlight, Kind: FlightConfigChange, Owner: "owner", Detail: "detail"})
 	}
-	if f.Appended() != 6 || f.Dropped() != 2 {
-		t.Fatalf("appended/dropped = %d/%d, want 6/2", f.Appended(), f.Dropped())
+	snap := l.Snapshot(ClassFlight)
+	if snap.Capacity != 4 || snap.Appended != 6 || snap.Dropped != 2 {
+		t.Fatalf("capacity/appended/dropped = %d/%d/%d, want 4/6/2", snap.Capacity, snap.Appended, snap.Dropped)
 	}
-	evs := f.Events()
-	if len(evs) != 4 {
-		t.Fatalf("got %d events, want 4", len(evs))
+	if len(snap.Events) != 4 {
+		t.Fatalf("got %d events, want 4", len(snap.Events))
 	}
-	for i, e := range evs {
+	for i, e := range snap.Events {
 		if e.Seq != uint64(i+2) {
 			t.Fatalf("event %d: seq %d, want %d (oldest-first after wrap)", i, e.Seq, i+2)
 		}
-		if e.Kind != FlightConfigChange || e.Owner != "owner" {
+		if e.Class != ClassFlight || e.Kind != FlightConfigChange || e.Owner != "owner" {
 			t.Fatalf("event %d: %+v", i, e)
 		}
 		if e.TimeUnixNanos <= 0 || time.Since(time.Unix(0, e.TimeUnixNanos)) > time.Minute {
@@ -36,57 +34,74 @@ func TestFlightRecorderRingAndJSON(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := f.WriteJSON(&buf); err != nil {
+	// The /debug/flightrecorder document: {capacity, appended, dropped,
+	// events}, each event with the flight fields it always had.
+	b, err := json.Marshal(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var snap struct {
-		Capacity int           `json:"capacity"`
-		Appended int64         `json:"appended"`
-		Dropped  int64         `json:"dropped"`
-		Events   []FlightEvent `json:"events"`
+	var doc struct {
+		Capacity int     `json:"capacity"`
+		Appended int64   `json:"appended"`
+		Dropped  int64   `json:"dropped"`
+		Events   []Event `json:"events"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("WriteJSON output not JSON: %v\n%s", err, buf.String())
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("snapshot JSON: %v\n%s", err, b)
 	}
-	if snap.Capacity != 4 || snap.Appended != 6 || snap.Dropped != 2 || len(snap.Events) != 4 {
-		t.Fatalf("snapshot %+v", snap)
+	if doc.Capacity != 4 || doc.Appended != 6 || doc.Dropped != 2 || len(doc.Events) != 4 {
+		t.Fatalf("snapshot %+v", doc)
+	}
+	for _, field := range []string{`"seq":2`, `"time_unix_ns":`, `"kind":"config_change"`, `"owner":"owner"`, `"detail":"detail"`} {
+		if !strings.Contains(string(b), field) {
+			t.Fatalf("flight event JSON missing %s: %s", field, b)
+		}
 	}
 }
 
 func TestFlightRecorderNilAndEmpty(t *testing.T) {
-	var f *FlightRecorder
-	f.Record(FlightMemoryFault, "x", "y") // must not panic
-	if f.Appended() != 0 || f.Dropped() != 0 || f.Cap() != 0 || f.Events() != nil {
-		t.Fatal("nil recorder must be a silent no-op")
+	var l *Log
+	l.Record(Event{Class: ClassFlight, Kind: FlightMemoryFault}) // must not panic
+	if s := l.Snapshot(ClassFlight); s.Appended != 0 || s.Dropped != 0 || s.Capacity != 0 || len(s.Events) != 0 {
+		t.Fatalf("nil log must be a silent no-op, snapshot %+v", s)
 	}
-	var buf bytes.Buffer
-	if err := NewFlightRecorder(0).WriteJSON(&buf); err != nil {
+	if len(l.Events(Query{})) != 0 {
+		t.Fatal("nil log must read as empty")
+	}
+	// An event of no known class is dropped, not misfiled.
+	l = New().Log()
+	l.Record(Event{Class: "bogus", Kind: FlightMemoryFault})
+	if evs := l.Events(Query{}); len(evs) != 0 {
+		t.Fatalf("unknown-class event was kept: %+v", evs)
+	}
+	b, err := json.Marshal(l.Snapshot(ClassFlight))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"events": []`) {
-		t.Fatalf("empty ring must serialize events as [], got %s", buf.String())
+	if !strings.Contains(string(b), `"events":[]`) || !strings.Contains(string(b), `"capacity":256`) {
+		t.Fatalf("empty class must serialize events as [] at the default capacity, got %s", b)
 	}
 }
 
 func TestFlightRecorderConcurrent(t *testing.T) {
-	f := NewFlightRecorder(64)
+	l := newLog(8, 8, 64)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				f.Record(FlightFuelExhausted, "o", "d")
-				f.Events()
+				l.Record(Event{Class: ClassFlight, Kind: FlightFuelExhausted, Owner: "o", Detail: "d"})
+				l.Snapshot(ClassFlight)
 			}
 		}()
 	}
 	wg.Wait()
-	if f.Appended() != 4000 {
-		t.Fatalf("appended %d, want 4000", f.Appended())
+	snap := l.Snapshot(ClassFlight)
+	if snap.Appended != 4000 {
+		t.Fatalf("appended %d, want 4000", snap.Appended)
 	}
-	evs := f.Events()
+	evs := snap.Events
 	if len(evs) != 64 {
 		t.Fatalf("ring holds %d, want 64", len(evs))
 	}
@@ -191,87 +206,63 @@ func TestLabeledHistogramExposition(t *testing.T) {
 }
 
 // TestFlightSnapshotInvariantUnderWrap races snapshots against
-// concurrent appends across many full ring wraps, on each of the three
-// rings sharing ring.go's cut — flight events, spans, audit records —
-// asserting at every snapshot that
+// concurrent appends across many full ring wraps, on each class of the
+// log — flight events, spans, audit records — asserting at every
+// snapshot that
 //
 //	appended == len(events) + dropped
 //
 // holds exactly with dropped counting only overwritten or unpublished
-// entries: sequence numbers are unique, ascending and below appended,
-// and every entry is fully formed (no torn slot reads). The flight case also checks the public Snapshot
-// and WriteJSON. Run under -race.
+// events: sequence numbers are unique, ascending and below appended,
+// and every event is fully formed (no torn slot reads). Every cut is
+// also JSON-encoded and decoded mid-wrap. Run under -race.
 func TestFlightSnapshotInvariantUnderWrap(t *testing.T) {
 	const capacity = 8 // tiny rings: thousands of wraps per run
-	type cut struct {
-		appended int64
-		seqs     []uint64
-		whole    bool
-	}
-	f := NewFlightRecorder(capacity)
-	rec := NewWith(Options{TraceCapacity: capacity})
-	audit := NewAuditRing(capacity)
+	rec := New()
+	rec.log = newLog(capacity, capacity, capacity)
+	l := rec.Log()
+	audit := slog.New(l.Handler(nil))
 	cases := []struct {
-		name    string
-		add     func(eid uint64)
-		cut     func(t *testing.T) cut
-		dropped func() int64
+		class string
+		add   func(eid uint64)
+		whole func(e Event) bool
 	}{
-		{"flight", func(eid uint64) {
-			f.RecordEvent(FlightFuelExhausted, "owner", "detail", eid)
-		}, func(t *testing.T) cut {
-			snap := f.Snapshot()
-			c := cut{appended: snap.Appended, whole: snap.Capacity == capacity}
-			for _, e := range snap.Events {
-				c.seqs = append(c.seqs, e.Seq)
-				c.whole = c.whole && e.Kind == FlightFuelExhausted && e.Owner == "owner" && e.Event != 0 && e.TimeUnixNanos != 0
-			}
-			if snap.Dropped != snap.Appended-int64(len(snap.Events)) {
-				t.Fatalf("snapshot breaks the invariant: %+v", snap)
-			}
-			// WriteJSON is the same snapshot through the encoder; it
-			// must stay well-formed mid-wrap too.
-			var buf bytes.Buffer
-			if err := f.WriteJSON(&buf); err != nil {
-				t.Fatalf("WriteJSON under churn: %v", err)
-			}
-			var back FlightSnapshot
-			if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-				t.Fatalf("WriteJSON emitted invalid JSON under churn: %v", err)
-			}
-			if back.Appended != int64(len(back.Events))+back.Dropped {
-				t.Fatalf("decoded snapshot breaks the invariant: %+v", back)
-			}
-			return c
-		}, f.Dropped},
-		{"span", func(eid uint64) {
-			rec.RecordSpan(StageDispatch, "owner", 0, eid, time.Now(), time.Microsecond, nil)
-		}, func(t *testing.T) cut {
-			c := cut{whole: true}
-			var evs []Event
-			c.appended, evs = rec.Trace().snapshot(func(_ *Event, seq uint64) { c.seqs = append(c.seqs, seq) })
-			for _, e := range evs {
-				c.whole = c.whole && e.Stage == StageDispatch && e.Detail == "owner" && e.Event != 0 && e.ID != 0
-			}
-			return c
-		}, rec.Trace().Dropped},
-		{"audit", func(eid uint64) {
-			audit.add(&AuditRecord{Level: "INFO", Msg: "pcc install", Kind: "install", Owner: "owner", Event: eid})
-		}, func(t *testing.T) cut {
-			c := cut{whole: true}
-			var recs []AuditRecord
-			c.appended, recs = audit.snapshot(func(r *AuditRecord, seq uint64) {
-				r.Seq = seq
-				c.seqs = append(c.seqs, seq)
-			})
-			for _, r := range recs {
-				c.whole = c.whole && r.Kind == "install" && r.Owner == "owner" && r.Event != 0
-			}
-			return c
-		}, func() int64 { return max(audit.Appended()-capacity, 0) }},
+		{ClassFlight, func(eid uint64) {
+			l.Record(Event{Class: ClassFlight, Kind: FlightFuelExhausted, Owner: "owner", Detail: "detail", Event: eid})
+		}, func(e Event) bool {
+			return e.Kind == FlightFuelExhausted && e.Owner == "owner" && e.Event != 0 && e.TimeUnixNanos != 0
+		}},
+		{ClassSpan, func(eid uint64) {
+			rec.StartSpan(StageDispatch, "owner", "", eid).End(nil)
+		}, func(e Event) bool {
+			return e.Stage == StageDispatch && e.Owner == "owner" && e.Event != 0 && e.ID != 0
+		}},
+		{ClassAudit, func(eid uint64) {
+			audit.Info("pcc install", "event", "install", "owner", "owner", "event_id", eid)
+		}, func(e Event) bool {
+			return e.Kind == "install" && e.Owner == "owner" && e.Event != 0 && e.Msg == "pcc install"
+		}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.class, func(t *testing.T) {
+			cut := func() ClassSnapshot {
+				snap := l.Snapshot(tc.class)
+				if snap.Capacity != capacity || snap.Dropped != snap.Appended-int64(len(snap.Events)) {
+					t.Fatalf("snapshot breaks the invariant: %+v", snap)
+				}
+				b, err := json.Marshal(snap)
+				if err != nil {
+					t.Fatalf("snapshot JSON under churn: %v", err)
+				}
+				var back ClassSnapshot
+				if err := json.Unmarshal(b, &back); err != nil {
+					t.Fatalf("snapshot JSON invalid under churn: %v", err)
+				}
+				if back.Appended != int64(len(back.Events))+back.Dropped {
+					t.Fatalf("decoded snapshot breaks the invariant: %+v", back)
+				}
+				return snap
+			}
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			for g := 0; g < 4; g++ {
@@ -291,32 +282,33 @@ func TestFlightSnapshotInvariantUnderWrap(t *testing.T) {
 
 			deadline := time.Now().Add(200 * time.Millisecond)
 			for snapshots := 1; time.Now().Before(deadline); snapshots++ {
-				c := tc.cut(t)
-				if len(c.seqs) > capacity {
-					t.Fatalf("snapshot %d: %d entries in a %d ring", snapshots, len(c.seqs), capacity)
+				snap := cut()
+				if len(snap.Events) > capacity {
+					t.Fatalf("snapshot %d: %d events in a %d ring", snapshots, len(snap.Events), capacity)
 				}
-				if !c.whole {
-					t.Fatalf("snapshot %d: torn entry", snapshots)
-				}
-				for i, seq := range c.seqs {
-					if i > 0 && seq <= c.seqs[i-1] {
-						t.Fatalf("snapshot %d: seq not strictly ascending at %d: %d then %d",
-							snapshots, i, c.seqs[i-1], seq)
+				for i, e := range snap.Events {
+					if e.Class != tc.class || !tc.whole(e) {
+						t.Fatalf("snapshot %d: torn event %+v", snapshots, e)
 					}
-					if int64(seq) >= c.appended {
-						t.Fatalf("snapshot %d: seq %d beyond appended %d", snapshots, seq, c.appended)
+					if i > 0 && e.Seq <= snap.Events[i-1].Seq {
+						t.Fatalf("snapshot %d: seq not strictly ascending at %d: %d then %d",
+							snapshots, i, snap.Events[i-1].Seq, e.Seq)
+					}
+					if int64(e.Seq) >= snap.Appended {
+						t.Fatalf("snapshot %d: seq %d beyond appended %d", snapshots, e.Seq, snap.Appended)
 					}
 				}
 			}
 			close(stop)
 			wg.Wait()
 			// Quiescent: nothing is in flight, so the cut holds every
-			// entry the ring has not overwritten.
-			c := tc.cut(t)
-			if c.appended != int64(len(c.seqs))+tc.dropped() {
-				t.Fatalf("quiescent: appended %d != entries %d + dropped %d", c.appended, len(c.seqs), tc.dropped())
+			// event the ring has not overwritten.
+			snap := cut()
+			dropped := l.ring(tc.class).dropped()
+			if snap.Appended != int64(len(snap.Events))+dropped {
+				t.Fatalf("quiescent: appended %d != events %d + dropped %d", snap.Appended, len(snap.Events), dropped)
 			}
-			if tc.dropped() == 0 {
+			if dropped == 0 {
 				t.Fatal("test never wrapped the ring; invariant not exercised")
 			}
 		})

@@ -133,7 +133,7 @@ var DispatchLatencyBounds = LogBounds(50e-9, 0.05)
 // Each bucket also retains an exemplar: the correlation EventID of the
 // most recent observation that landed in it (via ObserveEID or
 // ObserveBuckets), linking a fat tail bucket directly to the span
-// tree, audit record, and flight-recorder events of the operation that
+// tree, audit record, and flight events of the operation that
 // produced it.
 //
 // A histogram built by NewValueHistogram measures raw units (bytes,

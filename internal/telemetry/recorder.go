@@ -53,8 +53,8 @@ const (
 	StageDispatchBatch = "dispatch_batch"
 	// StageConfig is an operator posture change (SetBackend,
 	// SetProfiling, SetLimits, SetQuarantine). Config changes emit a
-	// span so their correlation EventID exists in all three streams —
-	// span ring, audit log, flight recorder.
+	// span so their correlation EventID exists in all three classes of
+	// the event log — span, audit, flight.
 	StageConfig = "config"
 	// StageRecover is one boot-time store recovery pass: snapshot +
 	// journal replay with every blob re-run through the full validation
@@ -72,9 +72,6 @@ var Stages = []string{
 
 // Options configures a Recorder.
 type Options struct {
-	// TraceCapacity is the span ring size; <= 0 means
-	// DefaultTraceCapacity.
-	TraceCapacity int
 	// Buckets are the stage-histogram bucket bounds in seconds; nil
 	// means DefaultLatencyBounds.
 	Buckets []float64
@@ -90,7 +87,7 @@ type Options struct {
 // *Recorder is a valid no-op sink.
 type Recorder struct {
 	start time.Time
-	trace *Trace
+	log   *Log
 	ids   atomic.Uint64
 
 	// stageHists maps each built-in stage to its latency histogram.
@@ -120,7 +117,7 @@ func New() *Recorder { return NewWith(Options{}) }
 func NewWith(o Options) *Recorder {
 	r := &Recorder{
 		start:         time.Now(),
-		trace:         newTrace(o.TraceCapacity),
+		log:           newLog(spanCapacity, auditCapacity, flightCapacity),
 		stageHists:    make(map[string]*Histogram, len(Stages)),
 		bounds:        o.Buckets,
 		winOpts:       o.Window,
@@ -165,12 +162,13 @@ func (r *Recorder) newCounter() *Counter {
 	return c
 }
 
-// Trace returns the span ring (nil for a nil recorder).
-func (r *Recorder) Trace() *Trace {
+// Log returns the recorder's event log: its spans, and the audit
+// records and anomalies its kernel records (nil for a nil recorder).
+func (r *Recorder) Log() *Log {
 	if r == nil {
 		return nil
 	}
-	return r.trace
+	return r.log
 }
 
 // Counter returns the named counter, registering it on first use.
@@ -275,6 +273,7 @@ func (r *Recorder) StageHistogram(stage string) *Histogram {
 type Span struct {
 	rec    *Recorder
 	stage  string
+	owner  string
 	detail string
 	parent uint64
 	id     uint64
@@ -282,38 +281,30 @@ type Span struct {
 	start  time.Time
 }
 
-// StartSpan opens a root span for a pipeline stage. detail is
-// free-form context (e.g. the installing owner).
-func (r *Recorder) StartSpan(stage, detail string) Span {
-	return r.StartSpanEvent(stage, detail, 0)
-}
-
-// StartSpanEvent opens a root span carrying the kernel-level
-// correlation EventID event (0 = uncorrelated); children inherit it.
-func (r *Recorder) StartSpanEvent(stage, detail string, event uint64) Span {
+// StartSpan opens a root span for a pipeline stage. owner is the
+// filter owner the stage works for ("" when none), detail free-form
+// context (e.g. a negotiated policy), and event the kernel-level
+// correlation EventID (0 = uncorrelated); children inherit all three.
+func (r *Recorder) StartSpan(stage, owner, detail string, event uint64) Span {
 	if r == nil {
 		return Span{}
 	}
-	return Span{rec: r, stage: stage, detail: detail, id: r.ids.Add(1), event: event, start: time.Now()}
+	return Span{rec: r, stage: stage, owner: owner, detail: detail, id: r.ids.Add(1), event: event, start: time.Now()}
 }
 
 // Child opens a sub-span of s for a nested stage; it inherits s's
-// correlation EventID.
+// owner, detail and correlation EventID.
 func (s Span) Child(stage string) Span {
 	if s.rec == nil {
 		return Span{}
 	}
-	return Span{rec: s.rec, stage: stage, detail: s.detail, parent: s.id, id: s.rec.ids.Add(1), event: s.event, start: time.Now()}
+	return Span{rec: s.rec, stage: stage, owner: s.owner, detail: s.detail, parent: s.id, id: s.rec.ids.Add(1), event: s.event, start: time.Now()}
 }
 
 // ID returns the span's identifier (0 for a no-op span).
 func (s Span) ID() uint64 { return s.id }
 
-// Event returns the span's correlation EventID (0 for a no-op or
-// uncorrelated span).
-func (s Span) Event() uint64 { return s.event }
-
-// End completes the span: it appends one trace event and observes the
+// End completes the span: it appends one span event and observes the
 // stage's latency histogram. err, when non-nil, is recorded on the
 // event.
 func (s Span) End(err error) {
@@ -323,38 +314,38 @@ func (s Span) End(err error) {
 	s.rec.finish(s, time.Since(s.start), err)
 }
 
-// RecordSpan records an externally measured span — a stage whose
+// Record records an externally measured child stage of s — one whose
 // duration was clocked by code that does not hold a Recorder (e.g.
-// pcc.Validate's stage breakdown) — and returns its span ID. parent
-// may be 0 for a root span; event is the correlation EventID (0 =
-// uncorrelated).
-func (r *Recorder) RecordSpan(stage, detail string, parent, event uint64, start time.Time, dur time.Duration, err error) uint64 {
-	if r == nil {
-		return 0
+// pcc.Validate's stage breakdown). The child inherits s's owner and
+// correlation EventID; detail replaces s's.
+func (s Span) Record(stage, detail string, start time.Time, dur time.Duration, err error) {
+	if s.rec == nil {
+		return
 	}
-	id := r.ids.Add(1)
-	r.finish(Span{rec: r, stage: stage, detail: detail, parent: parent, id: id, event: event, start: start}, dur, err)
-	return id
+	s.rec.finish(Span{rec: s.rec, stage: stage, owner: s.owner, detail: detail, parent: s.id, id: s.rec.ids.Add(1), event: s.event, start: start}, dur, err)
 }
 
-// finish is the single sink for completed spans: exactly one trace
-// append plus one stage-histogram observation, so "sum of stage
-// histogram counts == trace.Appended()" is an invariant the tests
-// assert.
+// finish is the single sink for completed spans: exactly one span
+// event plus one stage-histogram observation, so "sum of stage
+// histogram counts == spans appended" is an invariant the tests
+// assert. The event is the span path's one allocation.
 func (r *Recorder) finish(s Span, dur time.Duration, err error) {
-	e := Event{
-		ID:         s.id,
-		Parent:     s.parent,
-		Event:      s.event,
-		Stage:      s.stage,
-		Detail:     s.detail,
-		StartNanos: s.start.Sub(r.start).Nanoseconds(),
-		DurNanos:   dur.Nanoseconds(),
+	e := &Event{
+		Class:         ClassSpan,
+		TimeUnixNanos: s.start.UnixNano(),
+		Event:         s.event,
+		Stage:         s.stage,
+		Owner:         s.owner,
+		Detail:        s.detail,
+		ID:            s.id,
+		Parent:        s.parent,
+		StartNanos:    s.start.Sub(r.start).Nanoseconds(),
+		DurNanos:      dur.Nanoseconds(),
 	}
 	if err != nil {
 		e.Err = err.Error()
 	}
-	r.trace.add(e)
+	r.log.spans.add(e)
 	if h := r.stageHists[s.stage]; h != nil {
 		h.ObserveEID(dur, s.event)
 	} else {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"log/slog"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -31,11 +33,15 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	r.Gauge("x").Set(1)
 	r.Histogram("x").Observe(time.Second)
 	r.StageHistogram(StageVCGen).Observe(time.Second)
-	sp := r.StartSpan(StageValidate, "owner")
+	sp := r.StartSpan(StageValidate, "owner", "", 1)
 	sp.Child(StageParse).End(nil)
+	sp.Record(StageWCET, "", time.Now(), time.Millisecond, nil)
 	sp.End(errors.New("boom"))
-	if id := r.RecordSpan(StageWCET, "", 0, 0, time.Now(), time.Millisecond, nil); id != 0 {
-		t.Errorf("nil RecordSpan id = %d, want 0", id)
+	if id := sp.ID(); id != 0 {
+		t.Errorf("nil span id = %d, want 0", id)
+	}
+	if r.Log() != nil {
+		t.Error("nil recorder must have a nil log")
 	}
 	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
@@ -85,13 +91,13 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 
 func TestSpanTreeAndStageHistograms(t *testing.T) {
 	r := New()
-	root := r.StartSpan(StageValidate, "alice")
+	root := r.StartSpan(StageValidate, "alice", "alice", 0)
 	child := root.Child(StageVCGen)
 	child.End(nil)
+	root.Record(StageWCET, "alice", time.Now(), 3*time.Millisecond, nil)
 	root.End(nil)
-	r.RecordSpan(StageWCET, "alice", root.ID(), 0, time.Now(), 3*time.Millisecond, nil)
 
-	events := r.Trace().Events()
+	events := r.Log().Events(Query{})
 	if len(events) != 3 {
 		t.Fatalf("events = %d, want 3", len(events))
 	}
@@ -108,6 +114,11 @@ func TestSpanTreeAndStageHistograms(t *testing.T) {
 	if byStage[StageWCET].DurNanos != (3 * time.Millisecond).Nanoseconds() {
 		t.Errorf("wcet dur = %d", byStage[StageWCET].DurNanos)
 	}
+	for _, e := range events {
+		if e.Class != ClassSpan || e.Owner != "alice" {
+			t.Errorf("span %s lost its class or owner: %+v", e.Stage, e)
+		}
+	}
 	for _, stage := range []string{StageValidate, StageVCGen, StageWCET} {
 		if n := r.StageHistogram(stage).Count(); n != 1 {
 			t.Errorf("stage %s histogram count = %d, want 1", stage, n)
@@ -117,27 +128,35 @@ func TestSpanTreeAndStageHistograms(t *testing.T) {
 
 func TestSpanErrorRecorded(t *testing.T) {
 	r := New()
-	sp := r.StartSpan(StageValidate, "mallory")
+	sp := r.StartSpan(StageValidate, "mallory", "", 0)
 	sp.End(errors.New("proof validation failed"))
-	events := r.Trace().Events()
+	events := r.Log().Events(Query{})
 	if len(events) != 1 || events[0].Err != "proof validation failed" {
 		t.Fatalf("events = %+v", events)
 	}
 }
 
 func TestTraceRingWrapAndDropAccounting(t *testing.T) {
-	r := NewWith(Options{TraceCapacity: 8})
+	r := New()
+	r.log = newLog(8, 8, 8)
 	for i := 0; i < 20; i++ {
-		r.RecordSpan(StageDispatch, "", 0, 0, time.Now(), time.Microsecond, nil)
+		r.StartSpan(StageDispatch, "", "", 0).End(nil)
 	}
-	tr := r.Trace()
-	if tr.Appended() != 20 {
-		t.Errorf("appended = %d, want 20", tr.Appended())
+	tr := r.Log().Snapshot(ClassSpan)
+	if tr.Appended != 20 {
+		t.Errorf("appended = %d, want 20", tr.Appended)
 	}
-	if tr.Dropped() != 12 {
-		t.Errorf("dropped = %d, want 12", tr.Dropped())
+	if tr.Dropped != 12 {
+		t.Errorf("dropped = %d, want 12", tr.Dropped)
 	}
-	events := tr.Events()
+	var page bytes.Buffer
+	if err := r.WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(page.String(), "pcc_trace_events_total 20") || !strings.Contains(page.String(), "pcc_trace_dropped_total 12") {
+		t.Errorf("exposition must report span-class accounting:\n%s", page.String())
+	}
+	events := tr.Events
 	if len(events) != 8 {
 		t.Fatalf("ring holds %d, want 8", len(events))
 	}
@@ -147,37 +166,47 @@ func TestTraceRingWrapAndDropAccounting(t *testing.T) {
 			t.Errorf("event[%d].ID = %d, want %d", i, e.ID, want)
 		}
 	}
-	if int64(len(events))+tr.Dropped() != tr.Appended() {
+	if int64(len(events))+tr.Dropped != tr.Appended {
 		t.Error("ring + dropped != appended")
 	}
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
-	r := NewWith(Options{TraceCapacity: 64})
-	root := r.StartSpan(StageValidate, "bob")
+	r := New()
+	root := r.StartSpan(StageValidate, "bob", "bob", 7)
 	root.Child(StageParse).End(nil)
 	root.End(errors.New("rejected"))
-	r.StartSpan(StageDispatch, "").End(nil)
+	r.StartSpan(StageDispatch, "", "", 0).End(nil)
+	l := r.Log()
+	slog.New(l.Handler(nil)).With("tenant", "t").Info("pcc install",
+		"event", "install", "owner", "bob", "event_id", uint64(7), "reject_reason", "proof")
+	l.Record(Event{Class: ClassFlight, Kind: FlightQuarantine, Owner: "bob", Detail: "strikes=3", Event: 7})
 
+	// Every class round-trips, audit attrs included.
+	orig := l.Events(Query{})
 	var buf bytes.Buffer
-	if err := r.Trace().WriteJSONL(&buf); err != nil {
+	if err := WriteJSONL(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 3 {
-		t.Fatalf("jsonl lines = %d, want 3:\n%s", lines, buf.String())
+	if lines := strings.Count(buf.String(), "\n"); lines != 5 {
+		t.Fatalf("jsonl lines = %d, want 5:\n%s", lines, buf.String())
 	}
 	decoded, err := ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := r.Trace().Events()
-	if len(decoded) != len(orig) {
-		t.Fatalf("decoded %d events, want %d", len(decoded), len(orig))
+	if !reflect.DeepEqual(decoded, orig) {
+		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", decoded, orig)
 	}
-	for i := range orig {
-		if decoded[i] != orig[i] {
-			t.Errorf("round-trip mismatch at %d:\n got %+v\nwant %+v", i, decoded[i], orig[i])
-		}
+	classes := map[string]int{}
+	for _, e := range decoded {
+		classes[e.Class]++
+	}
+	if classes[ClassSpan] != 3 || classes[ClassAudit] != 1 || classes[ClassFlight] != 1 {
+		t.Errorf("classes after round trip: %v", classes)
+	}
+	if a := decoded[3]; a.Attrs["tenant"] != "t" || a.Attrs["reject_reason"] != "proof" {
+		t.Errorf("audit attrs lost in round trip: %+v", a)
 	}
 	if _, err := ReadJSONL(strings.NewReader("not json\n")); err == nil {
 		t.Error("malformed line should error")
@@ -189,8 +218,8 @@ func TestPrometheusExposition(t *testing.T) {
 	r.Counter("pcc_install_installed_total").Add(3)
 	r.Counter("pcc_install_rejected_total").Add(1)
 	r.Gauge("pcc_filters_installed").Set(2)
-	r.StartSpan(StageVCGen, "").End(nil)
-	r.StartSpan(StageDispatch, "").End(nil)
+	r.StartSpan(StageVCGen, "", "", 0).End(nil)
+	r.StartSpan(StageDispatch, "", "", 0).End(nil)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -227,7 +256,7 @@ func TestPrometheusExposition(t *testing.T) {
 func TestJSONSnapshot(t *testing.T) {
 	r := New()
 	r.Counter("pcc_cache_hits_total").Add(9)
-	r.StartSpan(StageLFCheck, "").End(nil)
+	r.StartSpan(StageLFCheck, "", "", 0).End(nil)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -249,7 +278,8 @@ func TestJSONSnapshot(t *testing.T) {
 // (spans, counters, scrapes, trace reads) — the lock-free claims must
 // hold under -race, and no event may be lost beyond ring drops.
 func TestConcurrentRecording(t *testing.T) {
-	r := NewWith(Options{TraceCapacity: 128})
+	r := New()
+	r.log = newLog(128, 8, 8)
 	const workers, iters = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -257,12 +287,12 @@ func TestConcurrentRecording(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				sp := r.StartSpan(StageValidate, fmt.Sprintf("w%d", w))
+				sp := r.StartSpan(StageValidate, fmt.Sprintf("w%d", w), "", 0)
 				sp.Child(StageVCGen).End(nil)
 				sp.End(nil)
 				r.Counter("pcc_install_installed_total").Inc()
 				if i%32 == 0 {
-					r.Trace().Events()
+					r.Log().Snapshot(ClassSpan)
 					var buf bytes.Buffer
 					if err := r.WritePrometheus(&buf); err != nil {
 						t.Error(err)
@@ -274,7 +304,8 @@ func TestConcurrentRecording(t *testing.T) {
 	wg.Wait()
 
 	wantSpans := int64(workers * iters * 2)
-	if got := r.Trace().Appended(); got != wantSpans {
+	spans := func() ClassSnapshot { return r.Log().Snapshot(ClassSpan) }
+	if got := spans().Appended; got != wantSpans {
 		t.Errorf("appended = %d, want %d", got, wantSpans)
 	}
 	var histTotal int64
@@ -287,7 +318,7 @@ func TestConcurrentRecording(t *testing.T) {
 	if got := r.Counter("pcc_install_installed_total").Value(); got != workers*iters {
 		t.Errorf("counter = %d, want %d", got, workers*iters)
 	}
-	if int64(len(r.Trace().Events()))+r.Trace().Dropped() != r.Trace().Appended() {
+	if s := spans(); int64(len(s.Events))+s.Dropped != s.Appended || s.Dropped == 0 {
 		t.Error("ring + dropped != appended")
 	}
 }

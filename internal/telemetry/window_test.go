@@ -258,21 +258,24 @@ func TestObserveBuckets(t *testing.T) {
 	nilH.ObserveBuckets(counts, sum, 1, 0) // nil-safe like every instrument
 }
 
-// TestSpanEventPropagation: StartSpanEvent threads the EventID through
-// children and RecordSpan into the trace events.
+// TestSpanEventPropagation: StartSpan threads the EventID and owner
+// through Child and Record into every span event.
 func TestSpanEventPropagation(t *testing.T) {
 	r := New()
-	s := r.StartSpanEvent(StageValidate, "owner", 99)
-	c := s.Child(StageParse)
-	if c.Event() != 99 {
-		t.Fatalf("child event = %d, want inherited 99", c.Event())
-	}
-	c.End(nil)
+	s := r.StartSpan(StageValidate, "owner", "", 99)
+	s.Child(StageParse).End(nil)
+	s.Record(StageWCET, "", time.Now(), time.Microsecond, nil)
 	s.End(nil)
-	r.RecordSpan(StageWCET, "owner", s.ID(), 99, time.Now(), time.Microsecond, nil)
-	for _, e := range r.Trace().Events() {
-		if e.Event != 99 {
-			t.Fatalf("trace event %+v lost the correlation EventID", e)
+	events := r.Log().Events(Query{})
+	if len(events) != 3 {
+		t.Fatalf("%d span events, want 3", len(events))
+	}
+	for _, e := range events {
+		if e.Event != 99 || e.Owner != "owner" {
+			t.Fatalf("span event %+v lost the correlation EventID or owner", e)
+		}
+		if e.Stage != StageValidate && e.Parent != s.ID() {
+			t.Fatalf("child span %+v not parented to %d", e, s.ID())
 		}
 	}
 }

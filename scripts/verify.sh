@@ -13,6 +13,16 @@ go build ./...
 echo '== go vet ./...'
 go vet ./...
 
+# The benchmark (perfbench) is a module of its own that reaches the
+# root module through `replace repro => ../`, so the root build, vet and
+# test never compile it; an API change it depends on would otherwise
+# break only when the benchmark runs. Build and vet it here (vet also
+# type-checks its tests). Its full test run (~1 min) is left to
+# `go -C perfbench test ./...`.
+echo '== perfbench: go build + go vet (separate module)'
+(cd perfbench && GOWORK=off GOFLAGS=-mod=mod GOPROXY=off go build -o /dev/null ./... &&
+	GOWORK=off GOFLAGS=-mod=mod GOPROXY=off go vet ./...)
+
 # Formatting gate: gofmt -l names every file whose layout differs from
 # gofmt's; any name fails the build.
 echo '== gofmt -l .'
