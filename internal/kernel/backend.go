@@ -18,10 +18,10 @@
 package kernel
 
 import (
-	"context"
 	"fmt"
 
 	pcc "repro"
+	"repro/internal/alpha"
 	"repro/internal/machine"
 	"repro/internal/store"
 )
@@ -61,19 +61,22 @@ func ParseBackend(s string) (Backend, error) {
 }
 
 // compiledForm returns the slot's memoized threaded-code translation,
-// compiling on first use. Compilation analyzes untrusted (though
-// validated) code, so it runs inside a recover fence like the WCET
-// pass: a panic rejects the one binary, never crashes the kernel.
+// compiling on first use.
 func (s *cacheSlot) compiledForm() (*machine.Compiled, error) {
-	s.compileOnce.Do(func() {
-		if perr := pcc.Fence("compile", func() error {
-			s.compiled, s.compileErr = machine.Compile(s.ext.Prog, &machine.DEC21064)
-			return nil
-		}); perr != nil {
-			s.compileErr = perr
-		}
-	})
+	s.compileOnce.Do(func() { s.compiled, s.compileErr = compileFenced(s.ext.Prog) })
 	return s.compiled, s.compileErr
+}
+
+// compileFenced translates a validated program to threaded code.
+// Compilation analyzes untrusted (though validated) code, so it runs
+// inside a recover fence like the WCET pass: a panic rejects the one
+// binary, never crashes the kernel.
+func compileFenced(prog []alpha.Instr) (c *machine.Compiled, err error) {
+	err = pcc.Fence("compile", func() (cerr error) {
+		c, cerr = machine.Compile(prog, &machine.DEC21064)
+		return cerr
+	})
+	return c, err
 }
 
 // Backend returns the kernel's current default execution backend.
@@ -108,14 +111,7 @@ func (k *Kernel) SetBackend(b Backend) error {
 			if f.compiled != nil {
 				continue
 			}
-			var c *machine.Compiled
-			var cerr error
-			if perr := pcc.Fence("compile", func() error {
-				c, cerr = machine.Compile(f.ext.Prog, &machine.DEC21064)
-				return nil
-			}); perr != nil {
-				cerr = perr
-			}
+			c, cerr := compileFenced(f.ext.Prog)
 			if cerr != nil {
 				return fmt.Errorf("kernel: compiling filter for %q: %w", owner, cerr)
 			}
@@ -156,27 +152,6 @@ func (k *Kernel) SetBackend(b Backend) error {
 	}
 	k.configChange("backend", old.String(), b.String())
 	return nil
-}
-
-// InstallFilterWithBackend is InstallFilterCtx with an explicit
-// per-install backend choice that overrides the kernel default for
-// this one filter.
-func (k *Kernel) InstallFilterWithBackend(ctx context.Context, owner string, binary []byte, b Backend) error {
-	if b != BackendInterp && b != BackendCompiled {
-		return fmt.Errorf("kernel: unknown backend %d", b)
-	}
-	eid := k.nextEvent(k.tel.Load())
-	if gate := k.admit.Load(); gate != nil {
-		if !gate.tryAcquire() {
-			k.stats.validations.Add(1)
-			va := k.audit.Load().newValidationAudit("filter", owner, binary, eid)
-			return k.commitFilter(owner, binary, nil, va,
-				&QueueFullError{Limit: gate.limit, RetryAfter: admissionRetryAfter}, b, eid, true)
-		}
-		defer gate.release()
-	}
-	slot, va, err := k.validateFilter(ctx, owner, binary, eid)
-	return k.commitFilter(owner, binary, slot, va, err, b, eid, true)
 }
 
 // runInstalled executes one installed filter on a prepared state with

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -172,38 +171,21 @@ func TestSetBackendRetrofit(t *testing.T) {
 	}
 }
 
-// TestInstallFilterWithBackend pins the per-install override against
-// the kernel default.
-func TestInstallFilterWithBackend(t *testing.T) {
+// TestSetBackendSharesCompiledForm: under the compiled default, the
+// threaded-code form is memoized on the proof-cache slot, so two
+// installs of one binary share one compiled form.
+func TestSetBackendSharesCompiledForm(t *testing.T) {
 	k := New()
-	ctx := context.Background()
-	if err := k.InstallFilterWithBackend(ctx, "c", certFilter(t, k, filters.Filter1), BackendCompiled); err != nil {
+	if err := k.SetBackend(BackendCompiled); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.InstallFilterWithBackend(ctx, "i", certFilter(t, k, filters.Filter2), BackendInterp); err != nil {
-		t.Fatal(err)
+	bin := certFilter(t, k, filters.Filter4)
+	for _, owner := range []string{"a", "b"} {
+		if err := k.InstallFilter(owner, bin); err != nil {
+			t.Fatal(err)
+		}
 	}
 	tb := k.table.Load()
-	cc, ci := tb.slots[tb.index["c"]].c, tb.slots[tb.index["i"]].c
-	if cc == nil {
-		t.Fatal("per-install compiled override did not compile")
-	}
-	if ci != nil {
-		t.Fatal("per-install interp override still compiled")
-	}
-	if err := k.InstallFilterWithBackend(ctx, "x", certFilter(t, k, filters.Filter3), Backend(7)); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
-	// The compiled form is memoized on the proof-cache slot: a second
-	// compiled install of the same binary reuses it.
-	bin := certFilter(t, k, filters.Filter4)
-	if err := k.InstallFilterWithBackend(ctx, "a", bin, BackendCompiled); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.InstallFilterWithBackend(ctx, "b", bin, BackendCompiled); err != nil {
-		t.Fatal(err)
-	}
-	tb = k.table.Load()
 	ca, cb := tb.slots[tb.index["a"]].c, tb.slots[tb.index["b"]].c
 	if ca == nil || ca != cb {
 		t.Fatal("compiled form not shared via the proof-cache slot")

@@ -276,10 +276,10 @@ func (k *Kernel) openBreaker(owner string, st *breakerState, cfg *BreakerConfig,
 // re-escalation continue until an uninstall finally commits. Only a
 // committed uninstall is recorded as an escalation; a store failure is
 // audited as such, and the owner is not embargoed for a disk's
-// misbehavior. Called without brkMu held — UninstallFilter takes k.mu
+// misbehavior. Called without brkMu held — the uninstall takes k.mu
 // and the embargo takes quarMu.
 func (k *Kernel) escalateBreaker(owner string, trips int, eid uint64) {
-	if uerr := k.UninstallFilter(owner); uerr != nil {
+	if uerr := k.uninstall(owner); uerr != nil {
 		k.brkMu.Lock()
 		if st := k.brk[owner]; st != nil {
 			if c := k.demoteCompiled(owner); c != nil {
@@ -323,25 +323,7 @@ func (k *Kernel) escalateBreaker(owner string, trips int, eid uint64) {
 	k.flight(telemetry.FlightBreakerOpen, owner, detail, eid)
 	k.tel.Load().setBreakerState(owner, breakerOpen)
 	if qcfg := k.quarCfg.Load(); qcfg != nil {
-		now := time.Now()
-		k.quarMu.Lock()
-		if k.quar == nil {
-			k.quar = map[string]*quarState{}
-		}
-		qs := k.quar[owner]
-		if qs == nil {
-			qs = &quarState{}
-			k.quar[owner] = qs
-		}
-		qs.strikes += qcfg.Threshold
-		qs.until = now.Add(expBackoff(qcfg.Base, qcfg.Max, qs.strikes-qcfg.Threshold))
-		qe := &QuarantineError{Owner: owner, Until: qs.until, Strikes: qs.strikes}
-		n := k.embargoedLocked(now)
-		k.quarMu.Unlock()
-		k.tel.Load().setQuarantined(n)
-		k.audit.Load().quarantine(qe, eid)
-		k.flight(telemetry.FlightQuarantine, owner,
-			fmt.Sprintf("breaker escalation: strikes=%d until=%s", qe.Strikes, qe.Until.Format(time.RFC3339Nano)), eid)
+		k.strike(qcfg, owner, qcfg.Threshold, eid, "breaker escalation: ")
 	}
 }
 

@@ -339,6 +339,42 @@ func TestBreakerReinstallForgets(t *testing.T) {
 	}
 }
 
+// TestBreakerUninstallForgets: uninstalling an owner whose breaker is
+// open drops its supervision record, so dispatch stops consulting the
+// breaker (brkArmed back to 0), Breakers no longer lists the owner, and
+// its pcc_breaker_state gauge reads closed.
+func TestBreakerUninstallForgets(t *testing.T) {
+	k := New()
+	rec := telemetry.New()
+	k.SetRecorder(rec)
+	k.SetBreaker(BreakerConfig{Threshold: 1, Base: time.Millisecond, Max: time.Millisecond})
+	injectFaultyCompiled(t, k, "flaky", condFaultSrc)
+	if _, err := k.DeliverPacket(faultPkt); err == nil {
+		t.Fatal("faulting delivery returned no error")
+	}
+	if st := k.Breakers()["flaky"]; st != breakerOpen || k.brkArmed.Load() != 1 {
+		t.Fatalf("breaker state %d, armed %d; want open and armed", st, k.brkArmed.Load())
+	}
+	if err := k.UninstallFilter("flaky"); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond) // past the backoff
+	for i := 0; i < 50; i++ {
+		if _, err := k.DeliverPacket(cleanPkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := k.brkArmed.Load(); n != 0 {
+		t.Fatalf("brkArmed = %d after uninstall, want 0", n)
+	}
+	if st, ok := k.Breakers()["flaky"]; ok {
+		t.Fatalf("uninstalled owner still supervised in state %d", st)
+	}
+	if g := rec.Snapshot(false).LabeledGauges[MetricBreakerState]["flaky"]; g != breakerClosed {
+		t.Fatalf("pcc_breaker_state{filter=flaky} = %v after uninstall, want 0", g)
+	}
+}
+
 // TestBreakerDisableRestores: turning supervision off promotes every
 // demoted filter back and drops all state.
 func TestBreakerDisableRestores(t *testing.T) {

@@ -44,8 +44,8 @@ type proofCache struct {
 }
 
 // cacheSlot is one validated extension plus everything derived purely
-// from it. Slots are immutable after construction (newCacheSlot in
-// kernel.go) — the threaded-code form below is the one lazily derived
+// from it. Slots are immutable after construction (validate in
+// pipeline.go) — the threaded-code form below is the one lazily derived
 // field, write-once behind its sync.Once — so readers need no lock.
 type cacheSlot struct {
 	key cacheKey

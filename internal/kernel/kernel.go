@@ -305,235 +305,25 @@ func (k *Kernel) NegotiateFilterPolicy(proposed *policy.Policy) error {
 	return nil
 }
 
-// InstallFilter validates a PCC binary against the packet-filter
-// policy and installs it for the owner. Invalid binaries — and, when a
-// cycle budget is configured, binaries whose static worst-case cost
-// exceeds it — are rejected and counted. Validation runs without the
-// kernel lock (and is skipped entirely on a proof-cache hit); only the
-// final commit of the validated extension is serialized.
-func (k *Kernel) InstallFilter(owner string, binary []byte) error {
-	return k.InstallFilterCtx(context.Background(), owner, binary)
-}
-
-// newCacheSlot derives everything an install commit will need from a
-// freshly validated extension — today the static worst-case cost
-// bound — so the commit section never does per-extension analysis
-// under the kernel write lock. Slots are immutable once built. The
-// WCET pass runs inside a recover fence: it analyzes untrusted code,
-// and a panic there must reject the one binary, not crash the kernel.
-func newCacheSlot(key cacheKey, ext *pcc.Extension) *cacheSlot {
-	slot := &cacheSlot{key: key, ext: ext}
-	if perr := pcc.Fence("wcet", func() error {
-		slot.wcet, slot.wcetErr = machine.DEC21064.MaxCost(ext.Prog)
-		return nil
-	}); perr != nil {
-		slot.wcetErr = perr
-	}
-	return slot
-}
-
-// validateFilter is the lock-free validation stage: proof-cache
-// lookup, then full PCC validation against the published packet-filter
-// policy with fallback to any negotiated policy the binary names. At
-// most one cache hit or miss is recorded per install attempt, however
-// many candidate policies are probed. With a recorder attached, the
-// attempt is traced as a validate span with cacheprobe /
-// parse / lfsig / vcgen / lfcheck / wcet children; with an audit log
-// attached, the forensic context of the attempt rides along to the
-// commit in the returned validationAudit (nil when auditing is off).
-func (k *Kernel) validateFilter(ctx context.Context, owner string, binary []byte, eid uint64) (*cacheSlot, *validationAudit, error) {
-	k.stats.validations.Add(1)
-	tel := k.tel.Load()
-	span := tel.span(telemetry.StageValidate, owner, owner, eid)
-	va := k.audit.Load().newValidationAudit("filter", owner, binary, eid)
-	// An expired context or a live embargo rejects before any byte of
-	// the binary is examined — in particular before the cache probe, so
-	// a canceled install cannot be served (and committed) from a hit.
-	if err := ctx.Err(); err != nil {
-		err = fmt.Errorf("kernel: install aborted: %w", err)
-		span.End(err)
-		return nil, va, err
-	}
-	if qerr := k.quarantineCheck(owner); qerr != nil {
-		span.End(qerr)
-		return nil, va, qerr
-	}
-	type candidate struct {
-		pol *policy.Policy
-		key cacheKey
-	}
-	k.mu.RLock()
-	cands := make([]candidate, 0, 1+len(k.negotiated))
-	cands = append(cands, candidate{k.filterPolicy, k.filterKeyer.Key(binary)})
-	for name, p := range k.negotiated {
-		cands = append(cands, candidate{p, k.negotiatedKeyers[name].Key(binary)})
-	}
-	k.mu.RUnlock()
-	va.setPolicy(cands[0].pol)
-
-	probeStart := time.Now()
-	for _, c := range cands {
-		if slot := k.cache.lookup(c.key); slot != nil {
-			k.cache.recordHit()
-			va.setCacheHit()
-			va.setPolicy(c.pol)
-			tel.probe(span, probeStart, true)
-			span.End(nil)
-			return slot, va, nil
-		}
-	}
-	k.cache.recordMiss()
-	tel.probe(span, probeStart, false)
-
-	lastErr := fmt.Errorf("kernel: no policy matches")
-	for i, c := range cands {
-		valStart := time.Now()
-		ext, stats, err := pcc.ValidateCtx(ctx, binary, c.pol, k.limits.Load())
-		if err != nil {
-			if i == 0 {
-				lastErr = err // the published policy's verdict leads
-			}
-			continue
-		}
-		k.stats.validationNanos.Add(stats.Time.Nanoseconds())
-		tel.validationStages(span, owner, valStart, stats)
-		tel.certCost(stats, eid)
-		va.setPolicy(c.pol)
-		va.setStats(stats)
-		wcetStart := time.Now()
-		slot := newCacheSlot(c.key, ext)
-		tel.wcet(span, owner, wcetStart, slot.wcetErr)
-		slot, evicted := k.cache.put(slot)
-		tel.evicted(evicted)
-		k.audit.Load().evict(evicted, eid)
-		span.End(nil)
-		return slot, va, nil
-	}
-	span.End(lastErr)
-	return nil, va, lastErr
-}
-
-// commitFilter is the short serial section of an install: budget
-// comparison (the WCET itself was computed lock-free at validation
-// time), journal append, and table update. The final verdict —
-// including budget rejections — is written to the audit log here, so
-// every install attempt produces exactly one install record. Under
-// BackendCompiled the threaded-code form is obtained (memoized on the
-// slot) before the lock is taken, so compilation — like validation —
-// never runs under the kernel write lock, and a filter that somehow
-// fails to compile is rejected rather than silently interpreted.
-//
-// When a store is attached and journal is true, the install is
-// journaled inside the commit section BEFORE the table swap: the
-// write-ahead discipline. A successful return therefore implies the
-// record is on disk (fsynced), and a failed append rejects the install
-// — the kernel never acks an install a crash could lose. journal is
-// false only on the recovery path, whose records are already in the
-// journal. binary is the exact accepted blob; it is what recovery will
-// re-validate, so it must be the bytes that were proof-checked, not a
-// derived form.
-func (k *Kernel) commitFilter(owner string, binary []byte, slot *cacheSlot, va *validationAudit, verr error, be Backend, eid uint64, journal bool) error {
-	tel := k.tel.Load()
-	if verr != nil {
-		k.stats.rejections.Add(1)
-		reason := installRejectReason(verr)
-		tel.outcome(false)
-		tel.reject(reason)
-		k.noteRejection(owner, reason, eid)
-		err := fmt.Errorf("kernel: filter for %q rejected: %w", owner, verr)
-		k.audit.Load().install(va, slot, err)
-		return err
-	}
-	var compiled *machine.Compiled
-	if be == BackendCompiled {
-		var cerr error
-		compiled, cerr = slot.compiledForm()
-		if cerr != nil {
-			verr = fmt.Errorf("backend compile: %w", cerr)
-			k.stats.rejections.Add(1)
-			reason := installRejectReason(verr)
-			tel.outcome(false)
-			tel.reject(reason)
-			k.noteRejection(owner, reason, eid)
-			err := fmt.Errorf("kernel: filter for %q rejected: %w", owner, verr)
-			k.audit.Load().install(va, slot, err)
-			return err
-		}
-	}
-	span := tel.span(telemetry.StageCommit, owner, owner, eid)
-	err := func() error {
-		k.mu.Lock()
-		defer k.mu.Unlock()
-		if k.budget > 0 {
-			if slot.wcetErr != nil {
-				return fmt.Errorf("kernel: filter for %q has no static cost bound: %w", owner, slot.wcetErr)
-			}
-			if slot.wcet > int64(k.budget) {
-				// A typed resource-limit error, so the rejection lands in
-				// the "limit" reason bucket alongside the validation-time
-				// budgets.
-				return fmt.Errorf("kernel: filter for %q exceeds the cycle budget: %w", owner,
-					&pcc.ResourceLimitError{Axis: "cycle_budget", Actual: slot.wcet, Max: int64(k.budget)})
-			}
-		}
-		// Write-ahead: the journal append (with fsync) happens before
-		// the table swap, so the install is durable before it is
-		// visible. An append failure rejects the install — the caller
-		// never receives an ack for a record the disk does not hold.
-		if journal {
-			if st := k.wal.Load(); st != nil {
-				if _, jerr := st.Append(store.KindInstall, owner, binary); jerr != nil {
-					return fmt.Errorf("kernel: filter for %q not journaled: %w",
-						owner, &StoreError{Op: "append", Err: jerr})
-				}
-			}
-		}
-		// Copy-on-write publication: build the replacement snapshot,
-		// swap the pointer, retire the old snapshot (and a replaced
-		// filter) past in-flight deliveries. The persistent per-owner
-		// accept counter is carried over or minted here.
-		t := k.table.Load()
-		ctr := t.accepts[owner]
-		if ctr == nil {
-			ctr = newOwnerCounter(len(k.stats.shards))
-		}
-		ins := &installed{ext: slot.ext, accepts: ctr, compiled: compiled}
-		if k.profiling.Load() {
-			ins.prof = newFilterProfile(slot.ext.Prog)
-		}
-		nt := t.withFilter(owner, ins)
-		var retired []*installed
-		if i, ok := t.index[owner]; ok {
-			retired = append(retired, t.slots[i].f)
-		}
-		k.publishLocked(nt, retired...)
-		tel.setFilters(len(nt.slots))
-		return nil
-	}()
-	if err != nil {
-		k.stats.rejections.Add(1)
-		tel.reject(installRejectReason(err))
-		k.noteRejection(owner, installRejectReason(err), eid)
-	} else {
-		k.noteSuccess(owner)
-		// A fresh install is a fresh binary: its breaker history, if
-		// any, belongs to the replaced filter.
+// UninstallFilter removes an owner's filter and forgets its breaker
+// record: a gone filter has no dispatch to supervise. The removed
+// filter and the superseded snapshot are retired, not freed: an
+// in-flight delivery that loaded the old snapshot finishes against it.
+// With a store attached the removal is journaled before it is
+// published, same write-ahead discipline as installs; a failed append
+// aborts the uninstall (the filter stays installed) so the disk never
+// disagrees with an acked removal.
+func (k *Kernel) UninstallFilter(owner string) error {
+	err := k.uninstall(owner)
+	if err == nil {
 		k.breakerForget(owner)
 	}
-	tel.outcome(err == nil)
-	k.audit.Load().install(va, slot, err)
-	span.End(err)
 	return err
 }
 
-// UninstallFilter removes an owner's filter. The removed filter and
-// the superseded snapshot are retired, not freed: an in-flight
-// delivery that loaded the old snapshot finishes against it. With a
-// store attached the removal is journaled before it is published, same
-// write-ahead discipline as installs; a failed append aborts the
-// uninstall (the filter stays installed) so the disk never disagrees
-// with an acked removal.
-func (k *Kernel) UninstallFilter(owner string) error {
+// uninstall is UninstallFilter without the breaker bookkeeping, for the
+// breaker's own escalation, which keeps a terminal record.
+func (k *Kernel) uninstall(owner string) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	t := k.table.Load()
@@ -816,60 +606,22 @@ func (k *Kernel) CreateTable(pid int, tag, data uint64) {
 }
 
 // InstallHandler validates and installs a resource-access handler for
-// a process. Like InstallFilter, validation runs lock-free, is
-// memoized by the proof cache, and is traced when a recorder is
-// attached.
+// a process through the same validation stage as filters, with the
+// resource-access policy as the one candidate: lock-free, memoized by
+// the proof cache, and traced when a recorder is attached. Its commit
+// is a map assignment; handlers are not quarantined, admission-gated
+// or journaled.
 func (k *Kernel) InstallHandler(pid int, binary []byte) error {
-	k.stats.validations.Add(1)
-	tel := k.tel.Load()
-	eid := k.nextEvent(tel)
-	var owner string
-	if tel != nil || k.audit.Load() != nil {
-		owner = fmt.Sprintf("pid-%d", pid)
-	}
-	span := tel.span(telemetry.StageValidate, owner, owner, eid)
-	va := k.audit.Load().newValidationAudit("handler", owner, binary, eid)
-	va.setPolicy(k.resourcePolicy)
-	key := k.resourceKeyer.Key(binary)
-	probeStart := time.Now()
-	slot := k.cache.lookup(key)
-	if slot != nil {
-		k.cache.recordHit()
-		va.setCacheHit()
-		tel.probe(span, probeStart, true)
+	eid := k.nextEvent(k.tel.Load())
+	slot, va, err := k.validate(context.Background(), "handler", fmt.Sprintf("pid-%d", pid), binary, eid, nil)
+	if err != nil {
+		err = fmt.Errorf("kernel: handler for pid %d rejected: %w", pid, err)
 	} else {
-		k.cache.recordMiss()
-		tel.probe(span, probeStart, false)
-		valStart := time.Now()
-		ext, stats, err := pcc.ValidateCtx(context.Background(), binary, k.resourcePolicy, k.limits.Load())
-		if err != nil {
-			k.stats.rejections.Add(1)
-			tel.outcome(false)
-			tel.reject(pcc.RejectReason(err))
-			span.End(err)
-			werr := fmt.Errorf("kernel: handler for pid %d rejected: %w", pid, err)
-			k.audit.Load().install(va, nil, werr)
-			return werr
-		}
-		k.stats.validationNanos.Add(stats.Time.Nanoseconds())
-		tel.validationStages(span, owner, valStart, stats)
-		tel.certCost(stats, eid)
-		va.setStats(stats)
-		wcetStart := time.Now()
-		fresh := newCacheSlot(key, ext)
-		tel.wcet(span, owner, wcetStart, fresh.wcetErr)
-		var evicted int64
-		slot, evicted = k.cache.put(fresh)
-		tel.evicted(evicted)
-		k.audit.Load().evict(evicted, eid)
+		k.mu.Lock()
+		k.handlers[pid] = slot.ext
+		k.mu.Unlock()
 	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.handlers[pid] = slot.ext
-	tel.outcome(true)
-	k.audit.Load().install(va, slot, nil)
-	span.End(nil)
-	return nil
+	return k.settle(va, slot, err)
 }
 
 // InvokeHandler runs a process's installed handler on its own table

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/filters"
 	"repro/internal/pktgen"
 	"repro/internal/policy"
+	"repro/internal/telemetry"
 )
 
 // certAll certifies the four paper filters once per test binary run
@@ -73,13 +75,15 @@ func TestBatchInstallSpeedup(t *testing.T) {
 	}
 }
 
-// TestSerialVsBatchDifferential is the differential harness: for every
-// paper filter (plus a garbage blob and a cross-policy binary), the
-// serial InstallFilter path and the concurrent InstallFilterBatch path
-// must make identical accept/reject decisions, produce identical
-// Validations/Rejections accounting, and dispatch identically — and a
-// second install of the same binaries must be pure cache hits with
-// unchanged extension behavior.
+// TestSerialVsBatchDifferential is the differential harness: each
+// request sent alone (InstallFilterCtx) and in a batch
+// (InstallFilterBatchCtx) must get the same verdict, and the two
+// kernels must agree on Stats, pcc_rejects_total{reason}, and every
+// audit install record up to its EventID and timings. The rounds cover
+// the paper filters, a garbage blob, a cross-policy binary, a canceled
+// context, and an owner quarantined by an earlier round; then the two
+// kernels must dispatch identically, and a second install of the same
+// binaries must be pure cache hits with unchanged behavior.
 func TestSerialVsBatchDifferential(t *testing.T) {
 	bins := certAll(t)
 	crossPolicy, err := pcc.Certify(`
@@ -90,42 +94,99 @@ L1:     RET
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reqs []InstallRequest
+	var first []InstallRequest
 	for _, f := range filters.All {
-		reqs = append(reqs, InstallRequest{fmt.Sprintf("proc-%d", f), bins[f]})
+		first = append(first, InstallRequest{fmt.Sprintf("proc-%d", f), bins[f]})
 	}
-	reqs = append(reqs,
+	first = append(first,
 		InstallRequest{"garbage", []byte("not a pcc binary")},
 		InstallRequest{"cross", crossPolicy.Binary},
 	)
-
-	serial := New()
-	var serialErrs []error
-	for _, r := range reqs {
-		serialErrs = append(serialErrs, serial.InstallFilter(r.Owner, r.Binary))
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	rounds := []struct {
+		ctx  context.Context
+		reqs []InstallRequest
+	}{
+		{context.Background(), first},
+		{canceled, []InstallRequest{{"late-1", bins[filters.Filter1]}, {"late-2", bins[filters.Filter2]}}},
+		// The first round's rejection embargoed "garbage" (Threshold 1).
+		{context.Background(), []InstallRequest{{"garbage", bins[filters.Filter3]}, {"proc-9", bins[filters.Filter3]}}},
 	}
-	batch := New()
-	batchErrs := batch.InstallFilterBatch(reqs)
 
-	for i := range reqs {
-		if (serialErrs[i] == nil) != (batchErrs[i] == nil) {
-			t.Fatalf("request %q: serial err=%v, batch err=%v",
-				reqs[i].Owner, serialErrs[i], batchErrs[i])
+	type observed struct {
+		k     *Kernel
+		audit bytes.Buffer
+	}
+	newObserved := func() *observed {
+		o := &observed{k: New()}
+		o.k.SetRecorder(telemetry.New())
+		o.k.SetAuditLog(slog.New(slog.NewJSONHandler(&o.audit, nil)))
+		o.k.SetQuarantine(QuarantineConfig{Threshold: 1, Base: time.Minute})
+		return o
+	}
+	serial, batch := newObserved(), newObserved()
+	for ri, r := range rounds {
+		var serialErrs []error
+		for _, req := range r.reqs {
+			serialErrs = append(serialErrs, serial.k.InstallFilterCtx(r.ctx, req.Owner, req.Binary))
+		}
+		batchErrs := batch.k.InstallFilterBatchCtx(r.ctx, r.reqs)
+		for i, req := range r.reqs {
+			if sr, br := installRejectReason(serialErrs[i]), installRejectReason(batchErrs[i]); sr != br {
+				t.Fatalf("round %d, %q: serial err=%v, batch err=%v", ri, req.Owner, serialErrs[i], batchErrs[i])
+			}
 		}
 	}
-	ss, bs := serial.Stats(), batch.Stats()
-	if ss.Validations != bs.Validations || ss.Rejections != bs.Rejections {
-		t.Fatalf("accounting diverged: serial %d/%d, batch %d/%d",
-			ss.Validations, ss.Rejections, bs.Validations, bs.Rejections)
+	for _, want := range []string{"deadline", "quarantine"} {
+		if rejectCount(serial.k, want) == 0 {
+			t.Fatalf("no %s rejection exercised", want)
+		}
 	}
-	if got, want := fmt.Sprint(batch.Owners()), fmt.Sprint(serial.Owners()); got != want {
+	counts := func(st Stats) [5]int {
+		return [5]int{st.Validations, st.Rejections, st.CacheHits, st.CacheMisses, st.CacheEvictions}
+	}
+	if ss, bs := counts(serial.k.Stats()), counts(batch.k.Stats()); ss != bs {
+		t.Fatalf("accounting diverged: serial %v, batch %v", ss, bs)
+	}
+	for _, reason := range []string{"deadline", "limit", "panic", "proof", "quarantine", "queue_full", "recovery", "store"} {
+		if sr, br := rejectCount(serial.k, reason), rejectCount(batch.k, reason); sr != br {
+			t.Fatalf("pcc_rejects_total{reason=%s}: serial %d, batch %d", reason, sr, br)
+		}
+	}
+	// Install records up to EventID, timings, and error text (which
+	// carries the embargo deadline).
+	installs := func(o *observed) []string {
+		var out []string
+		for _, r := range auditRecords(t, &o.audit) {
+			if r["event"] != "install" {
+				continue
+			}
+			for _, volatile := range []string{"time", "event_id", "decision_time", "error",
+				"parse_us", "lfsig_us", "vcgen_us", "lfcheck_us"} {
+				delete(r, volatile)
+			}
+			out = append(out, fmt.Sprint(r))
+		}
+		return out
+	}
+	si, bi := installs(serial), installs(batch)
+	if len(si) != len(first)+4 || len(si) != len(bi) {
+		t.Fatalf("install records: serial %d, batch %d, want %d", len(si), len(bi), len(first)+4)
+	}
+	for i := range si {
+		if si[i] != bi[i] {
+			t.Fatalf("install record %d diverged:\nserial %s\nbatch  %s", i, si[i], bi[i])
+		}
+	}
+	if got, want := fmt.Sprint(batch.k.Owners()), fmt.Sprint(serial.k.Owners()); got != want {
 		t.Fatalf("owners diverged: %s vs %s", got, want)
 	}
 
 	pkts := pktgen.Generate(500, pktgen.Config{Seed: 7})
 	for _, p := range pkts {
-		a1, err1 := serial.DeliverPacket(p)
-		a2, err2 := batch.DeliverPacket(p)
+		a1, err1 := serial.k.DeliverPacket(p)
+		a2, err2 := batch.k.DeliverPacket(p)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -145,26 +206,24 @@ L1:     RET
 			}
 		}
 	}
-	if got, want := fmt.Sprint(batch.Accepts()), fmt.Sprint(serial.Accepts()); got != want {
+	if got, want := fmt.Sprint(batch.k.Accepts()), fmt.Sprint(serial.k.Accepts()); got != want {
 		t.Fatalf("accepts diverged: %s vs %s", got, want)
 	}
 
 	// Re-installing the same binaries must be pure cache hits...
-	preHits := batch.Stats().CacheHits
-	for _, errs := range [][]error{batch.InstallFilterBatch(reqs[:4])} {
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("warm re-install %d failed: %v", i, err)
-			}
+	preHits := batch.k.Stats().CacheHits
+	for i, err := range batch.k.InstallFilterBatch(first[:4]) {
+		if err != nil {
+			t.Fatalf("warm re-install %d failed: %v", i, err)
 		}
 	}
-	if got := batch.Stats().CacheHits - preHits; got != 4 {
+	if got := batch.k.Stats().CacheHits - preHits; got != 4 {
 		t.Fatalf("warm batch produced %d cache hits, want 4", got)
 	}
 	// ...with identical extension behavior.
 	for _, p := range pkts[:100] {
-		a1, _ := serial.DeliverPacket(p)
-		a2, err := batch.DeliverPacket(p)
+		a1, _ := serial.k.DeliverPacket(p)
+		a2, err := batch.k.DeliverPacket(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,24 +388,6 @@ func TestWarmInstallSpeedup(t *testing.T) {
 	}
 }
 
-// TestValidateAsync: the async install path reports the same verdicts
-// as the serial one.
-func TestValidateAsync(t *testing.T) {
-	bins := certAll(t)
-	k := New()
-	okCh := k.ValidateAsync("a", bins[filters.Filter1])
-	badCh := k.ValidateAsync("b", []byte("garbage"))
-	if err := <-okCh; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-badCh; err == nil {
-		t.Fatal("garbage installed asynchronously")
-	}
-	if got := k.Owners(); len(got) != 1 || got[0] != "a" {
-		t.Fatalf("owners = %v", got)
-	}
-}
-
 // TestBatchDuplicateOwners: later requests for the same owner win,
 // matching serial semantics.
 func TestBatchDuplicateOwners(t *testing.T) {
@@ -430,7 +471,7 @@ func TestWCETComputedAtValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := New() // no budget configured, yet the bound is precomputed
-	slot, _, verr := k.validateFilter(context.Background(), "fits", cert.Binary, 0)
+	slot, _, verr := k.validate(context.Background(), "filter", "fits", cert.Binary, 0, nil)
 	if verr != nil {
 		t.Fatal(verr)
 	}
@@ -438,11 +479,11 @@ func TestWCETComputedAtValidation(t *testing.T) {
 		t.Fatalf("wcet not precomputed at validation: wcet=%d err=%v", slot.wcet, slot.wcetErr)
 	}
 	k.SetCycleBudget(CycleBudget(slot.wcet))
-	if err := k.commitFilter("fits", cert.Binary, slot, nil, nil, BackendInterp, 0, true); err != nil {
+	if err := k.commitFilter("fits", cert.Binary, slot, nil, nil, 0, true); err != nil {
 		t.Fatalf("filter at exactly the budget rejected: %v", err)
 	}
 	k.SetCycleBudget(CycleBudget(slot.wcet - 1))
-	if err := k.commitFilter("over", cert.Binary, slot, nil, nil, BackendInterp, 0, true); err == nil {
+	if err := k.commitFilter("over", cert.Binary, slot, nil, nil, 0, true); err == nil {
 		t.Fatal("over-budget filter committed")
 	}
 }

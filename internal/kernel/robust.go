@@ -16,14 +16,13 @@
 //     producer spraying garbage binaries cannot monopolize the
 //     validator. Embargoed-owner count is exported as a gauge.
 //
-// Every rejection, whatever the mechanism, flows through commitFilter:
+// Every rejection, whatever the mechanism, ends in settle (pipeline.go):
 // it lands in the audit log with a reject_reason attribute and in the
 // pcc_rejects_total{reason} counter family, and Validations ==
 // installs + rejections still holds at rest.
 package kernel
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -233,6 +232,14 @@ func (k *Kernel) noteRejection(owner, reason string, eid uint64) {
 		reason == "store" || reason == "recovery" {
 		return
 	}
+	k.strike(cfg, owner, 1, eid, "")
+}
+
+// strike adds n strikes to owner's record and, once the record reaches
+// the threshold, embargoes the owner for a backoff that doubles per
+// strike beyond it. A new embargo is published on the gauge, audited,
+// and flight-recorded, its detail prefixed with cause.
+func (k *Kernel) strike(cfg *QuarantineConfig, owner string, n int, eid uint64, cause string) {
 	now := time.Now()
 	var embargo *QuarantineError
 	k.quarMu.Lock()
@@ -244,18 +251,18 @@ func (k *Kernel) noteRejection(owner, reason string, eid uint64) {
 		st = &quarState{}
 		k.quar[owner] = st
 	}
-	st.strikes++
+	st.strikes += n
 	if st.strikes >= cfg.Threshold {
 		st.until = now.Add(expBackoff(cfg.Base, cfg.Max, st.strikes-cfg.Threshold))
 		embargo = &QuarantineError{Owner: owner, Until: st.until, Strikes: st.strikes}
 	}
-	n := k.embargoedLocked(now)
+	embargoed := k.embargoedLocked(now)
 	k.quarMu.Unlock()
-	k.tel.Load().setQuarantined(n)
+	k.tel.Load().setQuarantined(embargoed)
 	if embargo != nil {
 		k.audit.Load().quarantine(embargo, eid)
 		k.flight(telemetry.FlightQuarantine, owner,
-			fmt.Sprintf("strikes=%d until=%s", embargo.Strikes, embargo.Until.Format(time.RFC3339Nano)), eid)
+			fmt.Sprintf("%sstrikes=%d until=%s", cause, embargo.Strikes, embargo.Until.Format(time.RFC3339Nano)), eid)
 	}
 }
 
@@ -296,26 +303,4 @@ func installRejectReason(err error) string {
 		return "queue_full"
 	}
 	return pcc.RejectReason(err)
-}
-
-// InstallFilterCtx is InstallFilter under a context and the kernel's
-// configured admission control: an expired or canceled context rejects
-// without running the proof checker (mid-check cancellation is honored
-// within a bounded number of inference steps), and when an admission
-// limit is set, an install arriving with all slots busy sheds
-// immediately with a *QueueFullError. Both outcomes are ordinary
-// rejections: audited, counted, and classified by reason.
-func (k *Kernel) InstallFilterCtx(ctx context.Context, owner string, binary []byte) error {
-	eid := k.nextEvent(k.tel.Load())
-	if gate := k.admit.Load(); gate != nil {
-		if !gate.tryAcquire() {
-			k.stats.validations.Add(1)
-			va := k.audit.Load().newValidationAudit("filter", owner, binary, eid)
-			return k.commitFilter(owner, binary, nil, va,
-				&QueueFullError{Limit: gate.limit, RetryAfter: admissionRetryAfter}, k.Backend(), eid, true)
-		}
-		defer gate.release()
-	}
-	slot, va, err := k.validateFilter(ctx, owner, binary, eid)
-	return k.commitFilter(owner, binary, slot, va, err, k.Backend(), eid, true)
 }

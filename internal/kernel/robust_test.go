@@ -225,21 +225,28 @@ func TestExpBackoffSequences(t *testing.T) {
 }
 
 // TestKernelLimitsApply: SetLimits flows into every install's
-// validation; a starved step budget turns a valid binary into a
-// "limit" rejection, and restoring the defaults accepts it again.
+// validation, filter or handler; a starved step budget turns a valid
+// binary into a "limit" rejection, and restoring the defaults accepts
+// it again.
 func TestKernelLimitsApply(t *testing.T) {
 	bin := goodBinary(t)
 	k := New()
 	k.SetRecorder(telemetry.New())
+	handler, err := pcc.Certify(handlerSrc, k.ResourcePolicy(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lim := pcc.DefaultLimits()
 	lim.MaxCheckSteps = 5
 	k.SetLimits(lim)
-	err := k.InstallFilter("starved", bin)
-	if !errors.Is(err, pcc.ErrResourceLimit) {
-		t.Fatalf("want ErrResourceLimit, got %v", err)
+	if err := k.InstallFilter("starved", bin); !errors.Is(err, pcc.ErrResourceLimit) {
+		t.Fatalf("filter: want ErrResourceLimit, got %v", err)
 	}
-	if got := rejectCount(k, "limit"); got != 1 {
-		t.Fatalf("pcc_rejects_total{reason=limit} = %d, want 1", got)
+	if err := k.InstallHandler(3, handler.Binary); !errors.Is(err, pcc.ErrResourceLimit) {
+		t.Fatalf("handler: want ErrResourceLimit, got %v", err)
+	}
+	if got := rejectCount(k, "limit"); got != 2 {
+		t.Fatalf("pcc_rejects_total{reason=limit} = %d, want 2", got)
 	}
 	k.SetLimits(pcc.DefaultLimits())
 	if err := k.InstallFilter("starved", bin); err != nil {

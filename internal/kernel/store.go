@@ -202,7 +202,6 @@ func (k *Kernel) Recover(ctx context.Context, s *store.Store) (*RecoveryReport, 
 	}
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Seq < ordered[j].Seq })
 
-	be := k.Backend()
 	for _, r := range ordered {
 		if cerr := ctx.Err(); cerr != nil {
 			span.End(cerr)
@@ -213,11 +212,11 @@ func (k *Kernel) Recover(ctx context.Context, s *store.Store) (*RecoveryReport, 
 		// any recovery_skip flight event all join on it.
 		reid := k.nextEvent(tel)
 		t0 := time.Now()
-		slot, va, verr := k.validateFilter(ctx, r.Owner, r.Binary, reid)
+		slot, va, verr := k.validate(ctx, "filter", r.Owner, r.Binary, reid, nil)
 		if verr != nil {
 			verr = &RecoveryError{Seq: r.Seq, Err: verr}
 		}
-		ierr := k.commitFilter(r.Owner, r.Binary, slot, va, verr, be, reid, false)
+		ierr := k.commitFilter(r.Owner, r.Binary, slot, va, verr, reid, false)
 		rep.RecordNanos = append(rep.RecordNanos, time.Since(t0).Nanoseconds())
 		if ierr != nil {
 			aud.recoverySkip(r.Seq, r.Owner, ierr, reid)

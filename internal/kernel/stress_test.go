@@ -24,7 +24,7 @@ L1:     RET
 `
 
 // TestKernelStressRace hammers one kernel from >= 8 goroutines mixing
-// every public entry point — installs (serial, batch, async),
+// every public entry point — installs (serial and batch),
 // uninstalls, packet dispatch, handler invocation, and all the
 // introspection calls — and must be clean under `go test -race`. It
 // is the pipeline's memory-safety gate: the RWMutex split plus atomic
@@ -93,16 +93,16 @@ func TestKernelStressRace(t *testing.T) {
 			}
 		}
 	}()
-	// 1 async installer.
+	// 1 install/uninstall cycler.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if err := <-k.ValidateAsync("async", bins[filters.Filter2]); err != nil {
-				fail("async install: %v", err)
+			if err := k.InstallFilter("cycled", bins[filters.Filter2]); err != nil {
+				fail("cycled install: %v", err)
 				return
 			}
-			k.UninstallFilter("async")
+			k.UninstallFilter("cycled")
 		}
 	}()
 	// 2 packet dispatchers.
@@ -171,7 +171,7 @@ func TestKernelStressRace(t *testing.T) {
 		t.Error(err)
 	}
 	st := k.Stats()
-	// serial pairs + batch trio + async + handler installs
+	// serial pairs + batch trio + install/uninstall cycle + handler installs
 	wantValidations := 2*2*iters + 3*iters + iters + iters
 	if st.Validations != wantValidations {
 		t.Errorf("validations = %d, want %d", st.Validations, wantValidations)
