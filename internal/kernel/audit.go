@@ -62,7 +62,7 @@ type validationAudit struct {
 	binSHA     string // hex SHA-256 of the binary bytes
 	binBytes   int
 	policyName string
-	policyDig  string // hex SHA-256 content digest of the policy
+	policyKey  *pcc.Keyer // the policy's keyer, which holds its digest
 	cacheHit   bool
 	stats      *pcc.ValidationStats // nil on cache hit or parse-level failure
 	started    time.Time
@@ -86,14 +86,15 @@ func (a *auditor) newValidationAudit(kind, owner string, binary []byte, eid uint
 	}
 }
 
-// setPolicy records which policy the verdict was reached under.
-func (va *validationAudit) setPolicy(pol *policy.Policy) {
-	if va == nil || pol == nil {
+// setPolicy records which policy the verdict was reached under. The
+// digest comes from the candidate's keyer, which computed it once when
+// the policy was published.
+func (va *validationAudit) setPolicy(c candidate) {
+	if va == nil {
 		return
 	}
-	dig := pol.Digest()
-	va.policyName = pol.Name
-	va.policyDig = hex.EncodeToString(dig[:])
+	va.policyName = c.pol.Name
+	va.policyKey = c.keyer
 }
 
 // setStats attaches the stage breakdown of a full (non-cached)
@@ -123,13 +124,18 @@ func (a *auditor) install(va *validationAudit, slot *cacheSlot, err error) {
 	if va.cacheHit {
 		cache = "hit"
 	}
+	var policyDigest string
+	if va.policyKey != nil {
+		d := va.policyKey.PolicyDigest()
+		policyDigest = hex.EncodeToString(d[:])
+	}
 	attrs := []any{
 		slog.String("event", "install"),
 		slog.Uint64("event_id", va.event),
 		slog.String("kind", va.kind),
 		slog.String("owner", va.owner),
 		slog.String("policy", va.policyName),
-		slog.String("policy_digest", va.policyDig),
+		slog.String("policy_digest", policyDigest),
 		slog.String("binary_sha256", va.binSHA),
 		slog.Int("binary_bytes", va.binBytes),
 		slog.String("cache", cache),
@@ -208,12 +214,20 @@ func (a *auditor) configChange(setting, oldVal, newVal string, eid uint64) {
 	)
 }
 
-// negotiate records a §4 policy-negotiation verdict.
-func (a *auditor) negotiate(pol *policy.Policy, eid uint64, err error) {
+// negotiate records a §4 policy-negotiation verdict. An accepted
+// proposal's digest comes from the keyer it is published with; a
+// refused one (ky nil) is never published, so only its record digests
+// it.
+func (a *auditor) negotiate(pol *policy.Policy, ky *pcc.Keyer, eid uint64, err error) {
 	if a == nil {
 		return
 	}
-	dig := pol.Digest()
+	var dig [sha256.Size]byte
+	if ky != nil {
+		dig = ky.PolicyDigest()
+	} else {
+		dig = pol.Digest()
+	}
 	attrs := []any{
 		slog.String("event", "negotiate"),
 		slog.Uint64("event_id", eid),

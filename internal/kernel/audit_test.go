@@ -205,7 +205,7 @@ func TestAuditDisabledZeroOverhead(t *testing.T) {
 		t.Fatal("disabled auditor produced a record")
 	}
 	// All hooks must tolerate nil receivers without panicking.
-	va.setPolicy(policy.PacketFilter())
+	va.setPolicy(k.candidates("filter", nil)[0])
 	va.setStats(nil)
 	va.setCacheHit()
 	a.install(va, nil, nil)

@@ -37,7 +37,8 @@
 // flight-recorded
 // (breaker_open / breaker_halfopen / breaker_close), and published on
 // the pcc_breaker_state gauge, all joined on the EventID of the
-// delivery that drove the transition.
+// delivery that drove the transition. An uninstalled filter, whether
+// by UninstallFilter or by a committed escalation, has no series.
 //
 // Cost model: the unconfigured kernel pays nothing. A configured but
 // untripped kernel pays one atomic load per delivery (brkArmed). Only
@@ -321,7 +322,7 @@ func (k *Kernel) escalateBreaker(owner string, trips int, eid uint64) {
 	detail := fmt.Sprintf("trips=%d: uninstalled", trips)
 	k.audit.Load().breaker("escalate", owner, trips, detail, eid)
 	k.flight(telemetry.FlightBreakerOpen, owner, detail, eid)
-	k.tel.Load().setBreakerState(owner, breakerOpen)
+	k.tel.Load().dropBreakerState(owner)
 	if qcfg := k.quarCfg.Load(); qcfg != nil {
 		k.strike(qcfg, owner, qcfg.Threshold, eid, "breaker escalation: ")
 	}

@@ -161,7 +161,8 @@ func TestBreakerReopensFromProbation(t *testing.T) {
 // owner embargoed under the quarantine config.
 func TestBreakerEscalates(t *testing.T) {
 	k := New()
-	k.SetRecorder(telemetry.New())
+	rec := telemetry.New()
+	k.SetRecorder(rec)
 	k.SetQuarantine(QuarantineConfig{Threshold: 3, Base: time.Minute})
 	k.SetBreaker(BreakerConfig{Threshold: 1, Base: 10 * time.Millisecond, MaxTrips: 2})
 	injectFaultyCompiled(t, k, "doomed", condFaultSrc)
@@ -188,6 +189,9 @@ func TestBreakerEscalates(t *testing.T) {
 	}
 	if st := k.Breakers()["doomed"]; st != breakerOpen {
 		t.Fatalf("escalated breaker state %d, want open (terminal)", st)
+	}
+	if g, ok := rec.Snapshot(false).LabeledGauges[MetricBreakerState]["doomed"]; ok {
+		t.Fatalf("pcc_breaker_state{filter=doomed} = %v after escalation, want no series", g)
 	}
 }
 
@@ -342,7 +346,7 @@ func TestBreakerReinstallForgets(t *testing.T) {
 // TestBreakerUninstallForgets: uninstalling an owner whose breaker is
 // open drops its supervision record, so dispatch stops consulting the
 // breaker (brkArmed back to 0), Breakers no longer lists the owner, and
-// its pcc_breaker_state gauge reads closed.
+// its pcc_breaker_state series is gone from the snapshot.
 func TestBreakerUninstallForgets(t *testing.T) {
 	k := New()
 	rec := telemetry.New()
@@ -370,8 +374,8 @@ func TestBreakerUninstallForgets(t *testing.T) {
 	if st, ok := k.Breakers()["flaky"]; ok {
 		t.Fatalf("uninstalled owner still supervised in state %d", st)
 	}
-	if g := rec.Snapshot(false).LabeledGauges[MetricBreakerState]["flaky"]; g != breakerClosed {
-		t.Fatalf("pcc_breaker_state{filter=flaky} = %v after uninstall, want 0", g)
+	if g, ok := rec.Snapshot(false).LabeledGauges[MetricBreakerState]["flaky"]; ok {
+		t.Fatalf("pcc_breaker_state{filter=flaky} = %v after uninstall, want no series", g)
 	}
 }
 

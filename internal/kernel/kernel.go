@@ -288,10 +288,11 @@ func (k *Kernel) NegotiateFilterPolicy(proposed *policy.Policy) error {
 	base := k.filterPolicy
 	k.mu.RUnlock()
 	if err := pcc.NegotiatePolicy(base, proposed); err != nil {
-		aud.negotiate(proposed, eid, err)
+		aud.negotiate(proposed, nil, eid, err)
 		span.End(err)
 		return err
 	}
+	ky := pcc.NewKeyer(proposed)
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if k.negotiated == nil {
@@ -299,16 +300,17 @@ func (k *Kernel) NegotiateFilterPolicy(proposed *policy.Policy) error {
 		k.negotiatedKeyers = map[string]*pcc.Keyer{}
 	}
 	k.negotiated[proposed.Name] = proposed
-	k.negotiatedKeyers[proposed.Name] = pcc.NewKeyer(proposed)
-	aud.negotiate(proposed, eid, nil)
+	k.negotiatedKeyers[proposed.Name] = ky
+	aud.negotiate(proposed, ky, eid, nil)
 	span.End(nil)
 	return nil
 }
 
 // UninstallFilter removes an owner's filter and forgets its breaker
-// record: a gone filter has no dispatch to supervise. The removed
-// filter and the superseded snapshot are retired, not freed: an
-// in-flight delivery that loaded the old snapshot finishes against it.
+// record and its pcc_breaker_state series: a gone filter has no
+// dispatch to supervise. The removed filter and the superseded
+// snapshot are retired, not freed: an in-flight delivery that loaded
+// the old snapshot finishes against it.
 // With a store attached the removal is journaled before it is
 // published, same write-ahead discipline as installs; a failed append
 // aborts the uninstall (the filter stays installed) so the disk never
@@ -317,6 +319,7 @@ func (k *Kernel) UninstallFilter(owner string) error {
 	err := k.uninstall(owner)
 	if err == nil {
 		k.breakerForget(owner)
+		k.tel.Load().dropBreakerState(owner)
 	}
 	return err
 }

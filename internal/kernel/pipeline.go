@@ -140,10 +140,12 @@ func (k *Kernel) installFilters(ctx context.Context, reqs []InstallRequest, shed
 }
 
 // candidate is one policy a binary may validate under, with the
-// binary's proof-cache key under it.
+// policy's keyer (which holds its digest) and the binary's proof-cache
+// key under it.
 type candidate struct {
-	pol *policy.Policy
-	key cacheKey
+	pol   *policy.Policy
+	keyer *pcc.Keyer
+	key   cacheKey
 }
 
 // candidates lists the policies a binary of the given kind validates
@@ -152,14 +154,15 @@ type candidate struct {
 // every negotiated policy.
 func (k *Kernel) candidates(kind string, binary []byte) []candidate {
 	if kind == "handler" {
-		return []candidate{{k.resourcePolicy, k.resourceKeyer.Key(binary)}}
+		return []candidate{{k.resourcePolicy, k.resourceKeyer, k.resourceKeyer.Key(binary)}}
 	}
 	k.mu.RLock()
 	defer k.mu.RUnlock()
 	cands := make([]candidate, 0, 1+len(k.negotiated))
-	cands = append(cands, candidate{k.filterPolicy, k.filterKeyer.Key(binary)})
+	cands = append(cands, candidate{k.filterPolicy, k.filterKeyer, k.filterKeyer.Key(binary)})
 	for name, p := range k.negotiated {
-		cands = append(cands, candidate{p, k.negotiatedKeyers[name].Key(binary)})
+		ky := k.negotiatedKeyers[name]
+		cands = append(cands, candidate{p, ky, ky.Key(binary)})
 	}
 	return cands
 }
@@ -194,14 +197,14 @@ func (k *Kernel) validate(ctx context.Context, kind, owner string, binary []byte
 		return nil, va, err
 	}
 	cands := k.candidates(kind, binary)
-	va.setPolicy(cands[0].pol)
+	va.setPolicy(cands[0])
 
 	probeStart := time.Now()
 	for _, c := range cands {
 		if slot := k.cache.lookup(c.key); slot != nil {
 			k.cache.recordHit()
 			va.setCacheHit()
-			va.setPolicy(c.pol)
+			va.setPolicy(c)
 			tel.probe(span, probeStart, true)
 			span.End(nil)
 			return slot, va, nil
@@ -223,7 +226,7 @@ func (k *Kernel) validate(ctx context.Context, kind, owner string, binary []byte
 		k.stats.validationNanos.Add(stats.Time.Nanoseconds())
 		tel.validationStages(span, owner, valStart, stats)
 		tel.certCost(stats, eid)
-		va.setPolicy(c.pol)
+		va.setPolicy(c)
 		va.setStats(stats)
 		// The WCET pass analyzes untrusted code inside a recover fence:
 		// a panic there rejects the one binary, never the kernel.

@@ -201,6 +201,15 @@ func (t *telem) setBreakerState(owner string, state int) {
 	t.rec.LabeledGauge(MetricBreakerState, "filter", owner).Set(int64(state))
 }
 
+// dropBreakerState removes an uninstalled filter's breaker-state
+// series: a gone filter has no state to publish.
+func (t *telem) dropBreakerState(owner string) {
+	if t == nil {
+		return
+	}
+	t.rec.DeleteLabeledGauge(MetricBreakerState, owner)
+}
+
 // setQuarantined publishes the embargoed-producer count gauge.
 func (t *telem) setQuarantined(n int) {
 	if t == nil {

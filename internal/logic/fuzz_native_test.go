@@ -8,15 +8,17 @@ import "testing"
 // so it must never panic, and anything it accepts must round-trip
 // through the printer.
 
+// predSeeds seeds FuzzParsePred and the normalizer's idempotence test.
+var predSeeds = []string{
+	"true", "rd(r0)", "r0 = 5", "ALL i. rd(r1 + i)",
+	"(64 <= r2 /\\ (ALL i. (i < r2 /\\ (i & 7) = 0) => rd(r1 + i)))",
+	"sel(rm, r0) <> 0 => wr(r0 + 8)",
+	"cmpult(r4, r2) <> 0", "a \\/ b", "((", "rd(", "ALL . x", "#!$",
+	"r0 <s -1 \\/ r0 <=s 0x10", "upd(rm, r0, 5) = rm",
+}
+
 func FuzzParsePred(f *testing.F) {
-	seeds := []string{
-		"true", "rd(r0)", "r0 = 5", "ALL i. rd(r1 + i)",
-		"(64 <= r2 /\\ (ALL i. (i < r2 /\\ (i & 7) = 0) => rd(r1 + i)))",
-		"sel(rm, r0) <> 0 => wr(r0 + 8)",
-		"cmpult(r4, r2) <> 0", "a \\/ b", "((", "rd(", "ALL . x", "#!$",
-		"r0 <s -1 \\/ r0 <=s 0x10", "upd(rm, r0, 5) = rm",
-	}
-	for _, s := range seeds {
+	for _, s := range predSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -32,8 +34,13 @@ func FuzzParsePred(f *testing.F) {
 		if !PredEqual(p, back) {
 			t.Fatalf("print/parse round trip changed predicate:\n in:  %s\n out: %s", p, back)
 		}
-		// Normalization must not panic on parsed predicates either.
-		_ = NormPred(p)
+		// Normalization must not panic on parsed predicates either,
+		// and must be idempotent: the VC generator returns normal
+		// subformulas as their own normal forms.
+		n := NormPred(p)
+		if nn := NormPred(n); !PredEqual(nn, n) {
+			t.Fatalf("NormPred not idempotent on %s:\n  once:  %s\n  twice: %s", p, n, nn)
+		}
 	})
 }
 

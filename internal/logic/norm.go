@@ -2,7 +2,8 @@ package logic
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // This file implements the trusted normalizer shared by the producer and
@@ -15,104 +16,113 @@ import (
 // play the role of the paper's built-in "two's-complement integer
 // arithmetic" extension of the predicate calculus.
 
-// NormExpr returns the canonical form of e.
+// NormExpr returns the canonical form of e. It is compositional:
+// a node's normal form is its local rule (normBin, normSel) applied to
+// its children's normal forms.
 func NormExpr(e Expr) Expr {
 	switch e := e.(type) {
 	case Const, Var:
 		return e
 	case Bin:
-		l := NormExpr(e.L)
-		r := NormExpr(e.R)
-		lc, lIsC := l.(Const)
-		rc, rIsC := r.(Const)
-		if lIsC && rIsC {
-			return Const{e.Op.Eval(lc.Val, rc.Val)}
-		}
-		// Canonical orientation for the commutative bit operations:
-		// constant operand on the right.
-		if lIsC && !rIsC && (e.Op == OpAnd || e.Op == OpOr || e.Op == OpXor) {
-			l, r = r, l
-			lc, rc = rc, lc
-			lIsC, rIsC = rIsC, lIsC
-		}
-		_ = lc
-		switch e.Op {
-		case OpAdd, OpSub:
-			return normSum(Bin{e.Op, l, r})
-		case OpAnd:
-			if rIsC && rc.Val == 0 {
-				return Const{0}
-			}
-			if rIsC && rc.Val == ^uint64(0) {
-				return l
-			}
-			// Combine nested constant masks: (x & c1) & c2 = x & (c1&c2).
-			if rIsC {
-				if lb, ok := l.(Bin); ok && lb.Op == OpAnd {
-					if ic, ok := lb.R.(Const); ok {
-						return NormExpr(Bin{OpAnd, lb.L, Const{ic.Val & rc.Val}})
-					}
-				}
-				// (x << c) & m = 0 when every set bit of m lies below
-				// bit c (the low c bits of a left shift are zero).
-				if lb, ok := l.(Bin); ok && lb.Op == OpShl {
-					if sc, ok := lb.R.(Const); ok && sc.Val&63 != 0 && rc.Val>>(sc.Val&63) == 0 {
-						return Const{0}
-					}
-				}
-			}
-			return Bin{OpAnd, l, r}
-		case OpOr, OpXor:
-			if rIsC && rc.Val == 0 {
-				return l
-			}
-			return Bin{e.Op, l, r}
-		case OpShl, OpShr:
-			if rIsC && rc.Val&63 == 0 {
-				return l
-			}
-			// Combine nested constant shifts in the same direction.
-			if rIsC {
-				if lb, ok := l.(Bin); ok && lb.Op == e.Op {
-					if ic, ok := lb.R.(Const); ok {
-						total := (ic.Val & 63) + (rc.Val & 63)
-						if total < 64 {
-							return Bin{e.Op, lb.L, Const{total}}
-						}
-						return Const{0}
-					}
-				}
-			}
-			return Bin{e.Op, l, r}
-		default:
-			return Bin{e.Op, l, r}
-		}
+		return normBin(e.Op, NormExpr(e.L), NormExpr(e.R))
 	case Sel:
-		mem := NormExpr(e.Mem)
-		addr := NormExpr(e.Addr)
-		// sel(upd(m, a, v), b): yields v when a and b are syntactically
-		// identical after normalization, and skips the update entirely
-		// when the two addresses provably differ (same base, different
-		// constant offset) — McCarthy's axioms, folded by the trusted
-		// normalizer.
-		for {
-			u, ok := mem.(Upd)
-			if !ok {
-				break
-			}
-			if ExprEqual(u.Addr, addr) {
-				return u.Val
-			}
-			if !definitelyDistinct(u.Addr, addr) {
-				break
-			}
-			mem = u.Mem
-		}
-		return Sel{mem, addr}
+		return normSel(NormExpr(e.Mem), NormExpr(e.Addr))
 	case Upd:
 		return Upd{NormExpr(e.Mem), NormExpr(e.Addr), NormExpr(e.Val)}
 	}
 	panic(fmt.Sprintf("logic: unknown expr %T", e))
+}
+
+// normBin returns the normal form of l op r for normal l and r.
+func normBin(op BinOp, l, r Expr) Expr {
+	lc, lIsC := l.(Const)
+	rc, rIsC := r.(Const)
+	if lIsC && rIsC {
+		return Const{op.Eval(lc.Val, rc.Val)}
+	}
+	// Canonical orientation for the commutative bit operations:
+	// constant operand on the right.
+	if lIsC && !rIsC && (op == OpAnd || op == OpOr || op == OpXor) {
+		l, r = r, l
+		lc, rc = rc, lc
+		lIsC, rIsC = rIsC, lIsC
+	}
+	_ = lc
+	switch op {
+	case OpAdd, OpSub:
+		return normSum(Bin{op, l, r})
+	case OpAnd:
+		if rIsC && rc.Val == 0 {
+			return Const{0}
+		}
+		if rIsC && rc.Val == ^uint64(0) {
+			return l
+		}
+		// Combine nested constant masks: (x & c1) & c2 = x & (c1&c2).
+		if rIsC {
+			if lb, ok := l.(Bin); ok && lb.Op == OpAnd {
+				if ic, ok := lb.R.(Const); ok {
+					return NormExpr(Bin{OpAnd, lb.L, Const{ic.Val & rc.Val}})
+				}
+			}
+			// (x << c) & m = 0 when every set bit of m lies below
+			// bit c (the low c bits of a left shift are zero).
+			if lb, ok := l.(Bin); ok && lb.Op == OpShl {
+				if sc, ok := lb.R.(Const); ok && sc.Val&63 != 0 && rc.Val>>(sc.Val&63) == 0 {
+					return Const{0}
+				}
+			}
+		}
+		return Bin{OpAnd, l, r}
+	case OpOr, OpXor:
+		if rIsC && rc.Val == 0 {
+			return l
+		}
+		return Bin{op, l, r}
+	case OpShl, OpShr:
+		if rIsC && rc.Val&63 == 0 {
+			return l
+		}
+		// Combine nested constant shifts in the same direction.
+		if rIsC {
+			if lb, ok := l.(Bin); ok && lb.Op == op {
+				if ic, ok := lb.R.(Const); ok {
+					total := (ic.Val & 63) + (rc.Val & 63)
+					if total < 64 {
+						return Bin{op, lb.L, Const{total}}
+					}
+					return Const{0}
+				}
+			}
+		}
+		return Bin{op, l, r}
+	default:
+		return Bin{op, l, r}
+	}
+}
+
+// normSel returns the normal form of sel(mem, addr) for normal mem and
+// addr.
+func normSel(mem, addr Expr) Expr {
+	// sel(upd(m, a, v), b): yields v when a and b are syntactically
+	// identical after normalization, and skips the update entirely
+	// when the two addresses provably differ (same base, different
+	// constant offset) — McCarthy's axioms, folded by the trusted
+	// normalizer.
+	for {
+		u, ok := mem.(Upd)
+		if !ok {
+			break
+		}
+		if ExprEqual(u.Addr, addr) {
+			return u.Val
+		}
+		if !definitelyDistinct(u.Addr, addr) {
+			break
+		}
+		mem = u.Mem
+	}
+	return Sel{mem, addr}
 }
 
 // normSum flattens an ⊕/⊖ tree into a sorted sum of non-constant terms
@@ -153,18 +163,33 @@ func normSum(e Expr) Expr {
 	// already a machine word in our representation).
 	terms = cancelTerms(terms)
 
-	// Deterministic order for the positive terms, negatives afterwards.
-	sort.SliceStable(terms, func(i, j int) bool {
-		ni, nj := isNeg(terms[i]), isNeg(terms[j])
-		if ni != nj {
-			return !ni
+	// Deterministic order for the positive terms, negatives afterwards,
+	// each term rendered once rather than at every comparison.
+	var buf [8]sumTerm
+	keyed := buf[:0]
+	if len(terms) > len(buf) {
+		keyed = make([]sumTerm, 0, len(terms))
+	}
+	for _, t := range terms {
+		k := sumTerm{t: t, neg: isNeg(t)}
+		if len(terms) > 1 {
+			k.key = t.String()
 		}
-		return terms[i].String() < terms[j].String()
+		keyed = append(keyed, k)
+	}
+	slices.SortStableFunc(keyed, func(a, b sumTerm) int {
+		if a.neg != b.neg {
+			if a.neg {
+				return 1
+			}
+			return -1
+		}
+		return strings.Compare(a.key, b.key)
 	})
 
 	var out Expr
-	for _, t := range terms {
-		n, neg := stripNeg(t)
+	for _, k := range keyed {
+		n, neg := stripNeg(k.t)
 		switch {
 		case out == nil && neg:
 			out = Bin{OpSub, Const{0}, n}
@@ -183,6 +208,14 @@ func normSum(e Expr) Expr {
 		out = Bin{OpAdd, out, Const{offset}}
 	}
 	return out
+}
+
+// sumTerm is one entry of normSum's sort: a term, its sign and its
+// rendering.
+type sumTerm struct {
+	t   Expr
+	neg bool
+	key string
 }
 
 // negTerm marks a negated opaque term inside normSum's worklist. It is
@@ -270,85 +303,250 @@ func NormPred(p Pred) Pred {
 	case TruePred, FalsePred:
 		return p
 	case Cmp:
-		l := NormExpr(p.L)
-		r := NormExpr(p.R)
-		if lc, ok := l.(Const); ok {
-			if rc, ok := r.(Const); ok {
-				if p.Op.Eval(lc.Val, rc.Val) {
-					return True
-				}
-				return False
-			}
-		}
-		// Canonical orientation for the symmetric atoms: constant on
-		// the right.
-		if p.Op == CmpEq || p.Op == CmpNe {
-			if _, ok := l.(Const); ok {
-				l, r = r, l
-			}
-		}
-		// x ≤u y with x = 0 is vacuously true.
-		if lc, ok := l.(Const); ok && lc.Val == 0 && p.Op == CmpUle {
-			return True
-		}
-		if ExprEqual(l, r) {
-			switch p.Op {
-			case CmpEq, CmpUle, CmpSle:
-				return True
-			case CmpNe, CmpUlt, CmpSlt:
-				return False
-			}
-		}
-		return Cmp{p.Op, l, r}
+		return normCmp(p.Op, NormExpr(p.L), NormExpr(p.R))
 	case Rd:
 		return Rd{NormExpr(p.Addr)}
 	case Wr:
 		return Wr{NormExpr(p.Addr)}
 	case And:
-		l := NormPred(p.L)
-		r := NormPred(p.R)
-		switch {
-		case PredEqual(l, True):
-			return r
-		case PredEqual(r, True):
-			return l
-		case PredEqual(l, False) || PredEqual(r, False):
-			return False
-		}
-		return And{l, r}
+		return NormAnd(NormPred(p.L), NormPred(p.R))
 	case Or:
-		l := NormPred(p.L)
-		r := NormPred(p.R)
-		switch {
-		case PredEqual(l, False):
-			return r
-		case PredEqual(r, False):
-			return l
-		case PredEqual(l, True) || PredEqual(r, True):
-			return True
-		}
-		return Or{l, r}
+		return normOr(NormPred(p.L), NormPred(p.R))
 	case Imp:
-		l := NormPred(p.L)
-		r := NormPred(p.R)
-		switch {
-		case PredEqual(l, True):
-			return r
-		case PredEqual(l, False):
-			return True
-		case PredEqual(r, True):
-			return True
-		}
-		return Imp{l, r}
+		return NormImp(NormPred(p.L), NormPred(p.R))
 	case Forall:
-		body := NormPred(p.Body)
-		if PredEqual(body, True) {
-			return True
-		}
-		if PredEqual(body, False) {
-			return False // machine words are a non-empty domain
-		}
-		return Forall{p.Var, body}
+		return NormAll(p.Var, NormPred(p.Body))
 	}
 	panic(fmt.Sprintf("logic: unknown pred %T", p))
+}
+
+// normCmp returns the normal form of the atom l op r for normal l and
+// r.
+func normCmp(op CmpOp, l, r Expr) Pred {
+	if lc, ok := l.(Const); ok {
+		if rc, ok := r.(Const); ok {
+			if op.Eval(lc.Val, rc.Val) {
+				return True
+			}
+			return False
+		}
+	}
+	// Canonical orientation for the symmetric atoms: constant on
+	// the right.
+	if op == CmpEq || op == CmpNe {
+		if _, ok := l.(Const); ok {
+			l, r = r, l
+		}
+	}
+	// x ≤u y with x = 0 is vacuously true.
+	if lc, ok := l.(Const); ok && lc.Val == 0 && op == CmpUle {
+		return True
+	}
+	if ExprEqual(l, r) {
+		switch op {
+		case CmpEq, CmpUle, CmpSle:
+			return True
+		case CmpNe, CmpUlt, CmpSlt:
+			return False
+		}
+	}
+	return Cmp{op, l, r}
+}
+
+// The local connective rules. Each takes normal operands and returns
+// the normal form of the connective over them, which is what NormPred
+// of the connective returns once its operands are normalized.
+
+// NormAnd returns the normal form of l ∧ r for normal l and r.
+func NormAnd(l, r Pred) Pred {
+	switch {
+	case isTrue(l):
+		return r
+	case isTrue(r):
+		return l
+	case isFalse(l) || isFalse(r):
+		return False
+	}
+	return And{l, r}
+}
+
+func normOr(l, r Pred) Pred {
+	switch {
+	case isFalse(l):
+		return r
+	case isFalse(r):
+		return l
+	case isTrue(l) || isTrue(r):
+		return True
+	}
+	return Or{l, r}
+}
+
+// NormImp returns the normal form of l ⇒ r for normal l and r.
+func NormImp(l, r Pred) Pred {
+	switch {
+	case isTrue(l):
+		return r
+	case isFalse(l):
+		return True
+	case isTrue(r):
+		return True
+	}
+	return Imp{l, r}
+}
+
+// NormAll returns the normal form of ∀v. body for a normal body.
+func NormAll(v string, body Pred) Pred {
+	switch {
+	case isTrue(body):
+		return True
+	case isFalse(body):
+		return False // machine words are a non-empty domain
+	}
+	return Forall{v, body}
+}
+
+func isTrue(p Pred) bool  { _, ok := p.(TruePred); return ok }
+func isFalse(p Pred) bool { _, ok := p.(FalsePred); return ok }
+
+// SubstNorm returns NormPred(Subst(p, v, repl)) for a normal p without
+// renormalizing what the substitution leaves alone. NormPred and
+// NormExpr are compositional (a node's normal form is its local rule
+// applied to its children's normal forms) and idempotent, so a
+// subterm in which v does not occur is its own normal form and is
+// returned as is (the same value, not a copy), an occurrence of v
+// becomes NormExpr(repl), and each node on a path to an occurrence is
+// rebuilt by its local rule over operands that are already normal. A
+// ∀ whose bound variable occurs in repl would be renamed by Subst, so
+// there SubstNorm falls back to NormPred(Subst(...)) for that
+// subformula.
+func SubstNorm(p Pred, v string, repl Expr) Pred {
+	s := substNormer{v: v, repl: repl}
+	q, _ := s.pred(p)
+	return q
+}
+
+// substNormer carries one SubstNorm: the variable, its replacement,
+// and the replacement's normal form once an occurrence needs it.
+type substNormer struct {
+	v          string
+	repl, norm Expr
+}
+
+// pred is SubstNorm on p that also reports whether anything changed.
+func (s *substNormer) pred(p Pred) (Pred, bool) {
+	switch q := p.(type) {
+	case TruePred, FalsePred:
+		return p, false
+	case Cmp:
+		l, cl := s.expr(q.L)
+		r, cr := s.expr(q.R)
+		if !cl && !cr {
+			return p, false
+		}
+		return normCmp(q.Op, l, r), true
+	case Rd:
+		a, c := s.expr(q.Addr)
+		if !c {
+			return p, false
+		}
+		return Rd{a}, true
+	case Wr:
+		a, c := s.expr(q.Addr)
+		if !c {
+			return p, false
+		}
+		return Wr{a}, true
+	case And:
+		l, cl := s.pred(q.L)
+		r, cr := s.pred(q.R)
+		if !cl && !cr {
+			return p, false
+		}
+		return NormAnd(l, r), true
+	case Or:
+		l, cl := s.pred(q.L)
+		r, cr := s.pred(q.R)
+		if !cl && !cr {
+			return p, false
+		}
+		return normOr(l, r), true
+	case Imp:
+		l, cl := s.pred(q.L)
+		r, cr := s.pred(q.R)
+		if !cl && !cr {
+			return p, false
+		}
+		return NormImp(l, r), true
+	case Forall:
+		if q.Var == s.v {
+			return p, false
+		}
+		if occurs(s.repl, q.Var) {
+			return NormPred(Subst(p, s.v, s.repl)), true
+		}
+		body, c := s.pred(q.Body)
+		if !c {
+			return p, false
+		}
+		return NormAll(q.Var, body), true
+	}
+	panic(fmt.Sprintf("logic: unknown pred %T", p))
+}
+
+// expr is NormExpr(SubstExpr(e, v, repl)) for a normal e, reporting
+// whether anything changed.
+func (s *substNormer) expr(e Expr) (Expr, bool) {
+	switch x := e.(type) {
+	case Const:
+		return e, false
+	case Var:
+		if x.Name != s.v {
+			return e, false
+		}
+		if s.norm == nil {
+			s.norm = NormExpr(s.repl)
+		}
+		return s.norm, true
+	case Bin:
+		l, cl := s.expr(x.L)
+		r, cr := s.expr(x.R)
+		if !cl && !cr {
+			return e, false
+		}
+		return normBin(x.Op, l, r), true
+	case Sel:
+		m, cm := s.expr(x.Mem)
+		a, ca := s.expr(x.Addr)
+		if !cm && !ca {
+			return e, false
+		}
+		return normSel(m, a), true
+	case Upd:
+		m, cm := s.expr(x.Mem)
+		a, ca := s.expr(x.Addr)
+		val, cv := s.expr(x.Val)
+		if !cm && !ca && !cv {
+			return e, false
+		}
+		return Upd{m, a, val}, true
+	}
+	panic(fmt.Sprintf("logic: unknown expr %T", e))
+}
+
+// occurs reports whether the variable named v occurs in e.
+func occurs(e Expr, v string) bool {
+	switch e := e.(type) {
+	case Const:
+		return false
+	case Var:
+		return e.Name == v
+	case Bin:
+		return occurs(e.L, v) || occurs(e.R, v)
+	case Sel:
+		return occurs(e.Mem, v) || occurs(e.Addr, v)
+	case Upd:
+		return occurs(e.Mem, v) || occurs(e.Addr, v) || occurs(e.Val, v)
+	}
+	panic(fmt.Sprintf("logic: unknown expr %T", e))
 }

@@ -280,17 +280,39 @@ const maxTermNodes = 1 << 22 // parser bomb guard
 // adversarial binaries.
 const maxTermDepth = 4096
 
+// maxPresize caps the term table a decode reserves up front: a hostile
+// multi-megabyte binary reserves no more than this before its first
+// malformed byte, and a larger honest proof grows the table as needed.
+const maxPresize = 1 << 14
+
+// presize returns the term-table capacity for term sections of n
+// bytes. An App/Lam/Pi entry takes a 1-byte tag and owns the child
+// slots under it; each leaf or back-reference in a slot takes at least
+// 2 bytes (tag and varint). A tree of i such nodes thus takes at least
+// 3i+2 bytes for at most 2i+1 entries, so, sort leaves aside (they
+// take 1 byte), a binary's table has at most 2n/3 entries and never
+// grows past its presize.
+func presize(n, maxNodes int) int {
+	return min(2*n/3+1, maxPresize, maxNodes)
+}
+
 // termReader mirrors termWriter: it assigns post-order indexes to the
 // terms it decodes and resolves back-references against them.
 type termReader struct {
 	r        *reader
 	syms     []string
-	table    []lf.Term
-	sizes    []int // tree size of each table entry, saturating
+	table    []tableEntry
 	budget   int
 	maxNodes int
 	maxDepth int
 	depth    int
+}
+
+// tableEntry is a decoded term with the number of nodes in its tree
+// expansion, saturating at math.MaxInt.
+type tableEntry struct {
+	t    lf.Term
+	size int
 }
 
 // read decodes one term and returns it with the number of nodes in
@@ -317,7 +339,8 @@ func (tr *termReader) read() (lf.Term, int, error) {
 		if idx >= uint64(len(tr.table)) {
 			return nil, 0, fmt.Errorf("pccbin: forward term reference %d", idx)
 		}
-		return tr.table[idx], tr.sizes[idx], nil
+		e := tr.table[idx]
+		return e.t, e.size, nil
 	}
 	var t lf.Term
 	size := 1
@@ -371,8 +394,7 @@ func (tr *termReader) read() (lf.Term, int, error) {
 	default:
 		return nil, 0, fmt.Errorf("pccbin: unknown term tag %d", tag)
 	}
-	tr.table = append(tr.table, t)
-	tr.sizes = append(tr.sizes, size)
+	tr.table = append(tr.table, tableEntry{t, size})
 	return t, size, nil
 }
 
@@ -550,6 +572,7 @@ func UnmarshalWithLimits(data []byte, lim Limits) (*Binary, error) {
 	}
 	tr := &termReader{
 		r: r, syms: b.Symbols,
+		table:    make([]tableEntry, 0, presize(len(data)-r.pos, lim.MaxTermNodes)),
 		budget:   lim.MaxTermNodes,
 		maxNodes: lim.MaxTermNodes,
 		maxDepth: lim.MaxTermDepth,

@@ -134,6 +134,22 @@ func (r *Recorder) LabeledGauge(family, labelKey, labelValue string) *Gauge {
 	return g
 }
 
+// DeleteLabeledGauge removes one (family, labelValue) series, so it
+// no longer appears in snapshots or the exposition page, e.g. when the
+// filter it described is uninstalled. A later LabeledGauge call for
+// the same pair registers a fresh gauge. It takes the registration
+// lock. A nil recorder or an unknown series is a no-op.
+func (r *Recorder) DeleteLabeledGauge(family, labelValue string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if lf := r.labeledGauges[family]; lf != nil {
+		delete(lf.vals, labelValue)
+	}
+}
+
 // labelEscaper implements the Prometheus text exposition escaping for
 // label values: backslash, double quote, and line feed.
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)

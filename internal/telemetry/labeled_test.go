@@ -84,6 +84,34 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
+// TestDeleteLabeledGauge: a deleted series leaves the snapshot and the
+// exposition page, its siblings stay, and a later lookup registers a
+// fresh gauge.
+func TestDeleteLabeledGauge(t *testing.T) {
+	r := New()
+	r.LabeledGauge("pcc_breaker_state", "filter", "a").Set(1)
+	r.LabeledGauge("pcc_breaker_state", "filter", "b").Set(2)
+	r.DeleteLabeledGauge("pcc_breaker_state", "a")
+	r.DeleteLabeledGauge("pcc_breaker_state", "missing")
+	r.DeleteLabeledGauge("no_such_family", "a")
+	snap := r.Snapshot(false).LabeledGauges["pcc_breaker_state"]
+	if _, ok := snap["a"]; ok || snap["b"] != 2 {
+		t.Fatalf("after deleting a: %v", snap)
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if page := buf.String(); strings.Contains(page, `filter="a"`) || !strings.Contains(page, `pcc_breaker_state{filter="b"} 2`) {
+		t.Fatalf("exposition after deleting a:\n%s", page)
+	}
+	if g := r.LabeledGauge("pcc_breaker_state", "filter", "a"); g.Value() != 0 {
+		t.Fatalf("re-registered gauge reads %d, want 0", g.Value())
+	}
+	var nr *Recorder
+	nr.DeleteLabeledGauge("f", "v")
+}
+
 // TestLabeledGaugeExposition: labeled gauge families (breaker state)
 // expose one sample per label value under a gauge TYPE header, land in
 // the JSON snapshot, survive hostile label values, and keep gauge

@@ -23,11 +23,25 @@ import (
 	"repro/internal/logic"
 )
 
+// regVars holds RegVar's result for every register; regNames the
+// names of the writable ones and rm, in the paper's order.
+var regVars, regNames = func() (vars [alpha.RegZero + 1]logic.Expr, names [alpha.NumRegs + 1]string) {
+	for r := range vars {
+		vars[r] = logic.V(fmt.Sprintf("r%d", r))
+	}
+	vars[alpha.RegZero] = logic.C(0)
+	for r := 0; r < alpha.NumRegs; r++ {
+		names[r] = fmt.Sprintf("r%d", r)
+	}
+	names[alpha.NumRegs] = "rm"
+	return vars, names
+}()
+
 // RegVar returns the logic variable naming register r; the zero
 // register is the constant 0.
 func RegVar(r alpha.Reg) logic.Expr {
-	if r == alpha.RegZero {
-		return logic.C(0)
+	if int(r) < len(regVars) {
+		return regVars[r]
 	}
 	return logic.V(fmt.Sprintf("r%d", r))
 }
@@ -38,11 +52,7 @@ var MemVar = logic.V("rm")
 // RegNames lists the quantified machine-state variables of a safety
 // predicate: r0..r10 and rm, in the paper's order.
 func RegNames() []string {
-	names := make([]string, 0, alpha.NumRegs+1)
-	for i := 0; i < alpha.NumRegs; i++ {
-		names = append(names, fmt.Sprintf("r%d", i))
-	}
-	return append(names, "rm")
+	return append([]string(nil), regNames[:]...)
 }
 
 // Obligation is one conjunct of the safety predicate: the verification
@@ -77,6 +87,13 @@ type Result struct {
 // target ↦ invariant). It fails if a backward branch targets a point
 // with no invariant, mirroring the paper's requirement that the PCC
 // binary carry an invariant for every loop.
+//
+// Every predicate Gen builds is in the normal form of logic.NormPred,
+// but Gen never renormalizes a whole tree: Pre, Post and each
+// invariant are normalized once, each vc[pc] is the successor's
+// (normal) VC under logic.SubstNorm, which keeps every subformula the
+// substitution leaves alone, and the connectives Gen adds go through
+// the local rules (logic.NormAnd, NormImp, NormAll).
 func Gen(prog []alpha.Instr, pre, post logic.Pred, invariants map[int]logic.Pred) (*Result, error) {
 	if err := alpha.Validate(prog); err != nil {
 		return nil, err
@@ -86,18 +103,26 @@ func Gen(prog []alpha.Instr, pre, post logic.Pred, invariants map[int]logic.Pred
 			return nil, fmt.Errorf("vcgen: invariant at pc %d outside program", pc)
 		}
 	}
+	post = logic.NormPred(post)
+	var normInv map[int]logic.Pred
+	if len(invariants) > 0 {
+		normInv = make(map[int]logic.Pred, len(invariants))
+		for pc, inv := range invariants {
+			normInv[pc] = logic.NormPred(inv)
+		}
+	}
 
 	// vc[pc] is the Figure 4 verification condition of instruction pc;
 	// vc[len(prog)] covers falling off the end (treated as RET).
 	vc := make([]logic.Pred, len(prog)+1)
-	vc[len(prog)] = logic.NormPred(post)
+	vc[len(prog)] = post
 
 	// refVC is the predicate a *predecessor* uses for control reaching
 	// pc: the invariant if pc is a cut point, the computed VC
 	// otherwise.
 	refVC := func(from, to int) (logic.Pred, error) {
-		if inv, ok := invariants[to]; ok {
-			return logic.NormPred(inv), nil
+		if inv, ok := normInv[to]; ok {
+			return inv, nil
 		}
 		if to <= from {
 			return nil, fmt.Errorf(
@@ -111,7 +136,7 @@ func Gen(prog []alpha.Instr, pre, post logic.Pred, invariants map[int]logic.Pred
 		if err != nil {
 			return nil, err
 		}
-		vc[pc] = logic.NormPred(p)
+		vc[pc] = p
 	}
 
 	res := &Result{VCs: vc}
@@ -128,22 +153,27 @@ func Gen(prog []alpha.Instr, pre, post logic.Pred, invariants map[int]logic.Pred
 	for _, pc := range cuts {
 		res.Obligations = append(res.Obligations, Obligation{
 			PC:     pc,
-			Assume: logic.NormPred(invariants[pc]),
+			Assume: normInv[pc],
 			VC:     vc[pc],
 		})
 	}
 
-	conjuncts := make([]logic.Pred, len(res.Obligations))
-	for i, ob := range res.Obligations {
-		conjuncts[i] = logic.Implies(ob.Assume, ob.VC)
+	// ∀r0…rm. ⋀(Assume ⇒ VC), right-nested as logic.Conj builds it.
+	obs := res.Obligations
+	sp := logic.NormImp(obs[len(obs)-1].Assume, obs[len(obs)-1].VC)
+	for i := len(obs) - 2; i >= 0; i-- {
+		sp = logic.NormAnd(logic.NormImp(obs[i].Assume, obs[i].VC), sp)
 	}
-	sp := logic.AllOf(RegNames(), logic.Conj(conjuncts...))
-	res.SP = logic.NormPred(sp)
+	for i := len(regNames) - 1; i >= 0; i-- {
+		sp = logic.NormAll(regNames[i], sp)
+	}
+	res.SP = sp
 	return res, nil
 }
 
 // instrVC implements the per-instruction rules of Figure 4 (extended to
-// the full subset).
+// the full subset). Its operands (the VCs in vc, refVC's results and
+// post) are normal, and so is its result.
 func instrVC(ins alpha.Instr, pc int, vc []logic.Pred,
 	refVC func(from, to int) (logic.Pred, error), post logic.Pred) (logic.Pred, error) {
 
@@ -152,7 +182,7 @@ func instrVC(ins alpha.Instr, pc int, vc []logic.Pred,
 		if r == alpha.RegZero {
 			return "", fmt.Errorf("vcgen: pc %d: write to r31", pc)
 		}
-		return fmt.Sprintf("r%d", r), nil
+		return regNames[r], nil
 	}
 
 	switch ins.Op {
@@ -162,17 +192,17 @@ func instrVC(ins alpha.Instr, pc int, vc []logic.Pred,
 		if err != nil {
 			return nil, err
 		}
-		return logic.And{
-			L: logic.RdP(addr),
-			R: logic.Subst(next, rd, logic.SelE(MemVar, addr)),
-		}, nil
+		return logic.NormAnd(
+			logic.NormPred(logic.RdP(addr)),
+			logic.SubstNorm(next, rd, logic.SelE(MemVar, addr)),
+		), nil
 
 	case alpha.STQ:
 		addr := logic.Add(RegVar(ins.Rb), logic.CI(int64(ins.Disp)))
-		return logic.And{
-			L: logic.WrP(addr),
-			R: logic.Subst(next, "rm", logic.UpdE(MemVar, addr, RegVar(ins.Ra))),
-		}, nil
+		return logic.NormAnd(
+			logic.NormPred(logic.WrP(addr)),
+			logic.SubstNorm(next, "rm", logic.UpdE(MemVar, addr, RegVar(ins.Ra))),
+		), nil
 
 	case alpha.LDA:
 		rd, err := regName(ins.Ra)
@@ -180,7 +210,7 @@ func instrVC(ins alpha.Instr, pc int, vc []logic.Pred,
 			return nil, err
 		}
 		val := logic.Add(RegVar(ins.Rb), logic.CI(int64(ins.Disp)))
-		return logic.Subst(next, rd, val), nil
+		return logic.SubstNorm(next, rd, val), nil
 
 	case alpha.ADDQ, alpha.SUBQ, alpha.MULQ, alpha.AND, alpha.BIS, alpha.XOR,
 		alpha.SLL, alpha.SRL, alpha.CMPEQ, alpha.CMPULT, alpha.CMPULE:
@@ -195,7 +225,7 @@ func instrVC(ins alpha.Instr, pc int, vc []logic.Pred,
 			opnd = RegVar(ins.Rb)
 		}
 		val := logic.Bin{Op: aluBinOp(ins.Op), L: RegVar(ins.Ra), R: opnd}
-		return logic.Subst(next, rd, val), nil
+		return logic.SubstNorm(next, rd, val), nil
 
 	case alpha.BEQ, alpha.BNE, alpha.BGE, alpha.BLT:
 		taken, notTaken := branchConds(ins)
@@ -203,16 +233,16 @@ func instrVC(ins alpha.Instr, pc int, vc []logic.Pred,
 		if err != nil {
 			return nil, err
 		}
-		return logic.And{
-			L: logic.Implies(taken, target),
-			R: logic.Implies(notTaken, next),
-		}, nil
+		return logic.NormAnd(
+			logic.NormImp(logic.NormPred(taken), target),
+			logic.NormImp(logic.NormPred(notTaken), next),
+		), nil
 
 	case alpha.BR:
 		return refVC(pc, ins.Target)
 
 	case alpha.RET:
-		return logic.NormPred(post), nil
+		return post, nil
 	}
 	return nil, fmt.Errorf("vcgen: pc %d: unsupported op %v", pc, ins.Op)
 }

@@ -456,6 +456,13 @@ func NewKeyer(pol *policy.Policy) *Keyer {
 	return ky
 }
 
+// PolicyDigest returns the policy's content digest (policy.Policy.Digest)
+// as the keyer computed it once, so per-install bookkeeping that names
+// the policy need not digest it again.
+func (ky *Keyer) PolicyDigest() [sha256.Size]byte {
+	return [sha256.Size]byte(ky.prefix[:sha256.Size])
+}
+
 // Key returns the memoization key for validating bin under the keyer's
 // policy.
 func (ky *Keyer) Key(bin []byte) [sha256.Size]byte {

@@ -68,15 +68,18 @@ echo '== fuzz corpora smoke (seed corpora replay)'
 go test -run=Fuzz ./...
 
 # Engage the native fuzzing engine briefly on the two untrusted-input
-# parsers and on the two differential targets (random LF terms through
+# parsers and on the three differential targets (random LF terms through
 # the sharing checker and the tree-rebuilding reference must agree;
-# random programs through interpreter and compiled backend must agree;
+# random program bytes through the sharing VC generator and the
+# whole-tree-normalizing reference must agree; random programs through
+# interpreter and compiled backend must agree;
 # one package per -fuzz invocation; -run='^$' skips the unit tests
 # already covered above).
 echo '== native fuzz smoke (5s per target)'
 go test -fuzz=FuzzDecodeBinary -fuzztime=5s -run='^$' ./internal/pccbin/
 go test -fuzz=FuzzLFParse -fuzztime=5s -run='^$' ./internal/lf/
 go test -fuzz=FuzzLFDifferential -fuzztime=5s -run='^$' ./internal/lf/
+go test -fuzz=FuzzVCGenDifferential -fuzztime=5s -run='^$' ./internal/vcgen/
 go test -fuzz=FuzzCompiledDispatch -fuzztime=5s -run='^$' ./internal/machine/
 
 echo '== telemetry smoke (pccmon -telemetry exposition contract)'

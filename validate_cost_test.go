@@ -7,6 +7,8 @@ package pcc
 // memo is keyed on policy content.
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -128,5 +130,36 @@ func TestSignatureMemoKeyedOnContent(t *testing.T) {
 	}
 	if signatureFor(policy.PacketFilter()) != consumerSignature() {
 		t.Fatal("a policy without extra axioms must use the base signature")
+	}
+}
+
+// TestCertifiedBinariesGolden pins the SHA-256 of the binaries
+// Certify emits for the four paper filters and the §2 resource-access
+// program. Producer and consumer share the VC generator and its
+// normalizer, so a change there that moves any normal form changes
+// these bytes and strands every journaled binary.
+func TestCertifiedBinariesGolden(t *testing.T) {
+	golden := map[filters.Filter]string{
+		filters.Filter1: "b6afdc0410f08724908ff06f5dce5dc10c5fb13b02879409f88411b889915eb6",
+		filters.Filter2: "54cca7a6bfb3822f142e6ea126333112fdeaea682c3bfc9d9c6180c994c1b2e5",
+		filters.Filter3: "26099451bc9d1e8228e680ab5fe9b6845b44b1219f0723c5725dce248f021666",
+		filters.Filter4: "017a89fc68ed06027312cc8ba10de0b38afd28cfadacae84ec2d7dad76b80486",
+	}
+	pol := policy.PacketFilter()
+	for _, f := range filters.All {
+		cert, err := Certify(filters.Source(f), pol, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(cert.Binary)); got != golden[f] {
+			t.Errorf("%v: binary SHA-256 %s, golden %s", f, got, golden[f])
+		}
+	}
+	cert, err := Certify(resourceSrc, ResourceAccessPolicy(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(cert.Binary)), "bf6acb84aca645fd6371e342e7cd71bca81811baf0ed1a25791e712aa87343fc"; got != want {
+		t.Errorf("resource access: binary SHA-256 %s, golden %s", got, want)
 	}
 }
