@@ -404,6 +404,9 @@ func (m *monitor) handleInstall(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *monitor) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	// An embargo lapses without an event; Quarantined republishes the
+	// pcc_quarantined_owners gauge from the live count.
+	m.k.Quarantined()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := m.rec.WritePrometheus(w); err != nil {
 		log.Printf("metrics: %v", err)

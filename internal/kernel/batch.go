@@ -305,9 +305,7 @@ dispatch:
 	if supervised {
 		// The whole call ran fault-free: one clean observation per
 		// filter (probation progress is per delivery, not per packet).
-		for si := range slots {
-			k.breakerClean(slots[si].owner, eid)
-		}
+		k.breakerClean(slots, eid)
 	}
 	span.End(nil)
 

@@ -60,6 +60,7 @@ var (
 // recorder.
 func TestBreakerDemotesReadmitsCloses(t *testing.T) {
 	k := New()
+	clk := useFakeClock(k)
 	rec := telemetry.New()
 	k.SetRecorder(rec)
 	k.SetBreaker(BreakerConfig{Threshold: 2, Base: 50 * time.Millisecond, Max: time.Second})
@@ -94,7 +95,7 @@ func TestBreakerDemotesReadmitsCloses(t *testing.T) {
 
 	// Past the backoff, the next delivery promotes to half-open — the
 	// compiled form is back, on probation.
-	time.Sleep(70 * time.Millisecond)
+	clk.advance(70 * time.Millisecond)
 	if _, err := k.DeliverPacket(cleanPkt); err != nil {
 		t.Fatal(err)
 	}
@@ -137,6 +138,7 @@ func TestBreakerDemotesReadmitsCloses(t *testing.T) {
 // with a doubled backoff rather than closing.
 func TestBreakerReopensFromProbation(t *testing.T) {
 	k := New()
+	clk := useFakeClock(k)
 	k.SetBreaker(BreakerConfig{Threshold: 1, Base: 30 * time.Millisecond, Max: time.Second})
 	injectFaultyCompiled(t, k, "flaky", condFaultSrc)
 
@@ -146,7 +148,7 @@ func TestBreakerReopensFromProbation(t *testing.T) {
 	if st := k.Breakers()["flaky"]; st != breakerOpen {
 		t.Fatalf("state %d, want open", st)
 	}
-	time.Sleep(50 * time.Millisecond)
+	clk.advance(50 * time.Millisecond)
 	// Probation delivery faults: straight back to open, trips now 2.
 	if _, err := k.DeliverPacket(faultPkt); err == nil {
 		t.Fatal("faulting probe returned no error")
@@ -161,6 +163,7 @@ func TestBreakerReopensFromProbation(t *testing.T) {
 // owner embargoed under the quarantine config.
 func TestBreakerEscalates(t *testing.T) {
 	k := New()
+	clk := useFakeClock(k)
 	rec := telemetry.New()
 	k.SetRecorder(rec)
 	k.SetQuarantine(QuarantineConfig{Threshold: 3, Base: time.Minute})
@@ -172,7 +175,7 @@ func TestBreakerEscalates(t *testing.T) {
 	if _, err := k.DeliverPacket(faultPkt); err == nil {
 		t.Fatal("faulting delivery returned no error")
 	}
-	time.Sleep(25 * time.Millisecond)
+	clk.advance(25 * time.Millisecond)
 	if _, err := k.DeliverPacket(faultPkt); err == nil {
 		t.Fatal("faulting probe returned no error")
 	}
@@ -203,6 +206,7 @@ func TestBreakerEscalates(t *testing.T) {
 // the next probation fault re-escalates to a real uninstall.
 func TestBreakerEscalateStoreFailureHoldsOpen(t *testing.T) {
 	k := New()
+	clk := useFakeClock(k)
 	wal, err := store.Open(t.TempDir(), store.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +222,7 @@ func TestBreakerEscalateStoreFailureHoldsOpen(t *testing.T) {
 	if _, err := k.DeliverPacket(faultPkt); err == nil {
 		t.Fatal("faulting delivery returned no error")
 	}
-	time.Sleep(25 * time.Millisecond)
+	clk.advance(25 * time.Millisecond)
 	if _, err := k.DeliverPacket(faultPkt); err == nil {
 		t.Fatal("faulting probe returned no error")
 	}
@@ -242,7 +246,7 @@ func TestBreakerEscalateStoreFailureHoldsOpen(t *testing.T) {
 	// The store trouble clears (here: detached); the next probation
 	// fault re-escalates, and this time the uninstall commits.
 	k.SetStore(nil)
-	time.Sleep(25 * time.Millisecond)
+	clk.advance(25 * time.Millisecond)
 	if _, err := k.DeliverPacket(faultPkt); err == nil {
 		t.Fatal("faulting probe returned no error")
 	}
@@ -295,6 +299,7 @@ func TestBreakerClosedFaultsAccumulate(t *testing.T) {
 // probation progress.
 func TestBreakerBatchPath(t *testing.T) {
 	k := New()
+	clk := useFakeClock(k)
 	k.SetBreaker(BreakerConfig{Threshold: 1, Base: 20 * time.Millisecond, Max: time.Second})
 	injectFaultyCompiled(t, k, "flaky", condFaultSrc)
 
@@ -304,7 +309,7 @@ func TestBreakerBatchPath(t *testing.T) {
 	if st := k.Breakers()["flaky"]; st != breakerOpen {
 		t.Fatalf("state %d after batch fault, want open", st)
 	}
-	time.Sleep(35 * time.Millisecond)
+	clk.advance(35 * time.Millisecond)
 	// One clean batch = one clean observation = Threshold, closing it.
 	if _, err := k.DeliverPackets([][]byte{cleanPkt.Data, cleanPkt.Data}); err != nil {
 		t.Fatal(err)
@@ -349,6 +354,7 @@ func TestBreakerReinstallForgets(t *testing.T) {
 // its pcc_breaker_state series is gone from the snapshot.
 func TestBreakerUninstallForgets(t *testing.T) {
 	k := New()
+	clk := useFakeClock(k)
 	rec := telemetry.New()
 	k.SetRecorder(rec)
 	k.SetBreaker(BreakerConfig{Threshold: 1, Base: time.Millisecond, Max: time.Millisecond})
@@ -362,7 +368,7 @@ func TestBreakerUninstallForgets(t *testing.T) {
 	if err := k.UninstallFilter("flaky"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond) // past the backoff
+	clk.advance(5 * time.Millisecond) // past the backoff
 	for i := 0; i < 50; i++ {
 		if _, err := k.DeliverPacket(cleanPkt); err != nil {
 			t.Fatal(err)

@@ -87,6 +87,7 @@ func TestDispatchBreakerCreditPerCleanDelivery(t *testing.T) {
 	for _, ep := range entryPoints {
 		t.Run(ep.name, func(t *testing.T) {
 			k := New()
+			clk := useFakeClock(k)
 			k.SetBreaker(BreakerConfig{Threshold: 1, Base: time.Millisecond, Max: time.Minute})
 			injectFaultyCompiled(t, k, "a", condFaultSrc)
 			injectFaultyCompiled(t, k, "z", zFaultSrc)
@@ -96,7 +97,7 @@ func TestDispatchBreakerCreditPerCleanDelivery(t *testing.T) {
 			if st := k.Breakers()["a"]; st != breakerOpen {
 				t.Fatalf("breaker a state %d after a fault, want open", st)
 			}
-			time.Sleep(20 * time.Millisecond)
+			clk.advance(20 * time.Millisecond)
 			// This delivery re-admits "a" on probation; "a" runs clean,
 			// then "z" faults: no credit, "a" stays half-open.
 			if _, err := ep.deliver(k, [][]byte{zFault}); err == nil {

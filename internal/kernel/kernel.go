@@ -174,28 +174,27 @@ type Kernel struct {
 	// carries its own compiled form or not.
 	backend atomic.Int32
 	// Adversarial-hardening configuration (robust.go): validation
-	// resource budgets, admission gate, and producer quarantine. All
-	// nil/disabled by default.
-	limits  atomic.Pointer[pcc.Limits]
-	admit   atomic.Pointer[admitGate]
-	quarCfg atomic.Pointer[QuarantineConfig]
-	quarMu  sync.Mutex
-	quar    map[string]*quarState
+	// resource budgets and admission gate. Both nil by default.
+	limits atomic.Pointer[pcc.Limits]
+	admit  atomic.Pointer[admitGate]
 	// wal is the optional durability store (store.go in this package;
 	// the on-disk format lives in internal/store). When attached,
 	// install/uninstall/retrofit commits journal through it before they
 	// publish — an acked install is on disk. nil (the default) keeps the
 	// kernel purely in-memory.
 	wal atomic.Pointer[store.Store]
-	// brk is the optional dispatch circuit-breaker supervisor
-	// (breaker.go): per-filter fault accounting that demotes a
-	// repeatedly faulting compiled filter to the interpreter and
-	// re-admits it only after backoff. brkArmed is the hot-path gate:
-	// dispatch consults the breaker only while it is nonzero.
-	brkCfg   atomic.Pointer[BreakerConfig]
-	brkMu    sync.Mutex
-	brk      map[string]*breakerState
+	// Per-owner supervision (supervise.go): the circuit breaker's and
+	// quarantine's configs (nil: disabled, the default) and one record
+	// per owner, all guarded by supMu. brkArmed counts armed breakers;
+	// it is dispatch's lock-free gate, which consults the breaker only
+	// while it is nonzero. now is the clock every supervision decision
+	// reads: time.Now, unless a test injects its own.
+	supMu    sync.Mutex
+	sup      map[string]*supRecord
+	brkCfg   *BreakerConfig
+	quarCfg  *QuarantineConfig
 	brkArmed atomic.Int64
+	now      func() time.Time
 	// statePool recycles packet-delivery machine states so dispatch
 	// does not allocate a fresh memory image per packet per filter.
 	statePool sync.Pool
@@ -217,6 +216,8 @@ func NewWithCacheSize(size int) *Kernel {
 		tables:         map[int]*machine.Region{},
 		cache:          newProofCache(size),
 		epochs:         newEpochs(),
+		sup:            map[string]*supRecord{},
+		now:            time.Now,
 	}
 	k.table.Store(newFilterTable())
 	n := numShards()
@@ -307,10 +308,11 @@ func (k *Kernel) NegotiateFilterPolicy(proposed *policy.Policy) error {
 }
 
 // UninstallFilter removes an owner's filter and forgets its breaker
-// record and its pcc_breaker_state series: a gone filter has no
-// dispatch to supervise. The removed filter and the superseded
-// snapshot are retired, not freed: an in-flight delivery that loaded
-// the old snapshot finishes against it.
+// state and its pcc_breaker_state series: a gone filter has no
+// dispatch to supervise. The owner's quarantine strikes stay. The
+// removed filter and the superseded snapshot are retired, not freed:
+// an in-flight delivery that loaded the old snapshot finishes against
+// it.
 // With a store attached the removal is journaled before it is
 // published, same write-ahead discipline as installs; a failed append
 // aborts the uninstall (the filter stays installed) so the disk never
@@ -318,7 +320,7 @@ func (k *Kernel) NegotiateFilterPolicy(proposed *policy.Policy) error {
 func (k *Kernel) UninstallFilter(owner string) error {
 	err := k.uninstall(owner)
 	if err == nil {
-		k.breakerForget(owner)
+		k.forgetBreaker(owner)
 		k.tel.Load().dropBreakerState(owner)
 	}
 	return err

@@ -140,8 +140,8 @@ func (k *Kernel) installFilters(ctx context.Context, reqs []InstallRequest, shed
 }
 
 // candidate is one policy a binary may validate under, with the
-// policy's keyer (which holds its digest) and the binary's proof-cache
-// key under it.
+// policy's keyer (which holds its digest and signature, and validates
+// under it) and the binary's proof-cache key under it.
 type candidate struct {
 	pol   *policy.Policy
 	keyer *pcc.Keyer
@@ -216,7 +216,7 @@ func (k *Kernel) validate(ctx context.Context, kind, owner string, binary []byte
 	err = fmt.Errorf("kernel: no policy matches")
 	for i, c := range cands {
 		valStart := time.Now()
-		ext, stats, verr := pcc.ValidateCtx(ctx, binary, c.pol, k.limits.Load())
+		ext, stats, verr := c.keyer.ValidateCtx(ctx, binary, k.limits.Load())
 		if verr != nil {
 			if i == 0 {
 				err = verr // the first candidate's verdict leads
@@ -273,10 +273,9 @@ func (k *Kernel) commitFilter(owner string, binary []byte, slot *cacheSlot, va *
 	if err != nil {
 		k.noteRejection(owner, installRejectReason(err), eid)
 	} else {
-		k.noteSuccess(owner)
 		// A fresh install is a fresh binary: its breaker history, if
-		// any, belongs to the replaced filter.
-		k.breakerForget(owner)
+		// any, belongs to the replaced filter, and its strikes end.
+		k.forgetOwner(owner)
 	}
 	return k.settle(va, slot, err)
 }

@@ -102,6 +102,7 @@ func TestAdmissionShedding(t *testing.T) {
 func TestQuarantineLifecycle(t *testing.T) {
 	bin := goodBinary(t)
 	k := New()
+	clk := useFakeClock(k)
 	k.SetRecorder(telemetry.New())
 	k.SetQuarantine(QuarantineConfig{Threshold: 2, Base: 30 * time.Millisecond, Max: 200 * time.Millisecond})
 
@@ -135,15 +136,15 @@ func TestQuarantineLifecycle(t *testing.T) {
 		t.Fatalf("unrelated owner embargoed: %v", err)
 	}
 	// The embargo lifts on its own; then a success clears the record.
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := clk.now().Add(5 * time.Second)
 	for {
 		if err = k.InstallFilter("mal", bin); err == nil {
 			break
 		}
-		if time.Now().After(deadline) {
+		if clk.now().After(deadline) {
 			t.Fatalf("embargo never lifted: %v", err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		clk.advance(5 * time.Millisecond)
 	}
 	if q := k.Quarantined(); len(q) != 0 {
 		t.Fatalf("successful install left quarantine records: %v", q)
@@ -153,7 +154,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 	}
 	// Disabling quarantine clears state.
 	k.SetQuarantine(QuarantineConfig{})
-	if k.quarCfg.Load() != nil {
+	if k.quarCfg != nil {
 		t.Fatal("SetQuarantine(zero) left a config")
 	}
 }

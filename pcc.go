@@ -263,6 +263,12 @@ func asLimitErr(err error) error {
 // recover fence, so a panic provoked by hostile bytes surfaces as a
 // *PanicError rejection rather than a crash.
 func ValidateCtx(ctx context.Context, binary []byte, pol *policy.Policy, lim *Limits) (*Extension, *ValidationStats, error) {
+	return validate(ctx, binary, pol, nil, lim)
+}
+
+// validate is the one body of ValidateCtx and Keyer.ValidateCtx. sig
+// is the policy's published signature, or nil to look it up.
+func validate(ctx context.Context, binary []byte, pol *policy.Policy, sig *lf.Signature, lim *Limits) (*Extension, *ValidationStats, error) {
 	limits := DefaultLimits()
 	if lim != nil {
 		limits = *lim
@@ -283,7 +289,6 @@ func ValidateCtx(ctx context.Context, binary []byte, pol *policy.Policy, lim *Li
 	// and rule-set checks, native code and invariant decoding.
 	var (
 		bin        *pccbin.Binary
-		sig        *lf.Signature
 		prog       []alpha.Instr
 		invariants map[int]logic.Pred
 	)
@@ -317,7 +322,9 @@ func ValidateCtx(ctx context.Context, binary []byte, pol *policy.Policy, lim *Li
 		stats.ProofNodes = min(bin.ProofNodes, nodeCap)
 
 		mark := time.Now()
-		sig = signatureFor(pol)
+		if sig == nil {
+			sig = signatureFor(pol)
+		}
 		if got, want := bin.SigHash, sig.Fingerprint(); got != want {
 			return fmt.Errorf(
 				"pcc: binary built against rule set %#x, consumer publishes %#x", got, want)
@@ -439,18 +446,22 @@ func ValidationKey(bin []byte, pol *policy.Policy) [sha256.Size]byte {
 
 // Keyer computes ValidationKey with the policy-side digests
 // precomputed, so the per-binary cost is one SHA-256 over the binary
-// bytes. A consumer builds one Keyer per published policy (the digests
+// bytes, and validates under its policy with the signature it resolved
+// once. A consumer builds one Keyer per published policy (the digests
 // summarize the policy's semantic content; they are fixed once the
 // policy is published).
 type Keyer struct {
 	prefix [2 * sha256.Size]byte
+	pol    *policy.Policy
+	sig    *lf.Signature
 }
 
-// NewKeyer digests the policy and its published rule set once.
+// NewKeyer resolves the policy's published rule set and digests both
+// once.
 func NewKeyer(pol *policy.Policy) *Keyer {
-	ky := &Keyer{}
+	ky := &Keyer{pol: pol, sig: signatureFor(pol)}
 	pd := pol.Digest()
-	sd := signatureFor(pol).Digest()
+	sd := ky.sig.Digest()
 	copy(ky.prefix[:sha256.Size], pd[:])
 	copy(ky.prefix[sha256.Size:], sd[:])
 	return ky
@@ -461,6 +472,13 @@ func NewKeyer(pol *policy.Policy) *Keyer {
 // the policy need not digest it again.
 func (ky *Keyer) PolicyDigest() [sha256.Size]byte {
 	return [sha256.Size]byte(ky.prefix[:sha256.Size])
+}
+
+// ValidateCtx is ValidateCtx under the keyer's policy. It skips the
+// per-validation signature lookup, which for a policy with axiom
+// schemas digests the whole policy.
+func (ky *Keyer) ValidateCtx(ctx context.Context, binary []byte, lim *Limits) (*Extension, *ValidationStats, error) {
+	return validate(ctx, binary, ky.pol, ky.sig, lim)
 }
 
 // Key returns the memoization key for validating bin under the keyer's

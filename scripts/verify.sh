@@ -52,6 +52,13 @@ go test -race ./...
 echo '== go test -race -cpu=1,4 ./internal/kernel/'
 go test -race -cpu=1,4 ./internal/kernel/
 
+# Per-owner supervision (breaker and quarantine) fifty times over under
+# the race detector: its tests read an injected clock and never sleep,
+# so the rounds are cheap, and they give a transition racing a config
+# swap (TestSupervisionDisableRace) room to show.
+echo '== go test -race -count=50 supervision'
+go test -race -count=50 -run 'Breaker|Quarantine|Supervis' ./internal/kernel/
+
 # One iteration of each observed-dispatch posture (bare, compiled+prof,
 # served; 1 and 2 goroutines) so the benchmark keeps compiling and
 # running; the figures are not gated here.

@@ -7,6 +7,7 @@ package pcc
 // memo is keyed on policy content.
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"runtime"
@@ -161,5 +162,27 @@ func TestCertifiedBinariesGolden(t *testing.T) {
 	}
 	if got, want := fmt.Sprintf("%x", sha256.Sum256(cert.Binary)), "bf6acb84aca645fd6371e342e7cd71bca81811baf0ed1a25791e712aa87343fc"; got != want {
 		t.Errorf("resource access: binary SHA-256 %s, golden %s", got, want)
+	}
+}
+
+// TestKeyerValidateAllocs: validating through a Keyer reuses the
+// signature the keyer resolved, so a policy with axiom schemas pays no
+// per-validation policy digest. On borPolicy the keyer path makes
+// ~1,355 allocations and ValidateCtx, which looks the signature up by
+// the policy's digest, ~1,440; the bound sits between them.
+func TestKeyerValidateAllocs(t *testing.T) {
+	pol := borPolicy()
+	cert, err := Certify(orOffsetSrc, pol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ky := NewKeyer(pol)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := ky.ValidateCtx(context.Background(), cert.Binary, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1400 {
+		t.Fatalf("Keyer.ValidateCtx(borPolicy) made %.0f allocations, bound 1400", allocs)
 	}
 }
