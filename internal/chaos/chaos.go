@@ -32,8 +32,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	pcc "repro"
+	"repro/internal/alpha"
 	"repro/internal/filters"
 	"repro/internal/lf"
 	"repro/internal/logic"
@@ -78,7 +80,7 @@ type Mutator struct {
 
 // Mutators returns the full mutator set: random corruption (bitflip,
 // truncate, swap), proof surgery (graft), and resource bombs
-// (depthbomb, dagbomb).
+// (depthbomb, dagbomb, ctxbomb, mismatchbomb, vcbomb).
 func Mutators() []Mutator {
 	return []Mutator{
 		{"bitflip", bitflip},
@@ -88,6 +90,8 @@ func Mutators() []Mutator {
 		{"depthbomb", depthBomb},
 		{"dagbomb", dagBomb},
 		{"ctxbomb", ctxBomb},
+		{"mismatchbomb", mismatchBomb},
+		{"vcbomb", vcBomb},
 	}
 }
 
@@ -241,6 +245,23 @@ func depthBomb(rng *rand.Rand, base Base) []byte {
 // (The checker's memo charges the expanded tree too, but gets to the
 // fuel limit in microseconds; ctxBomb is the class it cannot shorten.)
 func dagBomb(rng *rand.Rand, base Base) []byte {
+	return conjunctionTower(rng, base, 40+rng.Intn(25))
+}
+
+// mismatchBomb is the conjunction tower short enough for the default
+// step fuel: Q₆ … Q₁₇ take up to 8.9M of its 16.8M steps, the memo
+// makes them cheap, and the checker gets to the type mismatch, whose
+// inferred operand is a tree of up to 2¹⁷ leaves. Rendering it in full
+// for the error cost a gigabyte of allocation at Q₁₇; the rendering
+// must stop at its cap instead. Under a lowered step fuel, as in the
+// chaos tests, the taller towers die on fuel.
+func mismatchBomb(rng *rand.Rand, base Base) []byte {
+	return conjunctionTower(rng, base, 6+rng.Intn(12))
+}
+
+// conjunctionTower builds the binary of dagBomb and mismatchBomb,
+// whose proof is Q_levels.
+func conjunctionTower(rng *rand.Rand, base Base, levels int) []byte {
 	bin, err := pccbin.Unmarshal(base.Binary)
 	if err != nil {
 		return bitflip(rng, base)
@@ -258,7 +279,6 @@ func dagBomb(rng *rand.Rand, base Base) []byte {
 	app := func(f, x *bombNode) *bombNode { return &bombNode{tag: tagApp, a: f, b: x, idx: -1} }
 	and, andi := konst(0), konst(1)
 	p, q := konst(2), konst(3) // P₀ = tt, Q₀ = truei
-	levels := 40 + rng.Intn(25)
 	for i := 0; i < levels; i++ {
 		p, q = app(app(and, p), p), app(app(app(app(andi, p), p), q), q)
 	}
@@ -313,6 +333,32 @@ func ctxBomb(rng *rand.Rand, base Base) []byte {
 	w := &bombWriter{buf: out}
 	w.emit(q)
 	return w.buf
+}
+
+// vcBomb replaces the base's code with 40–64 instructions that each
+// double the verification condition — MULQ r1, r1, r1 squares r1, and
+// ADDQ r1, r1, r1 doubles a sum the normalizer re-flattens at every
+// node — followed by a load through r1. The proof does not matter: VC
+// generation runs before the LF check, and without a bound on its
+// work the consumer builds a tree of up to 2⁶⁴ nodes before any size check
+// can see it. The generator's fuel must stop it on the vc_nodes axis.
+func vcBomb(rng *rand.Rand, base Base) []byte {
+	bin, err := pccbin.Unmarshal(base.Binary)
+	if err != nil {
+		return bitflip(rng, base)
+	}
+	op := []string{"MULQ", "ADDQ"}[rng.Intn(2)]
+	src := strings.Repeat(op+" r1, r1, r1\n", 40+rng.Intn(25)) + "LDQ r0, 0(r1)\nRET\n"
+	code, err := alpha.Encode(alpha.MustAssemble(src).Prog)
+	if err != nil {
+		return bitflip(rng, base)
+	}
+	bin.Code, bin.Invariants = code, nil
+	out, _, err := bin.Marshal()
+	if err != nil {
+		return bitflip(rng, base)
+	}
+	return out
 }
 
 // bombNode is a node of a hand-built proof DAG; emit serializes it in
@@ -414,7 +460,7 @@ func (r Report) String() string {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		s += fmt.Sprintf("  mutator %-10s %6d trials\n", n, r.ByMutator[n])
+		s += fmt.Sprintf("  mutator %-12s %6d trials\n", n, r.ByMutator[n])
 	}
 	names = names[:0]
 	for n := range r.Rejects {
@@ -422,7 +468,7 @@ func (r Report) String() string {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		s += fmt.Sprintf("  reject  %-10s %6d\n", n, r.Rejects[n])
+		s += fmt.Sprintf("  reject  %-12s %6d\n", n, r.Rejects[n])
 	}
 	for _, v := range r.Violations {
 		s += fmt.Sprintf("  VIOLATION trial %d (%s/%s): %s\n", v.Trial, v.Base, v.Mutator, v.Detail)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -115,7 +116,9 @@ func TestChaosDeterministic(t *testing.T) {
 // specifically as a term_depth budget violation (proving the bytes
 // really nest), and the dag bomb must decode cleanly (proving it is a
 // well-formed DAG) yet die in the checker on step fuel (proving the
-// sharing expands).
+// sharing expands). Under the default limits, the mismatch bomb must
+// die as a type mismatch with a short error, and the VC bomb on the
+// vc_nodes axis.
 func TestBombEncoding(t *testing.T) {
 	bases, err := sharedBases()
 	if err != nil {
@@ -144,6 +147,24 @@ func TestBombEncoding(t *testing.T) {
 	// byte-size budgets cannot catch it.
 	if len(dag) > 4096 {
 		t.Fatalf("dag bomb unexpectedly large: %d bytes", len(dag))
+	}
+
+	// The tallest mismatch bomb fits under the default step fuel, so
+	// the checker reaches the mismatch and renders it within its cap.
+	mismatch := conjunctionTower(rng, base, 17)
+	_, _, err = pcc.ValidateCtx(context.Background(), mismatch, base.Policy, nil)
+	if pcc.RejectReason(err) != "proof" || !strings.Contains(err.Error(), "type mismatch") {
+		t.Fatalf("mismatch bomb not rejected as a type mismatch: %.300v", err)
+	}
+	if n := len(err.Error()); n >= 4096 {
+		t.Fatalf("mismatch bomb's error is %d bytes", n)
+	}
+
+	for i := 0; i < 4; i++ {
+		_, _, err = pcc.ValidateCtx(context.Background(), vcBomb(rng, base), base.Policy, nil)
+		if !errors.As(err, &rle) || rle.Axis != "vc_nodes" {
+			t.Fatalf("vc bomb not rejected on vc_nodes: %v", err)
+		}
 	}
 }
 

@@ -57,19 +57,24 @@ func typeErr(format string, args ...interface{}) error {
 	return &TypeError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// subtermRenderLimit bounds the rendered failing subterm: enough to
-// locate the failure, short enough for one log record.
-const subtermRenderLimit = 256
+// renderLimit bounds each term and predicate a TypeError renders:
+// enough to locate the failure, short enough for one log record.
+const renderLimit = 256
 
 // typeErrAt is typeErr carrying the failing subterm. Errors propagate
 // outward unchanged through the recursion, so the recorded subterm is
-// the innermost point of failure.
+// the innermost point of failure. The subterm and every term or
+// predicate argument are rendered through the capped writer: proofs
+// are DAGs whose trees can be exponentially large, and the rendering
+// must cost no more than its cap.
 func typeErrAt(at Term, format string, args ...interface{}) error {
-	s := fmt.Sprint(at)
-	if len(s) > subtermRenderLimit {
-		s = s[:subtermRenderLimit] + "..."
+	for i, a := range args {
+		switch a.(type) {
+		case Term, logic.Pred, logic.Expr:
+			args[i] = render(a, renderLimit)
+		}
 	}
-	return &TypeError{Msg: fmt.Sprintf(format, args...), Subterm: s}
+	return &TypeError{Msg: fmt.Sprintf(format, args...), Subterm: render(at, renderLimit)}
 }
 
 // Checker validates LF objects against the published signature. It is
@@ -549,7 +554,7 @@ func decodeExpr(t Term, depth int) (logic.Expr, error) {
 	head, args := Spine(t)
 	k, ok := head.(Konst)
 	if !ok {
-		return nil, fmt.Errorf("lf: decode: bad expression head %s", head)
+		return nil, fmt.Errorf("lf: decode: bad expression head %s", render(head, renderLimit))
 	}
 	sub := func(i int) (logic.Expr, error) { return decodeExpr(args[i], depth) }
 	switch {
@@ -595,14 +600,14 @@ func decodeExpr(t Term, depth int) (logic.Expr, error) {
 		}
 		return logic.Bin{Op: op, L: l, R: r}, nil
 	}
-	return nil, fmt.Errorf("lf: decode: unknown expression form %s", t)
+	return nil, fmt.Errorf("lf: decode: unknown expression form %s", render(t, renderLimit))
 }
 
 func decodePred(t Term, depth int) (logic.Pred, error) {
 	head, args := Spine(t)
 	k, ok := head.(Konst)
 	if !ok {
-		return nil, fmt.Errorf("lf: decode: bad predicate head %s", head)
+		return nil, fmt.Errorf("lf: decode: bad predicate head %s", render(head, renderLimit))
 	}
 	switch {
 	case k.Name == CTT && len(args) == 0:
@@ -657,7 +662,7 @@ func decodePred(t Term, depth int) (logic.Pred, error) {
 		}
 		return logic.Cmp{Op: op, L: l, R: r}, nil
 	}
-	return nil, fmt.Errorf("lf: decode: unknown predicate form %s", t)
+	return nil, fmt.Errorf("lf: decode: unknown predicate form %s", render(t, renderLimit))
 }
 
 // ValidateProof is the consumer's validation entry point: it checks

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/logic"
 	"repro/internal/prover"
 )
 
@@ -37,9 +38,10 @@ func formatTy(t Term, depth int) string {
 	case Lit:
 		return fmt.Sprintf("%d", t.V)
 	case Pi:
-		// Non-dependent products print as arrows.
-		if !mentionsBound0(t.B) {
-			return fmt.Sprintf("%s -> %s", formatTyAtom(t.A, depth), formatTy(shiftDown(t.B), depth))
+		// Non-dependent products print as arrows, the unused binder
+		// dropped from the body.
+		if !mentionsIdx(t.B, 0) {
+			return fmt.Sprintf("%s -> %s", formatTyAtom(t.A, depth), formatTy(shift(t.B, -1, 1), depth))
 		}
 		return fmt.Sprintf("{x%d:%s} %s", depth, formatTy(t.A, depth), formatTy(t.B, depth+1))
 	case Lam:
@@ -63,24 +65,7 @@ func formatTyAtom(t Term, depth int) string {
 	return formatTy(t, depth)
 }
 
-func mentionsBound0(t Term) bool {
-	switch t := t.(type) {
-	case Bound:
-		return t.Idx == 0
-	case Pi:
-		return mentionsBound0Shifted(t.A, 0) || mentionsBound0Shifted(t.B, 1)
-	case Lam:
-		return mentionsBound0Shifted(t.A, 0) || mentionsBound0Shifted(t.M, 1)
-	case App:
-		return mentionsBound0(t.F) || mentionsBound0(t.X)
-	}
-	return false
-}
-
-func mentionsBound0Shifted(t Term, extra int) bool {
-	return mentionsIdx(t, extra)
-}
-
+// mentionsIdx reports whether #idx occurs free in t.
 func mentionsIdx(t Term, idx int) bool {
 	switch t := t.(type) {
 	case Bound:
@@ -95,6 +80,85 @@ func mentionsIdx(t Term, idx int) bool {
 	return false
 }
 
-// shiftDown removes one unused binder level (only valid when Bound{0}
-// does not occur, which the arrow case guarantees).
-func shiftDown(t Term) Term { return substIdx(t, 0, Konst{"_"}) }
+// render writes x, a Term, logic.Pred or logic.Expr, in its String
+// syntax. Past max bytes (max <= 0: no cap) it cuts the text, marks
+// the cut with "...", and stops walking, so rendering a DAG whose tree
+// is exponentially large costs no more than the cap.
+func render(x any, max int) string {
+	w := &capWriter{max: max}
+	w.put(x)
+	if w.cut {
+		return w.b.String() + "..."
+	}
+	return w.b.String()
+}
+
+// capWriter is render's output: it keeps at most max bytes and
+// records whether it dropped any.
+type capWriter struct {
+	b   strings.Builder
+	max int
+	cut bool
+}
+
+// put writes each part: a string as it is, a term, predicate or
+// expression by walking it. Predicates and expressions follow the
+// String methods of package logic.
+func (w *capWriter) put(parts ...any) {
+	for _, x := range parts {
+		if w.cut {
+			return
+		}
+		switch x := x.(type) {
+		case string:
+			if w.max > 0 && w.b.Len()+len(x) > w.max {
+				x, w.cut = x[:w.max-w.b.Len()], true
+			}
+			w.b.WriteString(x)
+		case Pi:
+			w.put("({", x.A, "} ", x.B, ")")
+		case Lam:
+			w.put("([", x.A, "] ", x.M, ")")
+		case App: // (head a1 … an)
+			w.put("(")
+			w.spine(x)
+			w.put(")")
+		case logic.Cmp:
+			w.put(x.L, " "+x.Op.String()+" ", x.R)
+		case logic.Rd:
+			w.put("rd(", x.Addr, ")")
+		case logic.Wr:
+			w.put("wr(", x.Addr, ")")
+		case logic.And:
+			w.put("(", x.L, ` /\ `, x.R, ")")
+		case logic.Or:
+			w.put("(", x.L, ` \/ `, x.R, ")")
+		case logic.Imp:
+			w.put("(", x.L, " => ", x.R, ")")
+		case logic.Forall:
+			w.put("(ALL "+x.Var+". ", x.Body, ")")
+		case logic.Bin:
+			switch op := x.Op.String(); x.Op {
+			case logic.OpCmpEq, logic.OpCmpUlt, logic.OpCmpUle, logic.OpCmpSlt:
+				w.put(op+"(", x.L, ", ", x.R, ")")
+			default:
+				w.put("(", x.L, " "+op+" ", x.R, ")")
+			}
+		case logic.Sel:
+			w.put("sel(", x.Mem, ", ", x.Addr, ")")
+		case logic.Upd:
+			w.put("upd(", x.Mem, ", ", x.Addr, ", ", x.Val, ")")
+		default: // sorts, constants, variables, literals
+			w.put(fmt.Sprint(x))
+		}
+	}
+}
+
+func (w *capWriter) spine(a App) {
+	if f, ok := a.F.(App); ok {
+		w.spine(f)
+	} else {
+		w.put(a.F)
+	}
+	w.put(" ", a.X)
+}

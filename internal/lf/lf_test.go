@@ -3,6 +3,7 @@ package lf
 import (
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -41,13 +42,19 @@ func TestBetaNormalization(t *testing.T) {
 }
 
 func TestShiftSubstProperties(t *testing.T) {
-	// Instantiate(λ-body x) with closed arg leaves no dangling indexes.
+	// β-reducing a λ-body with a closed arg leaves no dangling indexes.
 	body := Apply(Konst{"e_add"}, Bound{0}, Bound{0})
 	arg := App{Konst{CCst}, Lit{7}}
-	got := Instantiate(body, arg)
+	got := beta(body, arg, 0)
 	want := Apply(Konst{"e_add"}, arg, arg)
 	if !Equal(got, want) {
-		t.Fatalf("instantiate = %s, want %s", got, want)
+		t.Fatalf("beta = %s, want %s", got, want)
+	}
+	// The substitution is hereditary: λx.x substituted into #0 c
+	// creates the redex (λx.x) c, which is reduced at once.
+	c := Konst{"c"}
+	if got := beta(App{Bound{0}, c}, Lam{Konst{CExp}, Bound{0}}, 0); !Equal(got, c) {
+		t.Fatalf("beta into a head position = %s, want %s", got, c)
 	}
 }
 
@@ -241,6 +248,65 @@ func TestNrmMalformedOperandRecordsSubterm(t *testing.T) {
 		if !strings.HasPrefix(te.Msg, "nrm:") || te.Subterm != app.String() {
 			t.Errorf("%s operand: msg %q, subterm %q; want an nrm error at %s", name, te.Msg, te.Subterm, app)
 		}
+	}
+}
+
+// refString renders a term the way the tree-rebuilding String methods
+// did, for TestRenderCapped.
+func refString(t Term) string {
+	switch t := t.(type) {
+	case Pi:
+		return "({" + refString(t.A) + "} " + refString(t.B) + ")"
+	case Lam:
+		return "([" + refString(t.A) + "] " + refString(t.M) + ")"
+	case App:
+		head, args := refSpine(t)
+		parts := []string{refString(head)}
+		for _, x := range args {
+			parts = append(parts, refString(x))
+		}
+		return "(" + strings.Join(parts, " ") + ")"
+	}
+	return t.String()
+}
+
+// TestRenderCapped: render writes terms, predicates and expressions
+// exactly as their String methods do, cut to the first max bytes plus
+// "..." when longer; and it stops walking at the cap, so a DAG whose
+// tree has 2⁶⁰ leaves renders at once.
+func TestRenderCapped(t *testing.T) {
+	cut := func(s string, max int) string {
+		if max > 0 && len(s) > max {
+			return s[:max] + "..."
+		}
+		return s
+	}
+	r := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 500; trial++ {
+		p := fuzzPred(r, 4)
+		e := fuzzExpr(r, 4)
+		term, err := EncodeStatePred(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, max := range []int{0, 1, 7, 40, renderLimit} {
+			if got, want := render(p, max), cut(p.String(), max); got != want {
+				t.Fatalf("render(%s, %d) = %q, want %q", p, max, got, want)
+			}
+			if got, want := render(e, max), cut(e.String(), max); got != want {
+				t.Fatalf("render(%s, %d) = %q, want %q", e, max, got, want)
+			}
+			if got, want := render(term, max), cut(refString(term), max); got != want {
+				t.Fatalf("render(%s, %d) = %q, want %q", term, max, got, want)
+			}
+		}
+	}
+	var tower Term = Konst{CTT}
+	for i := 0; i < 60; i++ {
+		tower = Apply(Konst{CAnd}, tower, tower)
+	}
+	if got := render(tower, renderLimit); len(got) != renderLimit+len("...") {
+		t.Fatalf("render of a 2⁶⁰-leaf tree gave %d bytes", len(got))
 	}
 }
 

@@ -19,7 +19,6 @@ package lf
 
 import (
 	"fmt"
-	"strings"
 	"unsafe"
 )
 
@@ -74,19 +73,10 @@ func (s Sort) String() string {
 }
 func (k Konst) String() string { return k.Name }
 func (b Bound) String() string { return fmt.Sprintf("#%d", b.Idx) }
-func (p Pi) String() string    { return fmt.Sprintf("({%s} %s)", p.A, p.B) }
-func (l Lam) String() string   { return fmt.Sprintf("([%s] %s)", l.A, l.M) }
+func (p Pi) String() string    { return render(p, 0) }
+func (l Lam) String() string   { return render(l, 0) }
+func (a App) String() string   { return render(a, 0) }
 func (l Lit) String() string   { return fmt.Sprintf("%d", l.V) }
-
-func (a App) String() string {
-	head, args := Spine(a)
-	parts := make([]string, 0, len(args)+1)
-	parts = append(parts, head.String())
-	for _, x := range args {
-		parts = append(parts, x.String())
-	}
-	return "(" + strings.Join(parts, " ") + ")"
-}
 
 // Spine decomposes nested applications into a head and argument list.
 // It counts the spine first, so one allocation holds the arguments.
@@ -118,99 +108,25 @@ func Apply(head Term, args ...Term) Term {
 	return t
 }
 
-// The term transformations below — shift, substIdx, Normalize — share
+// The term transformations below — hsubst.apply and Normalize — share
 // structure: each returns its input term itself, not a copy, when
 // nothing inside it changed, and allocates new Pi/Lam/App nodes only
 // along the paths where an index moved or a redex fired. The results
 // are the same terms the plain tree-rebuilding definitions produce;
-// only the number of fresh nodes differs.
+// only the number of fresh nodes differs. hsubst.apply is the one
+// traversal that rewrites indexes: shifting is the substitution with
+// no arguments, and β-reduction the substitution with one.
 
-// shift adds d to every de Bruijn index ≥ cutoff in t.
+// shift adds d to every de Bruijn index ≥ cutoff in t. No argument is
+// substituted, so no redex is created and the result is the plain
+// shift of t.
 func shift(t Term, d, cutoff int) Term {
 	if d == 0 {
 		return t
 	}
-	out, _ := shifted(t, d, cutoff)
+	out, _ := hsubst{d: d}.apply(t, cutoff)
 	return out
 }
-
-// shifted is shift reporting whether anything changed; unchanged
-// terms come back as the input.
-func shifted(t Term, d, cutoff int) (Term, bool) {
-	switch n := t.(type) {
-	case Sort, Konst, Lit:
-	case Bound:
-		if n.Idx >= cutoff {
-			return Bound{n.Idx + d}, true
-		}
-	case Pi:
-		a, ca := shifted(n.A, d, cutoff)
-		b, cb := shifted(n.B, d, cutoff+1)
-		if ca || cb {
-			return Pi{a, b}, true
-		}
-	case Lam:
-		a, ca := shifted(n.A, d, cutoff)
-		m, cm := shifted(n.M, d, cutoff+1)
-		if ca || cm {
-			return Lam{a, m}, true
-		}
-	case App:
-		f, cf := shifted(n.F, d, cutoff)
-		x, cx := shifted(n.X, d, cutoff)
-		if cf || cx {
-			return App{f, x}, true
-		}
-	default:
-		panic(fmt.Sprintf("lf: unknown term %T", t))
-	}
-	return t, false
-}
-
-// substIdx replaces Bound{j} in t with s (itself shifted appropriately)
-// and renumbers the indexes above j.
-func substIdx(t Term, j int, s Term) Term {
-	out, _ := substituted(t, j, s)
-	return out
-}
-
-// substituted is substIdx reporting whether anything changed.
-func substituted(t Term, j int, s Term) (Term, bool) {
-	switch n := t.(type) {
-	case Sort, Konst, Lit:
-	case Bound:
-		switch {
-		case n.Idx == j:
-			return shift(s, j, 0), true
-		case n.Idx > j:
-			return Bound{n.Idx - 1}, true
-		}
-	case Pi:
-		a, ca := substituted(n.A, j, s)
-		b, cb := substituted(n.B, j+1, s)
-		if ca || cb {
-			return Pi{a, b}, true
-		}
-	case Lam:
-		a, ca := substituted(n.A, j, s)
-		m, cm := substituted(n.M, j+1, s)
-		if ca || cm {
-			return Lam{a, m}, true
-		}
-	case App:
-		f, cf := substituted(n.F, j, s)
-		x, cx := substituted(n.X, j, s)
-		if cf || cx {
-			return App{f, x}, true
-		}
-	default:
-		panic(fmt.Sprintf("lf: unknown term %T", t))
-	}
-	return t, false
-}
-
-// Instantiate β-reduces a binder body with the given argument.
-func Instantiate(body Term, arg Term) Term { return substIdx(body, 0, arg) }
 
 // instantiate substitutes args simultaneously for the len(args)
 // innermost binders of body — args[0] for the outermost, the last for
@@ -234,7 +150,8 @@ func instantiate(body Term, args []Term) Term {
 // substituted binders and become #i-k+d. The arguments live at level
 // 0: d is how many binders the result sits under that the arguments do
 // not (0 when instantiating a type, the redex's level when reducing a
-// created redex).
+// created redex). With no arguments it is a shift: #i ≥ lvl becomes
+// #i+d.
 type hsubst struct {
 	args []Term
 	d    int
@@ -338,7 +255,7 @@ func normalized(t Term) (Term, bool) {
 		f, cf := normalized(n.F)
 		x, cx := normalized(n.X)
 		if lam, ok := f.(Lam); ok {
-			return Normalize(Instantiate(lam.M, x)), true
+			return Normalize(beta(lam.M, x, 0)), true
 		}
 		if cf || cx {
 			return App{f, x}, true

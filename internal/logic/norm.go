@@ -2,6 +2,7 @@ package logic
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 )
@@ -24,7 +25,7 @@ func NormExpr(e Expr) Expr {
 	case Const, Var:
 		return e
 	case Bin:
-		return normBin(e.Op, NormExpr(e.L), NormExpr(e.R))
+		return normBin(e.Op, NormExpr(e.L), NormExpr(e.R), nil)
 	case Sel:
 		return normSel(NormExpr(e.Mem), NormExpr(e.Addr))
 	case Upd:
@@ -33,8 +34,9 @@ func NormExpr(e Expr) Expr {
 	panic(fmt.Sprintf("logic: unknown expr %T", e))
 }
 
-// normBin returns the normal form of l op r for normal l and r.
-func normBin(op BinOp, l, r Expr) Expr {
+// normBin returns the normal form of l op r for normal l and r,
+// charging the sum rule's work to fuel (see normSum).
+func normBin(op BinOp, l, r Expr, fuel *int) Expr {
 	lc, lIsC := l.(Const)
 	rc, rIsC := r.(Const)
 	if lIsC && rIsC {
@@ -50,7 +52,7 @@ func normBin(op BinOp, l, r Expr) Expr {
 	_ = lc
 	switch op {
 	case OpAdd, OpSub:
-		return normSum(Bin{op, l, r})
+		return normSum(Bin{op, l, r}, fuel)
 	case OpAnd:
 		if rIsC && rc.Val == 0 {
 			return Const{0}
@@ -127,8 +129,9 @@ func normSel(mem, addr Expr) Expr {
 
 // normSum flattens an ⊕/⊖ tree into a sorted sum of non-constant terms
 // plus a folded constant offset. Terms that are not themselves ⊕/⊖
-// nodes are treated as opaque.
-func normSum(e Expr) Expr {
+// nodes are treated as opaque. Cancelling compares the terms pairwise,
+// so a sum of t terms costs t² units of fuel (nil: uncharged).
+func normSum(e Expr, fuel *int) Expr {
 	var terms []Expr
 	var offset uint64
 	var walk func(Expr, bool)
@@ -157,6 +160,11 @@ func normSum(e Expr) Expr {
 		}
 	}
 	walk(e, false)
+	if fuel != nil {
+		if *fuel -= len(terms) * len(terms); *fuel < 0 {
+			return e
+		}
+	}
 
 	// Cancel syntactically equal positive/negative term pairs
 	// (the paper's e1 ⊕ e2 ⊖ e2 = e1, valid because every value is
@@ -410,7 +418,12 @@ func isTrue(p Pred) bool  { _, ok := p.(TruePred); return ok }
 func isFalse(p Pred) bool { _, ok := p.(FalsePred); return ok }
 
 // SubstNorm returns NormPred(Subst(p, v, repl)) for a normal p without
-// renormalizing what the substitution leaves alone. NormPred and
+// renormalizing what the substitution leaves alone. fuel, when not
+// nil, bounds the work: each node of p visited costs one unit, and
+// each sum renormalized the square of its term count. Once *fuel is
+// negative SubstNorm stops walking, and its result is meaningless; p's
+// tree (not its DAG) is walked, so without fuel a predicate that
+// shares subformulas costs time exponential in its size. NormPred and
 // NormExpr are compositional (a node's normal form is its local rule
 // applied to its children's normal forms) and idempotent, so a
 // subterm in which v does not occur is its own normal form and is
@@ -420,21 +433,39 @@ func isFalse(p Pred) bool { _, ok := p.(FalsePred); return ok }
 // ∀ whose bound variable occurs in repl would be renamed by Subst, so
 // there SubstNorm falls back to NormPred(Subst(...)) for that
 // subformula.
-func SubstNorm(p Pred, v string, repl Expr) Pred {
-	s := substNormer{v: v, repl: repl}
+func SubstNorm(p Pred, v string, repl Expr, fuel *int) Pred {
+	s := substNormer{v: v, repl: repl, left: math.MaxInt}
+	if fuel != nil {
+		s.left = *fuel
+	}
 	q, _ := s.pred(p)
+	if fuel != nil {
+		*fuel = s.left
+	}
 	return q
 }
 
 // substNormer carries one SubstNorm: the variable, its replacement,
-// and the replacement's normal form once an occurrence needs it.
+// the replacement's normal form once an occurrence needs it, and the
+// fuel left. (A copy of the caller's counter, not a pointer to it,
+// keeps the counter off the heap.)
 type substNormer struct {
 	v          string
 	repl, norm Expr
+	left       int
+}
+
+// spend charges one visited node and reports whether fuel is left.
+func (s *substNormer) spend() bool {
+	s.left--
+	return s.left >= 0
 }
 
 // pred is SubstNorm on p that also reports whether anything changed.
 func (s *substNormer) pred(p Pred) (Pred, bool) {
+	if !s.spend() {
+		return p, false
+	}
 	switch q := p.(type) {
 	case TruePred, FalsePred:
 		return p, false
@@ -483,6 +514,9 @@ func (s *substNormer) pred(p Pred) (Pred, bool) {
 			return p, false
 		}
 		if occurs(s.repl, q.Var) {
+			// Uncharged: VC generation substitutes registers and
+			// memory, and no quantifier decoded from a binary binds
+			// one (decoded binders are named !0, !1, …).
 			return NormPred(Subst(p, s.v, s.repl)), true
 		}
 		body, c := s.pred(q.Body)
@@ -497,6 +531,9 @@ func (s *substNormer) pred(p Pred) (Pred, bool) {
 // expr is NormExpr(SubstExpr(e, v, repl)) for a normal e, reporting
 // whether anything changed.
 func (s *substNormer) expr(e Expr) (Expr, bool) {
+	if !s.spend() {
+		return e, false
+	}
 	switch x := e.(type) {
 	case Const:
 		return e, false
@@ -514,7 +551,7 @@ func (s *substNormer) expr(e Expr) (Expr, bool) {
 		if !cl && !cr {
 			return e, false
 		}
-		return normBin(x.Op, l, r), true
+		return normBin(x.Op, l, r, &s.left), true
 	case Sel:
 		m, cm := s.expr(x.Mem)
 		a, ca := s.expr(x.Addr)

@@ -108,7 +108,7 @@ func TestSubstNormMatchesSubst(t *testing.T) {
 		} else {
 			e = normExpr(r, 3)
 		}
-		got, want := SubstNorm(p, v, e), NormPred(Subst(p, v, e))
+		got, want := SubstNorm(p, v, e, nil), NormPred(Subst(p, v, e))
 		if !PredEqual(got, want) {
 			t.Fatalf("SubstNorm(%s, %s, %s)\n  = %s\nwant %s", p, v, e, got, want)
 		}
@@ -120,10 +120,10 @@ func TestSubstNormMatchesSubst(t *testing.T) {
 func TestSubstNormKeepsUntouched(t *testing.T) {
 	p := NormPred(MustParsePred("(ALL i. (i < r2 => rd(r1 + i))) /\\ (sel(rm, r3 + 8) <> 0 => wr(r3 + 8))"))
 	e := Expr(Bin{OpAdd, Var{"r4"}, Const{8}})
-	if allocs := testing.AllocsPerRun(100, func() { _ = SubstNorm(p, "r5", e) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { _ = SubstNorm(p, "r5", e, nil) }); allocs != 0 {
 		t.Fatalf("SubstNorm of an absent variable made %.0f allocations", allocs)
 	}
-	if got := SubstNorm(p, "r5", e); !PredEqual(got, p) {
+	if got := SubstNorm(p, "r5", e, nil); !PredEqual(got, p) {
 		t.Fatalf("SubstNorm of an absent variable changed %s to %s", p, got)
 	}
 }

@@ -82,6 +82,12 @@ type Result struct {
 	VCs []logic.Pred
 }
 
+// defaultFuel is Gen's fuel when its caller passes none: a quarter of
+// the default VC-size limit, as the consumer derives its own. The
+// paper filters, the checksum loops and their SFI hybrids spend at
+// most 2,178 units.
+const defaultFuel = 1 << 18
+
 // Gen computes the safety predicate of prog under (pre, post) with the
 // given invariant table (instruction index of each backward-branch
 // target ↦ invariant). It fails if a backward branch targets a point
@@ -94,7 +100,21 @@ type Result struct {
 // (normal) VC under logic.SubstNorm, which keeps every subformula the
 // substitution leaves alone, and the connectives Gen adds go through
 // the local rules (logic.NormAnd, NormImp, NormAll).
-func Gen(prog []alpha.Instr, pre, post logic.Pred, invariants map[int]logic.Pred) (*Result, error) {
+//
+// The work is bounded, in the units of logic.SubstNorm's fuel, and Gen
+// fails once the fuel is spent. A VC is a tree that can double in size
+// with each instruction (MULQ r1, r1, r1 squares r1's value), and each
+// substitution walks it, so the cost of generating from untrusted code
+// must be bounded by more than its length. The safety predicate's tree
+// size is charged too, since its encoding walks it. Gen spends
+// defaultFuel of its own, or counter[0] when a caller passes one (nil:
+// no bound); the consumer passes a quarter of its VC-size limit.
+func Gen(prog []alpha.Instr, pre, post logic.Pred, invariants map[int]logic.Pred, counter ...*int) (*Result, error) {
+	left := defaultFuel
+	fuel := &left
+	if len(counter) > 0 {
+		fuel = counter[0]
+	}
 	if err := alpha.Validate(prog); err != nil {
 		return nil, err
 	}
@@ -132,9 +152,12 @@ func Gen(prog []alpha.Instr, pre, post logic.Pred, invariants map[int]logic.Pred
 	}
 
 	for pc := len(prog) - 1; pc >= 0; pc-- {
-		p, err := instrVC(prog[pc], pc, vc, refVC, post)
+		p, err := instrVC(prog[pc], pc, vc, refVC, post, fuel)
 		if err != nil {
 			return nil, err
+		}
+		if fuel != nil && *fuel < 0 {
+			return nil, fmt.Errorf("vcgen: pc %d: VC generation exceeds its work budget", pc)
 		}
 		vc[pc] = p
 	}
@@ -167,6 +190,13 @@ func Gen(prog []alpha.Instr, pre, post logic.Pred, invariants map[int]logic.Pred
 	for i := len(regNames) - 1; i >= 0; i-- {
 		sp = logic.NormAll(regNames[i], sp)
 	}
+	if fuel != nil {
+		// Substituting for the empty name, which no variable has,
+		// visits every node of sp's tree and changes none.
+		if logic.SubstNorm(sp, "", logic.C(0), fuel); *fuel < 0 {
+			return nil, fmt.Errorf("vcgen: safety predicate exceeds the work budget")
+		}
+	}
 	res.SP = sp
 	return res, nil
 }
@@ -175,7 +205,7 @@ func Gen(prog []alpha.Instr, pre, post logic.Pred, invariants map[int]logic.Pred
 // the full subset). Its operands (the VCs in vc, refVC's results and
 // post) are normal, and so is its result.
 func instrVC(ins alpha.Instr, pc int, vc []logic.Pred,
-	refVC func(from, to int) (logic.Pred, error), post logic.Pred) (logic.Pred, error) {
+	refVC func(from, to int) (logic.Pred, error), post logic.Pred, fuel *int) (logic.Pred, error) {
 
 	next := vc[pc+1]
 	regName := func(r alpha.Reg) (string, error) {
@@ -194,14 +224,14 @@ func instrVC(ins alpha.Instr, pc int, vc []logic.Pred,
 		}
 		return logic.NormAnd(
 			logic.NormPred(logic.RdP(addr)),
-			logic.SubstNorm(next, rd, logic.SelE(MemVar, addr)),
+			logic.SubstNorm(next, rd, logic.SelE(MemVar, addr), fuel),
 		), nil
 
 	case alpha.STQ:
 		addr := logic.Add(RegVar(ins.Rb), logic.CI(int64(ins.Disp)))
 		return logic.NormAnd(
 			logic.NormPred(logic.WrP(addr)),
-			logic.SubstNorm(next, "rm", logic.UpdE(MemVar, addr, RegVar(ins.Ra))),
+			logic.SubstNorm(next, "rm", logic.UpdE(MemVar, addr, RegVar(ins.Ra)), fuel),
 		), nil
 
 	case alpha.LDA:
@@ -210,7 +240,7 @@ func instrVC(ins alpha.Instr, pc int, vc []logic.Pred,
 			return nil, err
 		}
 		val := logic.Add(RegVar(ins.Rb), logic.CI(int64(ins.Disp)))
-		return logic.SubstNorm(next, rd, val), nil
+		return logic.SubstNorm(next, rd, val, fuel), nil
 
 	case alpha.ADDQ, alpha.SUBQ, alpha.MULQ, alpha.AND, alpha.BIS, alpha.XOR,
 		alpha.SLL, alpha.SRL, alpha.CMPEQ, alpha.CMPULT, alpha.CMPULE:
@@ -225,7 +255,7 @@ func instrVC(ins alpha.Instr, pc int, vc []logic.Pred,
 			opnd = RegVar(ins.Rb)
 		}
 		val := logic.Bin{Op: aluBinOp(ins.Op), L: RegVar(ins.Ra), R: opnd}
-		return logic.SubstNorm(next, rd, val), nil
+		return logic.SubstNorm(next, rd, val, fuel), nil
 
 	case alpha.BEQ, alpha.BNE, alpha.BGE, alpha.BLT:
 		taken, notTaken := branchConds(ins)

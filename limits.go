@@ -42,9 +42,10 @@ type Limits struct {
 	// do not bound checking cost — fuel does.
 	MaxCheckSteps int
 	// MaxVCNodes bounds the size (LF nodes) of the safety predicate
-	// recomputed from the shipped code. The VC is derived from the
-	// untrusted code, so its size is attacker-influenced even though
-	// the generator is trusted.
+	// recomputed from the shipped code, and the work of recomputing it
+	// (a quarter as many units of vcgen.Gen's fuel). The VC is derived
+	// from the untrusted code, so its size is attacker-influenced even
+	// though the generator is trusted.
 	MaxVCNodes int
 }
 

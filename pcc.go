@@ -351,19 +351,32 @@ func validate(ctx context.Context, binary []byte, pol *policy.Policy, sig *lf.Si
 	// Stage 2: VC generation — recompute the safety predicate from the
 	// shipped code alone and bound its size (the code is untrusted, so
 	// the VC's size is attacker-influenced even though the generator is
-	// ours).
+	// ours). The VC can double with each instruction, so generating it
+	// is bounded too, by fuel of a quarter of MaxVCNodes, and running
+	// out is a vc_nodes rejection. The paper filters, the checksum
+	// loops and their SFI hybrids spend at most 2,178 units; a bomb
+	// that spends the default 262,144 holds about as many fresh nodes
+	// live when it is stopped.
 	var spT lf.Term
 	err = fenced("vcgen", func() error {
 		mark := time.Now()
-		gen, err := vcgen.Gen(prog, pol.Pre, pol.Post, invariants)
+		var fuel *int // nil, like sizeCap 0, when MaxVCNodes sets no bound
+		left, sizeCap := limits.MaxVCNodes/4, 0
+		if limits.MaxVCNodes > 0 {
+			fuel, sizeCap = &left, limits.MaxVCNodes+1
+		}
+		gen, err := vcgen.Gen(prog, pol.Pre, pol.Post, invariants, fuel)
 		if err != nil {
+			if fuel != nil && *fuel < 0 {
+				return &ResourceLimitError{Axis: "vc_nodes", Max: int64(limits.MaxVCNodes), Err: err}
+			}
 			return err
 		}
 		if spT, err = lf.EncodePred(gen.SP); err != nil {
 			return err
 		}
 		stats.VCGen = time.Since(mark)
-		stats.VCNodes = lf.Size(spT)
+		stats.VCNodes = lf.SizeBounded(spT, sizeCap)
 		if limits.MaxVCNodes > 0 && stats.VCNodes > limits.MaxVCNodes {
 			return &ResourceLimitError{
 				Axis: "vc_nodes", Actual: int64(stats.VCNodes), Max: int64(limits.MaxVCNodes)}

@@ -3,13 +3,17 @@ package pcc_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	pcc "repro"
+	"repro/internal/alpha"
 	"repro/internal/filters"
+	"repro/internal/lf"
 	"repro/internal/logic"
+	"repro/internal/pccbin"
 	"repro/internal/policy"
 )
 
@@ -159,5 +163,94 @@ func TestPanicErrorRendering(t *testing.T) {
 	}
 	if got := pcc.RejectReason(e); got != "panic" {
 		t.Fatalf("RejectReason = %q, want panic", got)
+	}
+}
+
+// filter1With certifies Filter 1 and re-marshals its binary after edit
+// has changed it, for the resource-bomb tests.
+func filter1With(t *testing.T, edit func(*pccbin.Binary)) ([]byte, *policy.Policy) {
+	t.Helper()
+	pol := pcc.PacketFilterPolicy()
+	cert, err := pcc.Certify(filters.SrcFilter1, pol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := pccbin.Unmarshal(cert.Binary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(bin)
+	out, _, err := bin.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, pol
+}
+
+// TestMismatchErrorRenderingBounded: a proof whose type does not match
+// the safety predicate is rejected with an error of bounded size, at a
+// bounded cost, even when its inferred type is a DAG whose tree is
+// exponentially large. The proof is pₖ, where pᵢ₊₁ = andi Pᵢ Pᵢ pᵢ pᵢ,
+// Pᵢ₊₁ = and Pᵢ Pᵢ, p₀ = truei and P₀ = tt: well typed, a few hundred
+// bytes on the wire, of type pf Pₖ, whose tree has 2ᵏ leaves. Rendering
+// the mismatch in full cost 450 MB of allocation at k = 16.
+func TestMismatchErrorRenderingBounded(t *testing.T) {
+	bomb, pol := filter1With(t, func(b *pccbin.Binary) {
+		var P, p lf.Term = lf.Konst{Name: lf.CTT}, lf.Konst{Name: lf.CTrueI}
+		for i := 0; i < 16; i++ {
+			P, p = lf.Apply(lf.Konst{Name: lf.CAnd}, P, P), lf.Apply(lf.Konst{Name: lf.CAndI}, P, P, p, p)
+		}
+		b.Proof = p
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := pcc.ValidateCtx(context.Background(), bomb, pol, nil)
+	runtime.ReadMemStats(&after)
+	if got := pcc.RejectReason(err); got != "proof" || !strings.Contains(err.Error(), "type mismatch") {
+		t.Fatalf("want a type mismatch, got %q: %.300v", got, err)
+	}
+	if n := len(err.Error()); n >= 4096 {
+		t.Fatalf("error is %d bytes, want < 4096", n)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting the mismatch allocated %d bytes, want < 1 MB", alloc)
+	}
+}
+
+// TestVCBombRejectedFast: code whose verification condition doubles
+// with every instruction is rejected on the vc_nodes axis within a
+// bounded amount of generation work, not after building the whole VC.
+// MULQ r1, r1, r1 squares r1, so each of n of them doubles the VC's
+// tree; ADDQ r1, r1, r1 doubles a sum that is renormalized at every
+// node. The chains of 64 would not finish generating their VCs.
+func TestVCBombRejectedFast(t *testing.T) {
+	for _, ins := range []string{"MULQ r1, r1, r1", "ADDQ r1, r1, r1"} {
+		a, err := alpha.Assemble(strings.Repeat(ins+"\n", 64) + "LDQ r0, 0(r1)\nRET\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, err := alpha.Encode(a.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bomb, pol := filter1With(t, func(b *pccbin.Binary) { b.Code = code })
+		done := make(chan error, 1)
+		start := time.Now()
+		go func() {
+			_, _, err := pcc.ValidateCtx(context.Background(), bomb, pol, nil)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			var rle *pcc.ResourceLimitError
+			if !errors.As(err, &rle) || rle.Axis != "vc_nodes" {
+				t.Fatalf("%s ×64: want a vc_nodes limit, got %v", ins, err)
+			}
+			if d := time.Since(start); d >= 100*time.Millisecond {
+				t.Fatalf("%s ×64: rejected after %v, want < 100ms", ins, d)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s ×64: not rejected after 5s", ins)
+		}
 	}
 }
