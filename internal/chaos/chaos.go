@@ -78,9 +78,13 @@ type Mutator struct {
 	Fn   func(rng *rand.Rand, base Base) []byte
 }
 
-// Mutators returns the full mutator set: random corruption (bitflip,
-// truncate, swap), proof surgery (graft), and resource bombs
-// (depthbomb, dagbomb, ctxbomb, mismatchbomb, vcbomb).
+// Mutators returns the mutator set the seeded differential tests draw
+// from: random corruption (bitflip, truncate, swap), proof surgery
+// (graft), and the resource bombs the checkers' own budgets stop
+// (depthbomb, dagbomb, ctxbomb). Those tests pick mutators by index,
+// so a new entry would change which mutants they check, and they run
+// the VC generator without a budget; Run also draws the newer bombs
+// (allMutators).
 func Mutators() []Mutator {
 	return []Mutator{
 		{"bitflip", bitflip},
@@ -90,9 +94,15 @@ func Mutators() []Mutator {
 		{"depthbomb", depthBomb},
 		{"dagbomb", dagBomb},
 		{"ctxbomb", ctxBomb},
-		{"mismatchbomb", mismatchBomb},
-		{"vcbomb", vcBomb},
 	}
+}
+
+// allMutators is Mutators and the bombs only the consumer's hardening
+// stops: mismatchbomb, whose type error only the capped rendering
+// keeps small, and vcbomb, whose VC only a generation budget bounds.
+// Run draws from these.
+func allMutators() []Mutator {
+	return append(Mutators(), Mutator{"mismatchbomb", mismatchBomb}, Mutator{"vcbomb", vcBomb})
 }
 
 // bitflip flips 1–8 random bits anywhere in the binary.
@@ -335,20 +345,32 @@ func ctxBomb(rng *rand.Rand, base Base) []byte {
 	return w.buf
 }
 
-// vcBomb replaces the base's code with 40–64 instructions that each
-// double the verification condition — MULQ r1, r1, r1 squares r1, and
-// ADDQ r1, r1, r1 doubles a sum the normalizer re-flattens at every
-// node — followed by a load through r1. The proof does not matter: VC
-// generation runs before the LF check, and without a bound on its
-// work the consumer builds a tree of up to 2⁶⁴ nodes before any size check
-// can see it. The generator's fuel must stop it on the vc_nodes axis.
+// vcBomb replaces the base's code with a chain whose VC is costly to
+// generate, followed by a load through r1: 40–64 instructions that each
+// double the VC (MULQ r1, r1, r1 squares r1, and ADDQ r1, r1, r1
+// doubles a sum the normalizer re-sorts), or 200–400
+// pairs of ADDQ r1, r2, r1 and MULQ r1, r3, r1, whose VC only deepens
+// but whose every substitution renormalizes, and renders, each sum on
+// the path to r1. The proof does not matter: VC generation runs before
+// the LF check, and without a bound on its work the consumer builds a
+// tree of up to 2⁶⁴ nodes, or renders for seconds, before any size
+// check can see it. The generation budget must stop it on the vc_nodes
+// axis.
 func vcBomb(rng *rand.Rand, base Base) []byte {
 	bin, err := pccbin.Unmarshal(base.Binary)
 	if err != nil {
 		return bitflip(rng, base)
 	}
-	op := []string{"MULQ", "ADDQ"}[rng.Intn(2)]
-	src := strings.Repeat(op+" r1, r1, r1\n", 40+rng.Intn(25)) + "LDQ r0, 0(r1)\nRET\n"
+	var src string
+	switch rng.Intn(3) {
+	case 0:
+		src = strings.Repeat("MULQ r1, r1, r1\n", 40+rng.Intn(25))
+	case 1:
+		src = strings.Repeat("ADDQ r1, r1, r1\n", 40+rng.Intn(25))
+	default:
+		src = strings.Repeat("ADDQ r1, r2, r1\nMULQ r1, r3, r1\n", 200+rng.Intn(201))
+	}
+	src += "LDQ r0, 0(r1)\nRET\n"
 	code, err := alpha.Encode(alpha.MustAssemble(src).Prog)
 	if err != nil {
 		return bitflip(rng, base)
@@ -483,7 +505,7 @@ func Run(bases []Base, target Target, cfg Config) Report {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	muts := cfg.Mutators
 	if len(muts) == 0 {
-		muts = Mutators()
+		muts = allMutators()
 	}
 	rep := Report{
 		Trials:    cfg.Trials,

@@ -60,7 +60,7 @@ func TestChaosInvariant(t *testing.T) {
 			if !rep.Ok() {
 				t.Fatalf("invariants violated:\n%s", rep)
 			}
-			for _, m := range Mutators() {
+			for _, m := range allMutators() {
 				if rep.ByMutator[m.Name] == 0 {
 					t.Fatalf("mutator %q never ran:\n%s", m.Name, rep)
 				}
@@ -160,7 +160,7 @@ func TestBombEncoding(t *testing.T) {
 		t.Fatalf("mismatch bomb's error is %d bytes", n)
 	}
 
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 9; i++ {
 		_, _, err = pcc.ValidateCtx(context.Background(), vcBomb(rng, base), base.Policy, nil)
 		if !errors.As(err, &rle) || rle.Axis != "vc_nodes" {
 			t.Fatalf("vc bomb not rejected on vc_nodes: %v", err)

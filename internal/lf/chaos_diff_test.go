@@ -69,16 +69,10 @@ func TestCheckerMatchesReferenceOnChaos(t *testing.T) {
 		}
 		return lf.ErrorClass(err)
 	}
-	// The certified bases are the corpus's accepted inputs: random
-	// mutants are accepted about once in 1,000 trials, too rarely for
-	// a few hundred to be sure to hold one.
-	verdicts := map[string]int{}
 	for _, b := range bases {
-		got := check(b.Name, b.Binary, b)
-		if got != "ok" {
+		if got := check(b.Name, b.Binary, b); got != "ok" {
 			t.Fatalf("%s: certified base checks as %s", b.Name, got)
 		}
-		verdicts[got]++
 	}
 	trials := 300
 	if testing.Short() {
@@ -86,13 +80,14 @@ func TestCheckerMatchesReferenceOnChaos(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(0xD1FF))
 	muts := chaos.Mutators()
+	verdicts := map[string]int{}
 	for trial := 0; trial < trials; trial++ {
 		base := bases[rng.Intn(len(bases))]
 		m := muts[rng.Intn(len(muts))]
 		verdicts[check(base.Name+"/"+m.Name, m.Fn(rng, base), base)]++
 	}
-	t.Logf("verdicts over %d bases and %d mutants: %v", len(bases), trials, verdicts)
+	t.Logf("verdicts over %d mutants: %v", trials, verdicts)
 	if verdicts["type"] == 0 || verdicts["ok"] == 0 {
-		t.Fatalf("corpus never reached both verdicts: %v", verdicts)
+		t.Fatalf("mutant corpus never reached both verdicts: %v", verdicts)
 	}
 }

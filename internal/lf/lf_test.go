@@ -3,6 +3,7 @@ package lf
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -301,6 +302,30 @@ func TestRenderCapped(t *testing.T) {
 			}
 		}
 	}
+	// Every operator and every form of package logic, named one by one,
+	// so that a change to its String syntax cannot slip past the random
+	// predicates above.
+	a, b := logic.V("a"), logic.V("b")
+	var xs []any
+	for op := logic.OpAdd; op <= logic.OpCmpSlt+1; op++ {
+		xs = append(xs, logic.Bin{Op: op, L: a, R: logic.C(1)})
+	}
+	for op := logic.CmpEq; op <= logic.CmpSle+1; op++ {
+		xs = append(xs, logic.Cmp{Op: op, L: a, R: logic.CI(-8)})
+	}
+	xs = append(xs, logic.True, logic.False, logic.RdP(a), logic.WrP(b),
+		logic.And{L: logic.RdP(a), R: logic.True}, logic.Or{L: logic.False, R: logic.WrP(b)},
+		logic.Imp{L: logic.RdP(a), R: logic.WrP(b)}, logic.Forall{Var: "a", Body: logic.RdP(a)},
+		logic.C(1<<63), logic.SelE(a, b), logic.UpdE(a, b, logic.C(7)))
+	for _, x := range xs {
+		want := x.(fmt.Stringer).String()
+		for _, max := range []int{0, 3, renderLimit} {
+			if got := render(x, max); got != cut(want, max) {
+				t.Fatalf("render(%s, %d) = %q, want %q", want, max, got, cut(want, max))
+			}
+		}
+	}
+
 	var tower Term = Konst{CTT}
 	for i := 0; i < 60; i++ {
 		tower = Apply(Konst{CAnd}, tower, tower)

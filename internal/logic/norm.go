@@ -3,7 +3,9 @@ package logic
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"sort"
 	"strings"
 )
 
@@ -27,7 +29,7 @@ func NormExpr(e Expr) Expr {
 	case Bin:
 		return normBin(e.Op, NormExpr(e.L), NormExpr(e.R), nil)
 	case Sel:
-		return normSel(NormExpr(e.Mem), NormExpr(e.Addr))
+		return normSel(NormExpr(e.Mem), NormExpr(e.Addr), nil)
 	case Upd:
 		return Upd{NormExpr(e.Mem), NormExpr(e.Addr), NormExpr(e.Val)}
 	}
@@ -35,7 +37,7 @@ func NormExpr(e Expr) Expr {
 }
 
 // normBin returns the normal form of l op r for normal l and r,
-// charging the sum rule's work to fuel (see normSum).
+// charging the sum rule's work to fuel (see normSum; nil: uncharged).
 func normBin(op BinOp, l, r Expr, fuel *int) Expr {
 	lc, lIsC := l.(Const)
 	rc, rIsC := r.(Const)
@@ -104,8 +106,13 @@ func normBin(op BinOp, l, r Expr, fuel *int) Expr {
 }
 
 // normSel returns the normal form of sel(mem, addr) for normal mem and
-// addr.
-func normSel(mem, addr Expr) Expr {
+// addr. Each update it looks past costs fuel the size of addr, which
+// bounds comparing the two addresses (nil: uncharged).
+func normSel(mem, addr Expr, fuel *int) Expr {
+	cost := 0
+	if fuel != nil {
+		cost = exprSizeUpTo(addr, *fuel)
+	}
 	// sel(upd(m, a, v), b): yields v when a and b are syntactically
 	// identical after normalization, and skips the update entirely
 	// when the two addresses provably differ (same base, different
@@ -115,6 +122,11 @@ func normSel(mem, addr Expr) Expr {
 		u, ok := mem.(Upd)
 		if !ok {
 			break
+		}
+		if fuel != nil {
+			if *fuel -= cost; *fuel < 0 {
+				break
+			}
 		}
 		if ExprEqual(u.Addr, addr) {
 			return u.Val
@@ -129,8 +141,11 @@ func normSel(mem, addr Expr) Expr {
 
 // normSum flattens an ⊕/⊖ tree into a sorted sum of non-constant terms
 // plus a folded constant offset. Terms that are not themselves ⊕/⊖
-// nodes are treated as opaque. Cancelling compares the terms pairwise,
-// so a sum of t terms costs t² units of fuel (nil: uncharged).
+// nodes are treated as opaque. Rendering each term and rebuilding the
+// sum cost about its size, the sort compares each term about log₂ t
+// times, and cancelling compares each positive term with the negative
+// ones, so t terms of S nodes in all, p positive and n negative, cost
+// (2 + log₂ t + min(p, n))·S units of fuel (nil: uncharged).
 func normSum(e Expr, fuel *int) Expr {
 	var terms []Expr
 	var offset uint64
@@ -160,10 +175,24 @@ func normSum(e Expr, fuel *int) Expr {
 		}
 	}
 	walk(e, false)
-	if fuel != nil {
-		if *fuel -= len(terms) * len(terms); *fuel < 0 {
+	if fuel != nil && len(terms) > 0 {
+		neg := 0
+		for _, t := range terms {
+			if isNeg(t) {
+				neg++
+			}
+		}
+		weight := 2 + bits.Len(uint(len(terms))) + min(neg, len(terms)-neg)
+		per := *fuel / weight
+		size := 0
+		for _, t := range terms {
+			size += exprSizeUpTo(t, per-size)
+		}
+		if size > per {
+			*fuel = -1
 			return e
 		}
+		*fuel -= weight * size
 	}
 
 	// Cancel syntactically equal positive/negative term pairs
@@ -218,6 +247,29 @@ func normSum(e Expr, fuel *int) Expr {
 	return out
 }
 
+// exprSizeUpTo is the node count of e's tree if it is at most max, and
+// otherwise some number above max, found without walking further.
+func exprSizeUpTo(e Expr, max int) int {
+	if max < 1 {
+		return 1
+	}
+	switch e := e.(type) {
+	case Bin:
+		n := 1 + exprSizeUpTo(e.L, max-1)
+		return n + exprSizeUpTo(e.R, max-n)
+	case Sel:
+		n := 1 + exprSizeUpTo(e.Mem, max-1)
+		return n + exprSizeUpTo(e.Addr, max-n)
+	case Upd:
+		n := 1 + exprSizeUpTo(e.Mem, max-1)
+		n += exprSizeUpTo(e.Addr, max-n)
+		return n + exprSizeUpTo(e.Val, max-n)
+	case negTerm:
+		return exprSizeUpTo(e.X, max)
+	}
+	return 1
+}
+
 // sumTerm is one entry of normSum's sort: a term, its sign and its
 // rendering.
 type sumTerm struct {
@@ -250,7 +302,28 @@ func stripNeg(e Expr) (Expr, bool) {
 	return e, false
 }
 
+// cancelTerms drops syntactically equal pairs of a positive and a
+// negative term: each term, in order, cancels against the first later
+// term of the other sign that equals it. It compares only pairs of
+// opposite signs, so a sum of one sign costs no comparison at all.
 func cancelTerms(terms []Expr) []Expr {
+	var pos, neg []int // indexes of each sign, ascending
+	n := 0
+	for _, t := range terms {
+		if isNeg(t) {
+			n++
+		}
+	}
+	if n == 0 || n == len(terms) {
+		return terms
+	}
+	for i, t := range terms {
+		if isNeg(t) {
+			neg = append(neg, i)
+		} else {
+			pos = append(pos, i)
+		}
+	}
 	out := terms[:0:0]
 	used := make([]bool, len(terms))
 	for i, t := range terms {
@@ -258,13 +331,16 @@ func cancelTerms(terms []Expr) []Expr {
 			continue
 		}
 		ti, negI := stripNeg(t)
+		other := neg
+		if negI {
+			other = pos
+		}
 		cancelled := false
-		for j := i + 1; j < len(terms); j++ {
+		for _, j := range other[sort.SearchInts(other, i+1):] {
 			if used[j] {
 				continue
 			}
-			tj, negJ := stripNeg(terms[j])
-			if negI != negJ && ExprEqual(ti, tj) {
+			if tj, _ := stripNeg(terms[j]); ExprEqual(ti, tj) {
 				used[i], used[j] = true, true
 				cancelled = true
 				break
@@ -420,10 +496,11 @@ func isFalse(p Pred) bool { _, ok := p.(FalsePred); return ok }
 // SubstNorm returns NormPred(Subst(p, v, repl)) for a normal p without
 // renormalizing what the substitution leaves alone. fuel, when not
 // nil, bounds the work: each node of p visited costs one unit, and
-// each sum renormalized the square of its term count. Once *fuel is
-// negative SubstNorm stops walking, and its result is meaningless; p's
-// tree (not its DAG) is walked, so without fuel a predicate that
-// shares subformulas costs time exponential in its size. NormPred and
+// the local rules that compare or render subterms charge their size
+// (normSum, normSel). Once *fuel is negative SubstNorm stops walking,
+// and its result is meaningless; p's tree (not its DAG) is walked, so
+// without fuel a predicate that shares subformulas costs time
+// exponential in its size. NormPred and
 // NormExpr are compositional (a node's normal form is its local rule
 // applied to its children's normal forms) and idempotent, so a
 // subterm in which v does not occur is its own normal form and is
@@ -436,7 +513,7 @@ func isFalse(p Pred) bool { _, ok := p.(FalsePred); return ok }
 func SubstNorm(p Pred, v string, repl Expr, fuel *int) Pred {
 	s := substNormer{v: v, repl: repl, left: math.MaxInt}
 	if fuel != nil {
-		s.left = *fuel
+		s.left, s.metered = *fuel, true
 	}
 	q, _ := s.pred(p)
 	if fuel != nil {
@@ -447,12 +524,22 @@ func SubstNorm(p Pred, v string, repl Expr, fuel *int) Pred {
 
 // substNormer carries one SubstNorm: the variable, its replacement,
 // the replacement's normal form once an occurrence needs it, and the
-// fuel left. (A copy of the caller's counter, not a pointer to it,
-// keeps the counter off the heap.)
+// fuel left, if metered. (A copy of the caller's counter, not a
+// pointer to it, keeps the counter off the heap.)
 type substNormer struct {
 	v          string
 	repl, norm Expr
 	left       int
+	metered    bool
+}
+
+// fuel is the counter the local rules charge: nil when unmetered, so
+// that they skip measuring the subterms.
+func (s *substNormer) fuel() *int {
+	if !s.metered {
+		return nil
+	}
+	return &s.left
 }
 
 // spend charges one visited node and reports whether fuel is left.
@@ -546,19 +633,27 @@ func (s *substNormer) expr(e Expr) (Expr, bool) {
 		}
 		return s.norm, true
 	case Bin:
+		if x.Op == OpAdd || x.Op == OpSub {
+			l, cl := s.sumTree(x.L)
+			r, cr := s.sumTree(x.R)
+			if !cl && !cr {
+				return e, false
+			}
+			return normSum(Bin{x.Op, l, r}, s.fuel()), true
+		}
 		l, cl := s.expr(x.L)
 		r, cr := s.expr(x.R)
 		if !cl && !cr {
 			return e, false
 		}
-		return normBin(x.Op, l, r, &s.left), true
+		return normBin(x.Op, l, r, s.fuel()), true
 	case Sel:
 		m, cm := s.expr(x.Mem)
 		a, ca := s.expr(x.Addr)
 		if !cm && !ca {
 			return e, false
 		}
-		return normSel(m, a), true
+		return normSel(m, a, s.fuel()), true
 	case Upd:
 		m, cm := s.expr(x.Mem)
 		a, ca := s.expr(x.Addr)
@@ -569,6 +664,29 @@ func (s *substNormer) expr(e Expr) (Expr, bool) {
 		return Upd{m, a, val}, true
 	}
 	panic(fmt.Sprintf("logic: unknown expr %T", e))
+}
+
+// sumTree substitutes into the terms of the ⊕/⊖ tree below a sum and
+// rebuilds that tree without normalizing it, so that expr normalizes
+// the whole sum once. normSum flattens through every ⊕/⊖ node and
+// treats the rest as terms, which sumTree has normalized, so the
+// result is the one normBin would build node by node; but that would
+// renormalize the sum below each node on the way, t times for a sum
+// of t terms.
+func (s *substNormer) sumTree(e Expr) (Expr, bool) {
+	x, ok := e.(Bin)
+	if !ok || x.Op != OpAdd && x.Op != OpSub {
+		return s.expr(e)
+	}
+	if !s.spend() {
+		return e, false
+	}
+	l, cl := s.sumTree(x.L)
+	r, cr := s.sumTree(x.R)
+	if !cl && !cr {
+		return e, false
+	}
+	return Bin{x.Op, l, r}, true
 }
 
 // occurs reports whether the variable named v occurs in e.

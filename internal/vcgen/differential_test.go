@@ -27,15 +27,9 @@ import (
 
 // compareGen runs both generators on one input and fails the test on
 // any difference. It reports whether the generators accepted.
-// A program that runs Gen out of fuel is rejected without running the
-// reference, which has no fuel and would not finish.
 func compareGen(t testing.TB, name string, prog []alpha.Instr, pre, post logic.Pred, inv map[int]logic.Pred) bool {
 	t.Helper()
-	fuel := 1 << 18
-	got, err := vcgen.Gen(prog, pre, post, inv, &fuel)
-	if fuel < 0 {
-		return false
-	}
+	got, err := vcgen.Gen(prog, pre, post, inv)
 	want, refErr := vcgen.RefGen(prog, pre, post, inv)
 	if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
 		t.Fatalf("%s: error %v, reference %v", name, err, refErr)

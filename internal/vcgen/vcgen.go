@@ -82,12 +82,6 @@ type Result struct {
 	VCs []logic.Pred
 }
 
-// defaultFuel is Gen's fuel when its caller passes none: a quarter of
-// the default VC-size limit, as the consumer derives its own. The
-// paper filters, the checksum loops and their SFI hybrids spend at
-// most 2,178 units.
-const defaultFuel = 1 << 18
-
 // Gen computes the safety predicate of prog under (pre, post) with the
 // given invariant table (instruction index of each backward-branch
 // target ↦ invariant). It fails if a backward branch targets a point
@@ -101,19 +95,20 @@ const defaultFuel = 1 << 18
 // substitution leaves alone, and the connectives Gen adds go through
 // the local rules (logic.NormAnd, NormImp, NormAll).
 //
-// The work is bounded, in the units of logic.SubstNorm's fuel, and Gen
-// fails once the fuel is spent. A VC is a tree that can double in size
-// with each instruction (MULQ r1, r1, r1 squares r1's value), and each
-// substitution walks it, so the cost of generating from untrusted code
-// must be bounded by more than its length. The safety predicate's tree
-// size is charged too, since its encoding walks it. Gen spends
-// defaultFuel of its own, or counter[0] when a caller passes one (nil:
-// no bound); the consumer passes a quarter of its VC-size limit.
-func Gen(prog []alpha.Instr, pre, post logic.Pred, invariants map[int]logic.Pred, counter ...*int) (*Result, error) {
-	left := defaultFuel
-	fuel := &left
-	if len(counter) > 0 {
-		fuel = counter[0]
+// budget, when given and positive, bounds the work, in the units of
+// logic.SubstNorm's fuel, and Gen fails with an error that has a
+// VCBudget method once it is spent; without one Gen runs unbounded. A
+// VC is a tree that can double in size with each instruction (MULQ
+// r1, r1, r1 squares r1's value), and each substitution walks it, so
+// the cost of generating from untrusted code must be bounded by more
+// than its length. The safety predicate's tree size is charged too,
+// since its encoding walks it. The consumer passes a quarter of its
+// VC-size limit; producers generate from their own code and pass none.
+func Gen(prog []alpha.Instr, pre, post logic.Pred, invariants map[int]logic.Pred, budget ...int) (*Result, error) {
+	var fuel *int // nil: unbounded
+	if len(budget) > 0 && budget[0] > 0 {
+		left := budget[0]
+		fuel = &left
 	}
 	if err := alpha.Validate(prog); err != nil {
 		return nil, err
@@ -157,7 +152,7 @@ func Gen(prog []alpha.Instr, pre, post logic.Pred, invariants map[int]logic.Pred
 			return nil, err
 		}
 		if fuel != nil && *fuel < 0 {
-			return nil, fmt.Errorf("vcgen: pc %d: VC generation exceeds its work budget", pc)
+			return nil, &budgetError{pc: pc, budget: budget[0]}
 		}
 		vc[pc] = p
 	}
@@ -194,12 +189,28 @@ func Gen(prog []alpha.Instr, pre, post logic.Pred, invariants map[int]logic.Pred
 		// Substituting for the empty name, which no variable has,
 		// visits every node of sp's tree and changes none.
 		if logic.SubstNorm(sp, "", logic.C(0), fuel); *fuel < 0 {
-			return nil, fmt.Errorf("vcgen: safety predicate exceeds the work budget")
+			return nil, &budgetError{pc: -1, budget: budget[0]}
 		}
 	}
 	res.SP = sp
 	return res, nil
 }
+
+// budgetError is Gen's failure once its work exceeds the caller's
+// budget, at instruction pc (-1: in the safety predicate). A caller
+// tells it from a malformed program by its VCBudget method, the way
+// net.Error's Timeout tells a timeout from other failures.
+type budgetError struct{ pc, budget int }
+
+func (e *budgetError) Error() string {
+	if e.pc < 0 {
+		return fmt.Sprintf("vcgen: safety predicate exceeds the work budget of %d", e.budget)
+	}
+	return fmt.Sprintf("vcgen: pc %d: VC generation exceeds its work budget of %d", e.pc, e.budget)
+}
+
+// VCBudget returns the budget Gen ran out of.
+func (e *budgetError) VCBudget() int { return e.budget }
 
 // instrVC implements the per-instruction rules of Figure 4 (extended to
 // the full subset). Its operands (the VCs in vc, refVC's results and

@@ -352,22 +352,22 @@ func validate(ctx context.Context, binary []byte, pol *policy.Policy, sig *lf.Si
 	// shipped code alone and bound its size (the code is untrusted, so
 	// the VC's size is attacker-influenced even though the generator is
 	// ours). The VC can double with each instruction, so generating it
-	// is bounded too, by fuel of a quarter of MaxVCNodes, and running
-	// out is a vc_nodes rejection. The paper filters, the checksum
-	// loops and their SFI hybrids spend at most 2,178 units; a bomb
-	// that spends the default 262,144 holds about as many fresh nodes
-	// live when it is stopped.
+	// is bounded too, by a budget of a quarter of MaxVCNodes, and
+	// running out is a vc_nodes rejection. The paper filters, the
+	// checksum loops and their SFI hybrids spend at most 4,353 units;
+	// a bomb that spends the default 262,144 is stopped within
+	// milliseconds.
 	var spT lf.Term
 	err = fenced("vcgen", func() error {
 		mark := time.Now()
-		var fuel *int // nil, like sizeCap 0, when MaxVCNodes sets no bound
-		left, sizeCap := limits.MaxVCNodes/4, 0
+		budget, sizeCap := 0, 0 // no bound when MaxVCNodes sets none
 		if limits.MaxVCNodes > 0 {
-			fuel, sizeCap = &left, limits.MaxVCNodes+1
+			budget, sizeCap = max(limits.MaxVCNodes/4, 1), limits.MaxVCNodes+1
 		}
-		gen, err := vcgen.Gen(prog, pol.Pre, pol.Post, invariants, fuel)
+		gen, err := vcgen.Gen(prog, pol.Pre, pol.Post, invariants, budget)
 		if err != nil {
-			if fuel != nil && *fuel < 0 {
+			var spent interface{ VCBudget() int }
+			if errors.As(err, &spent) {
 				return &ResourceLimitError{Axis: "vc_nodes", Max: int64(limits.MaxVCNodes), Err: err}
 			}
 			return err
