@@ -72,6 +72,45 @@ func PaperBases() ([]Base, error) {
 	return append(bases, Base{Name: "checksum", Binary: cert.Binary, Policy: pol}), nil
 }
 
+// codeVariantSite is, per paper filter, the source line holding the
+// immediate a code-only variant rewrites: the value the filter
+// compares against or ORs in, which no safety condition mentions.
+var codeVariantSite = map[filters.Filter]struct{ old, repl string }{
+	filters.Filter1: {"CMPEQ  r4, 8, r0", "CMPEQ  r4, %d, r0"},
+	filters.Filter2: {"BIS    r5, 0x80, r5", "BIS    r5, %d, r5"},
+	filters.Filter3: {"BIS    r3, 0xC0, r3", "BIS    r3, %d, r3"},
+	filters.Filter4: {"MOVI   0x5000, r5", "MOVI   %d, r5"},
+}
+
+// CodeVariants certifies n code-only variants of each paper filter,
+// in filter order: the filter's source with its compared immediate
+// rewritten to 0x11, 0x12, .... Variants are different programs with
+// the same safety predicate, so each carries its filter's proof
+// bytes (symbols, invariants and proof) under new code: accepted
+// inputs by construction, unlike mutants. A Base's name is the
+// filter's with the immediate appended.
+func CodeVariants(n int) ([]Base, error) {
+	pol := policy.PacketFilter()
+	var out []Base
+	for _, f := range filters.All {
+		site := codeVariantSite[f]
+		src := filters.Source(f)
+		if strings.Count(src, site.old) != 1 {
+			return nil, fmt.Errorf("chaos: %v lost its immediate %q", f, site.old)
+		}
+		for i := 0; i < n; i++ {
+			k := 0x11 + i
+			vsrc := strings.Replace(src, site.old, fmt.Sprintf(site.repl, k), 1)
+			cert, err := pcc.Certify(vsrc, pol, nil)
+			if err != nil {
+				return nil, fmt.Errorf("chaos: certifying %v variant %#x: %w", f, k, err)
+			}
+			out = append(out, Base{Name: fmt.Sprintf("%v/%#x", f, k), Binary: cert.Binary, Policy: pol})
+		}
+	}
+	return out, nil
+}
+
 // Mutator derives one adversarial mutant from a base binary.
 type Mutator struct {
 	Name string

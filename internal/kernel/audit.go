@@ -149,6 +149,7 @@ func (a *auditor) install(va *validationAudit, slot *cacheSlot, err error) {
 			slog.Int64("lfsig_us", st.SigCheck.Microseconds()),
 			slog.Int64("vcgen_us", st.VCGen.Microseconds()),
 			slog.Int64("lfcheck_us", st.Check.Microseconds()),
+			slog.Bool("proof_reused", st.ProofReused),
 		)
 	}
 	if slot != nil && slot.wcetErr == nil {

@@ -9,14 +9,18 @@
 // journal's checksums classify corruption — a torn tail, a flipped
 // length word — but they never vouch for content; a record that frames
 // perfectly may still carry a bit-rotted (or maliciously rewritten)
-// proof. So recovery re-runs every replayed binary through the full
+// proof. So recovery re-runs every replayed binary through the
 // validation pipeline — parse, VC generation, LF proof check, WCET —
-// exactly as if a hostile process had just submitted it. A record that
-// no longer proves safe is skipped with a typed *RecoveryError,
-// audited, flight-recorded, and counted under
+// exactly as if a hostile process had just submitted it. Each
+// record's VC is recomputed from its own code; an identical proof
+// against an identical VC is checked once per boot (the policy keyer
+// remembers the checks it made, see pcc.Keyer). A record that no
+// longer proves safe is skipped with a typed *RecoveryError, audited,
+// flight-recorded, and counted under
 // pcc_rejects_total{reason="recovery"}; the rest of the set restores.
-// The kernel that finishes Recover holds only extensions whose safety
-// proofs checked NOW, not at some point in the past.
+// The kernel that finishes Recover holds only extensions whose proofs
+// this kernel checked against the VC of their own code, never ones an
+// earlier boot vouched for.
 package kernel
 
 import (
@@ -124,8 +128,9 @@ type RecoveryReport struct {
 // out-of-order frames are skipped, a torn tail truncates the replay),
 // folded to the live set — last install per owner wins, uninstalls
 // erase, the last backend retrofit is re-applied first — and every
-// surviving binary is re-validated through the full PCC pipeline
-// before it is re-installed. No journal writes happen during replay
+// surviving binary is re-validated through the PCC pipeline before it
+// is re-installed (its VC recomputed from its own code; a proof the
+// keyer already checked against that VC is not checked again). No journal writes happen during replay
 // (the records being replayed are already on disk); the store attaches
 // for write-ahead duty only once replay finishes, so Recover composes
 // with an empty directory as "cold boot".

@@ -55,6 +55,11 @@ const (
 	// regress against.
 	MetricProofBytes = "pcc_proof_bytes"
 	MetricVCNodes    = "pcc_vc_nodes"
+	// MetricProofReuse counts validations that skipped the LF check
+	// because the policy's keyer had checked the same proof against
+	// the same VC under the same limits (pcc.ValidationStats
+	// ProofReused).
+	MetricProofReuse = "pcc_proof_reuse_total"
 )
 
 // certSizeBounds is the bucket ladder for the certificate-cost value
@@ -74,6 +79,7 @@ type telem struct {
 	cacheHits      *telemetry.Counter
 	cacheMisses    *telemetry.Counter
 	cacheEvictions *telemetry.Counter
+	proofReuse     *telemetry.Counter
 	packets        *telemetry.Counter
 	filters        *telemetry.Gauge
 	quarantined    *telemetry.Gauge
@@ -87,6 +93,7 @@ func newTelem(rec *telemetry.Recorder) *telem {
 		cacheHits:      rec.Counter(MetricCacheHits),
 		cacheMisses:    rec.Counter(MetricCacheMisses),
 		cacheEvictions: rec.Counter(MetricCacheEvictions),
+		proofReuse:     rec.Counter(MetricProofReuse),
 		packets:        rec.Counter(MetricPackets),
 		filters:        rec.Gauge(MetricFiltersGauge),
 		quarantined:    rec.Gauge(MetricQuarantineGauge),
@@ -122,10 +129,15 @@ func (t *telem) probe(parent telemetry.Span, start time.Time, hit bool) {
 
 // validationStages replays pcc.Validate's stage breakdown as child
 // spans of the validation span. The stages ran back to back inside
-// Validate, so each child starts where the previous one ended.
+// Validate, so each child starts where the previous one ended. A
+// validation that reused a checked proof ran no LF check, so it gets
+// no lfcheck child and counts in pcc_proof_reuse_total.
 func (t *telem) validationStages(parent telemetry.Span, owner string, start time.Time, st *pcc.ValidationStats) {
 	if t == nil {
 		return
+	}
+	if st.ProofReused {
+		t.proofReuse.Inc()
 	}
 	cur := start
 	for _, stage := range []struct {
@@ -137,6 +149,9 @@ func (t *telem) validationStages(parent telemetry.Span, owner string, start time
 		{telemetry.StageVCGen, st.VCGen},
 		{telemetry.StageLFCheck, st.Check},
 	} {
+		if stage.name == telemetry.StageLFCheck && st.ProofReused {
+			break
+		}
 		parent.Record(stage.name, owner, cur, stage.dur, nil)
 		cur = cur.Add(stage.dur)
 	}

@@ -12,11 +12,13 @@ import (
 	"repro/internal/vcgen"
 )
 
-// TestCheckerMatchesReferenceOnChaos: on the paper's certified filters
-// and on chaos mutants of them (bit flips, truncations, section swaps,
-// proof grafts, depth and DAG bombs), the production checker and the
-// reference checker (ref_test.go) agree on verdict class and on Steps,
-// and the checker's depth is back at 0.
+// TestCheckerMatchesReferenceOnChaos: on the paper's certified filters,
+// on code-only variants of them (chaos.CodeVariants, accepted by
+// construction) and on chaos mutants of them (bit flips, truncations,
+// section swaps, proof grafts, depth and DAG bombs), the production
+// checker and the reference checker (ref_test.go) agree on verdict
+// class and on Steps, and the checker's depth is back at 0. Every
+// variant must check ok; the unmutated bases are not counted.
 // Mutants the decoder or the VC generator already rejects never reach
 // a checker and are skipped. The signature fingerprint and policy name
 // are not compared first, so mutants that would die on those checks in
@@ -74,19 +76,30 @@ func TestCheckerMatchesReferenceOnChaos(t *testing.T) {
 			t.Fatalf("%s: certified base checks as %s", b.Name, got)
 		}
 	}
+	variants, err := chaos.CodeVariants(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdicts := map[string]int{}
+	for _, v := range variants {
+		got := check(v.Name, v.Binary, v)
+		if got != "ok" {
+			t.Fatalf("%s: code-only variant checks as %s", v.Name, got)
+		}
+		verdicts[got]++
+	}
 	trials := 300
 	if testing.Short() {
 		trials = 60
 	}
 	rng := rand.New(rand.NewSource(0xD1FF))
 	muts := chaos.Mutators()
-	verdicts := map[string]int{}
 	for trial := 0; trial < trials; trial++ {
 		base := bases[rng.Intn(len(bases))]
 		m := muts[rng.Intn(len(muts))]
 		verdicts[check(base.Name+"/"+m.Name, m.Fn(rng, base), base)]++
 	}
-	t.Logf("verdicts over %d mutants: %v", trials, verdicts)
+	t.Logf("verdicts over %d variants and %d mutants: %v", len(variants), trials, verdicts)
 	if verdicts["type"] == 0 || verdicts["ok"] == 0 {
 		t.Fatalf("mutant corpus never reached both verdicts: %v", verdicts)
 	}

@@ -18,7 +18,10 @@
 package lf
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash"
 	"unsafe"
 )
 
@@ -348,6 +351,73 @@ func SizeBounded(t Term, max int) int {
 	}
 	walk(t)
 	return n
+}
+
+// Digest returns the SHA-256 of t's canonical pre-order encoding:
+// each node is a tag byte followed by its payload (a constant's name
+// with its length, an index, a literal, a sort) or by its two
+// children. Every tag fixes how many bytes or children follow, so the
+// encoding is prefix-free and equal digests mean equal terms up to a
+// SHA-256 collision. The walk visits t as a tree: callers bound its
+// size first (SizeBounded), as a DAG can expand exponentially.
+func Digest(t Term) [sha256.Size]byte {
+	d := &digester{h: sha256.New()}
+	d.buf = d.arr[:0]
+	d.walk(t)
+	d.h.Write(d.buf)
+	var sum [sha256.Size]byte
+	d.h.Sum(sum[:0])
+	return sum
+}
+
+// digester streams Digest's encoding through a fixed buffer.
+type digester struct {
+	h   hash.Hash
+	buf []byte
+	arr [512]byte
+}
+
+// room flushes the buffer unless n more bytes fit.
+func (d *digester) room(n int) {
+	if len(d.buf)+n > len(d.arr) {
+		d.h.Write(d.buf)
+		d.buf = d.buf[:0]
+	}
+}
+
+func (d *digester) walk(t Term) {
+	d.room(1 + binary.MaxVarintLen64)
+	switch t := t.(type) {
+	case Sort:
+		d.buf = append(d.buf, 's', byte(t))
+	case Konst:
+		d.buf = binary.AppendUvarint(append(d.buf, 'c'), uint64(len(t.Name)))
+		if len(t.Name) > len(d.arr) {
+			d.room(len(d.arr))
+			d.h.Write([]byte(t.Name))
+			return
+		}
+		d.room(len(t.Name))
+		d.buf = append(d.buf, t.Name...)
+	case Bound:
+		d.buf = binary.AppendUvarint(append(d.buf, 'b'), uint64(t.Idx))
+	case Lit:
+		d.buf = binary.AppendUvarint(append(d.buf, 'l'), t.V)
+	case Pi:
+		d.buf = append(d.buf, 'p')
+		d.walk(t.A)
+		d.walk(t.B)
+	case Lam:
+		d.buf = append(d.buf, 'f')
+		d.walk(t.A)
+		d.walk(t.M)
+	case App:
+		d.buf = append(d.buf, 'a')
+		d.walk(t.F)
+		d.walk(t.X)
+	default:
+		panic(fmt.Sprintf("lf: unknown term %T", t))
+	}
 }
 
 // nodeID is the identity of a term node: both words of its interface

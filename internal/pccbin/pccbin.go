@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/lf"
@@ -81,11 +82,12 @@ type Binary struct {
 	Symbols []string
 	// Proof is the LF proof term of the program's safety predicate.
 	Proof lf.Term
-	// ProofBytes is the encoded size of the proof section, recorded by
-	// Unmarshal so a consumer can enforce a certificate-size budget
-	// (certificate size is the checking cost an attacker can most
-	// directly inflate). Not meaningful on producer-built Binaries
-	// until they round-trip through Marshal/Unmarshal.
+	// ProofBytes is the encoded size of the proof section (the bytes
+	// after the invariant table), recorded by UnmarshalHead so a
+	// consumer can enforce a certificate-size budget (certificate size
+	// is the checking cost an attacker can most directly inflate). Not
+	// meaningful on producer-built Binaries until they round-trip
+	// through Marshal/Unmarshal.
 	ProofBytes int
 	// ProofNodes is the number of nodes in the tree Proof expands to,
 	// saturating at math.MaxInt. Unmarshal computes it once per
@@ -93,6 +95,12 @@ type Binary struct {
 	// measure than to decode. Not meaningful on producer-built
 	// Binaries until they round-trip through Marshal/Unmarshal.
 	ProofNodes int
+	// RelocOff is where the relocation section starts in the bytes
+	// UnmarshalHead read. Symbols, invariants and proof run from there
+	// to the end, so those bytes are all a proof decode depends on.
+	RelocOff int
+
+	proof *termReader // the reader DecodeProof resumes; nil once done
 }
 
 // Layout reports the byte layout of a marshaled binary, mirroring
@@ -499,10 +507,28 @@ func Unmarshal(data []byte) (*Binary, error) {
 }
 
 // UnmarshalWithLimits parses a PCC binary with caller-supplied decode
-// budgets (zero fields use the package defaults). Budget violations
-// are typed LimitErrors matching ErrLimit, so a consumer can count
-// them separately from structural malformation.
+// budgets (zero fields use the package defaults): UnmarshalHead, then
+// DecodeProof. Budget violations are typed LimitErrors matching
+// ErrLimit, so a consumer can count them separately from structural
+// malformation.
 func UnmarshalWithLimits(data []byte, lim Limits) (*Binary, error) {
+	b, err := UnmarshalHead(data, lim)
+	if err != nil {
+		return nil, err
+	}
+	if err := b.DecodeProof(); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// UnmarshalHead parses a PCC binary up to its proof term: header,
+// native code, relocation section and invariant table. It sets every
+// field but Proof and ProofNodes, which DecodeProof fills in; until
+// then the Binary holds on to data. A consumer that already checked
+// these exact proof bytes (Binary.RelocOff onwards) under the same
+// budgets may skip DecodeProof: the proof decode reads nothing else.
+func UnmarshalHead(data []byte, lim Limits) (*Binary, error) {
 	if lim.MaxTermNodes <= 0 {
 		lim.MaxTermNodes = maxTermNodes
 	}
@@ -541,6 +567,7 @@ func UnmarshalWithLimits(data []byte, lim Limits) (*Binary, error) {
 	}
 	b.Code = append([]byte(nil), code...)
 
+	b.RelocOff = r.pos
 	nSym, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -570,9 +597,10 @@ func UnmarshalWithLimits(data []byte, lim Limits) (*Binary, error) {
 	if nInv > 1<<16 {
 		return nil, fmt.Errorf("pccbin: absurd invariant count %d", nInv)
 	}
+	// The table is sized for the proof by DecodeProof, so a head
+	// decode of an invariant-free binary allocates none.
 	tr := &termReader{
 		r: r, syms: b.Symbols,
-		table:    make([]tableEntry, 0, presize(len(data)-r.pos, lim.MaxTermNodes)),
 		budget:   lim.MaxTermNodes,
 		maxNodes: lim.MaxTermNodes,
 		maxDepth: lim.MaxTermDepth,
@@ -591,18 +619,31 @@ func UnmarshalWithLimits(data []byte, lim Limits) (*Binary, error) {
 		}
 		b.Invariants = append(b.Invariants, Invariant{PC: int(pc), Pred: pred})
 	}
+	b.ProofBytes = len(data) - r.pos
+	b.proof = tr
+	return b, nil
+}
 
-	proofStart := r.pos
+// DecodeProof decodes the proof term of a Binary from UnmarshalHead
+// and checks that nothing follows it. It runs once; a second call, or
+// a call on a Binary not from UnmarshalHead, is an error.
+func (b *Binary) DecodeProof() error {
+	tr := b.proof
+	if tr == nil {
+		return errors.New("pccbin: no proof term left to decode")
+	}
+	b.proof = nil
+	r := tr.r
+	tr.table = slices.Grow(tr.table, presize(len(r.buf)-r.pos, tr.maxNodes))
 	proof, nodes, err := tr.read()
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if r.pos != len(r.buf) {
+		return fmt.Errorf("pccbin: %d trailing bytes", len(r.buf)-r.pos)
 	}
 	b.Proof, b.ProofNodes = proof, nodes
-	b.ProofBytes = r.pos - proofStart
-	if r.pos != len(data) {
-		return nil, fmt.Errorf("pccbin: %d trailing bytes", len(data)-r.pos)
-	}
-	return b, nil
+	return nil
 }
 
 // DecodeInvariants converts the invariant table to the map form the VC

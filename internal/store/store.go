@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -174,10 +175,16 @@ type Store struct {
 	dir     string
 	opt     Options
 	journal *os.File
+	// end is the journal's length up to its last whole frame: where
+	// the next append starts, and where a failed one is cut back to.
+	end     int64
 	nextSeq uint64
 	// live counts journal records past the snapshot, for CompactEvery.
 	live   int
 	closed bool
+	// wedged is set when a failed append could not be cut back: the
+	// journal may end in part of a frame, so no append may follow it.
+	wedged bool
 }
 
 // Open opens (creating if necessary) the store in dir. A torn final
@@ -293,7 +300,7 @@ func Open(dir string, opt Options) (*Store, error) {
 			return nil, fmt.Errorf("store: truncate torn tail: %w", err)
 		}
 	}
-	if _, err := f.Seek(0, 2); err != nil {
+	if s.end, err = f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: seek journal: %w", err)
 	}
@@ -353,31 +360,52 @@ func (s *Store) Dir() string { return s.dir }
 // Append frames, writes, and fsyncs one record, assigning its sequence
 // number. It returns only after the record is durable (unless the
 // store was opened NoSync); a nil error is the caller's license to ack
-// the operation. A CompactEvery threshold may fold the journal into
-// the snapshot on the way out; compaction failure is not an append
+// the operation. A failed write or sync cuts the journal back to where
+// the record began, so a partial frame never sits in front of later
+// acked records; if that fails too, every later Append fails with
+// ErrClosed. A CompactEvery threshold may fold the journal into the
+// snapshot on the way out; compaction failure is not an append
 // failure (the record is already durable).
 func (s *Store) Append(kind Kind, owner string, binary []byte) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed || s.wedged {
 		return 0, ErrClosed
 	}
 	seq := s.nextSeq
-	rec := Record{Kind: kind, Seq: seq, Owner: owner, Binary: binary}
-	if _, err := s.journal.Write(FrameRecord(rec)); err != nil {
-		return 0, fmt.Errorf("store: append: %w", err)
+	frame := FrameRecord(Record{Kind: kind, Seq: seq, Owner: owner, Binary: binary})
+	if _, err := s.journal.Write(frame); err != nil {
+		return 0, s.unwind(fmt.Errorf("store: append: %w", err))
 	}
 	if !s.opt.NoSync {
 		if err := s.journal.Sync(); err != nil {
-			return 0, fmt.Errorf("store: append sync: %w", err)
+			return 0, s.unwind(fmt.Errorf("store: append sync: %w", err))
 		}
 	}
+	s.end += int64(len(frame))
 	s.nextSeq++
 	s.live++
 	if s.opt.CompactEvery > 0 && s.live >= s.opt.CompactEvery {
 		s.compactLocked() // best-effort; the append above is already durable
 	}
 	return seq, nil
+}
+
+// unwind undoes a failed append: it truncates the journal to s.end and
+// moves the write offset there. Were the partial frame left in place,
+// the next append would land behind it, replay would lose frame
+// alignment at the stray length word, and Open would cut everything
+// after it as a torn tail, acked records included. If the cut fails,
+// the store is wedged. It returns err.
+func (s *Store) unwind(err error) error {
+	if terr := s.journal.Truncate(s.end); terr != nil {
+		s.wedged = true
+		return err
+	}
+	if _, serr := s.journal.Seek(s.end, io.SeekStart); serr != nil {
+		s.wedged = true
+	}
+	return err
 }
 
 // Compact folds the snapshot and journal into a fresh snapshot holding
@@ -447,7 +475,9 @@ func (s *Store) compactLocked() error {
 	if err := s.journal.Truncate(int64(len(journalMagic))); err != nil {
 		return fmt.Errorf("store: compact truncate: %w", err)
 	}
-	if _, err := s.journal.Seek(0, 2); err != nil {
+	s.end = int64(len(journalMagic))
+	if _, err := s.journal.Seek(s.end, io.SeekStart); err != nil {
+		s.wedged = true // the write offset is past the cut
 		return fmt.Errorf("store: compact seek: %w", err)
 	}
 	if !s.opt.NoSync {

@@ -60,18 +60,22 @@ func (o WindowOptions) slots() int {
 // never used, -1 means a rotation is zeroing it. Counter windows use
 // count/sum; histogram windows feed only the per-bound buckets — the
 // read side derives the count by summing them, so the hot observation
-// path pays one atomic add instead of three.
+// path pays one atomic add instead of three. A histogram slot's
+// buckets are allocated when the slot is first rotated into, and
+// published before its epoch: a window that saw one interval holds one
+// slot's buckets, not a minute's.
 type winSlot struct {
 	epoch   atomic.Int64
 	count   atomic.Int64
 	sum     atomic.Int64 // counter windows only: nanoseconds or raw units
-	buckets []atomic.Int64
+	buckets atomic.Pointer[[]atomic.Int64]
 }
 
 // Window is the sliding-window ring. A nil *Window is a valid no-op.
 type Window struct {
 	interval int64 // nanos per slot
 	created  int64 // UnixNanos at construction, bounds the covered span
+	nb       int   // per-bound buckets per slot; 0 for counter windows
 	slots    []winSlot
 }
 
@@ -79,17 +83,12 @@ type Window struct {
 // bucket counters (histogram windows), nb == 0 a count/sum-only window
 // (counter windows).
 func newWindow(o WindowOptions, nb int) *Window {
-	w := &Window{
+	return &Window{
 		interval: o.interval(),
 		created:  time.Now().UnixNano(),
+		nb:       nb,
 		slots:    make([]winSlot, o.slots()),
 	}
-	if nb > 0 {
-		for i := range w.slots {
-			w.slots[i].buckets = make([]atomic.Int64, nb)
-		}
-	}
-	return w
 }
 
 // add records n events summing to sum (nanos or raw units) in the
@@ -105,8 +104,10 @@ func (w *Window) add(now int64, bucket int, n, sum int64) {
 		switch {
 		case e == epoch:
 			if bucket >= 0 {
-				if bucket < len(s.buckets) {
-					s.buckets[bucket].Add(n)
+				// The buckets were stored before the epoch that led
+				// here, so they are visible.
+				if b := s.buckets.Load(); b != nil && bucket < len(*b) {
+					(*b)[bucket].Add(n)
 				}
 			} else {
 				s.count.Add(n)
@@ -125,8 +126,13 @@ func (w *Window) add(now int64, bucket int, n, sum int64) {
 			if s.epoch.CompareAndSwap(e, -1) {
 				s.count.Store(0)
 				s.sum.Store(0)
-				for i := range s.buckets {
-					s.buckets[i].Store(0)
+				if b := s.buckets.Load(); b != nil {
+					for i := range *b {
+						(*b)[i].Store(0)
+					}
+				} else if w.nb > 0 {
+					b := make([]atomic.Int64, w.nb)
+					s.buckets.Store(&b)
 				}
 				s.epoch.Store(epoch)
 			}
@@ -168,9 +174,11 @@ func (w *Window) stat(now int64, nb int) (st WindowStat, mergedBuckets []int64) 
 			continue
 		}
 		if nb > 0 {
-			for j := range mergedBuckets {
-				if j < len(s.buckets) {
-					mergedBuckets[j] += s.buckets[j].Load()
+			if b := s.buckets.Load(); b != nil {
+				for j := range mergedBuckets {
+					if j < len(*b) {
+						mergedBuckets[j] += (*b)[j].Load()
+					}
 				}
 			}
 		} else {

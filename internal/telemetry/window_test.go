@@ -48,6 +48,39 @@ func TestWindowRotation(t *testing.T) {
 	}
 }
 
+// TestWindowAllocatesOnRotation: a histogram window's slots get their
+// bucket counters when first rotated into, so a window that saw one
+// interval holds one slot's counters; a later interval adds one more.
+func TestWindowAllocatesOnRotation(t *testing.T) {
+	w := newWindow(WindowOptions{Interval: time.Second, Slots: 60}, 16)
+	w.created = 0
+	sec := int64(time.Second)
+	held := func() int {
+		n := 0
+		for i := range w.slots {
+			if w.slots[i].buckets.Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := held(); n != 0 {
+		t.Fatalf("fresh window holds %d slots' counters, want 0", n)
+	}
+	w.add(1*sec, 3, 1, 0)
+	w.add(1*sec+sec/2, 5, 2, 0)
+	if n := held(); n != 1 {
+		t.Fatalf("one interval: %d slots' counters, want 1", n)
+	}
+	w.add(2*sec, 3, 4, 0)
+	if n := held(); n != 2 {
+		t.Fatalf("two intervals: %d slots' counters, want 2", n)
+	}
+	if st, merged := w.stat(2*sec, 16); st.Count != 7 || merged[3] != 5 || merged[5] != 2 {
+		t.Fatalf("windowed buckets: count %d, merged %v", st.Count, merged)
+	}
+}
+
 // TestWindowRate checks the covered-span clamp: a window younger than
 // its full span reports Count over its age, not over the full span.
 func TestWindowRate(t *testing.T) {

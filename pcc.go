@@ -199,6 +199,12 @@ type ValidationStats struct {
 	HeapBytes uint64
 	// BinarySize is the total PCC binary size in bytes.
 	BinarySize int
+	// ProofReused reports that the proof was not decoded or checked:
+	// the validating Keyer had already checked these exact proof bytes
+	// against this exact safety predicate under equal Limits (see
+	// Keyer). CheckSteps and ProofNodes are then that check's, and
+	// Check is zero.
+	ProofReused bool
 }
 
 // Extension is a validated kernel extension: native code the consumer
@@ -263,12 +269,13 @@ func asLimitErr(err error) error {
 // recover fence, so a panic provoked by hostile bytes surfaces as a
 // *PanicError rejection rather than a crash.
 func ValidateCtx(ctx context.Context, binary []byte, pol *policy.Policy, lim *Limits) (*Extension, *ValidationStats, error) {
-	return validate(ctx, binary, pol, nil, lim)
+	return validate(ctx, binary, pol, nil, nil, lim)
 }
 
 // validate is the one body of ValidateCtx and Keyer.ValidateCtx. sig
-// is the policy's published signature, or nil to look it up.
-func validate(ctx context.Context, binary []byte, pol *policy.Policy, sig *lf.Signature, lim *Limits) (*Extension, *ValidationStats, error) {
+// is the policy's published signature, or nil to look it up; memo is
+// the keyer's record of checked proofs, or nil for none.
+func validate(ctx context.Context, binary []byte, pol *policy.Policy, sig *lf.Signature, memo *proofMemo, lim *Limits) (*Extension, *ValidationStats, error) {
 	limits := DefaultLimits()
 	if lim != nil {
 		limits = *lim
@@ -286,20 +293,35 @@ func validate(ctx context.Context, binary []byte, pol *policy.Policy, sig *lf.Si
 	stats := &ValidationStats{BinarySize: len(binary)}
 
 	// Stage 1: decode — binary unmarshal (with term budgets), policy
-	// and rule-set checks, native code and invariant decoding.
+	// and rule-set checks, native code and invariant decoding. The
+	// proof term is decoded here too, unless the memo holds these
+	// exact proof bytes under these limits: then they decoded cleanly
+	// before, and the term waits until the check needs it.
 	var (
 		bin        *pccbin.Binary
 		prog       []alpha.Instr
 		invariants map[int]logic.Pred
+		proofKey   [sha256.Size]byte
+		prior      checkedProof
+		known      bool // prior holds a check of these proof bytes
 	)
 	err := fenced("decode", func() error {
 		var err error
-		bin, err = pccbin.UnmarshalWithLimits(binary, pccbin.Limits{
+		bin, err = pccbin.UnmarshalHead(binary, pccbin.Limits{
 			MaxTermNodes: limits.MaxTermNodes,
 			MaxTermDepth: limits.MaxTermDepth,
 		})
 		if err != nil {
 			return asLimitErr(err)
+		}
+		if memo != nil {
+			proofKey = sha256.Sum256(binary[bin.RelocOff:])
+			prior, known = memo.lookup(proofKey, limits)
+		}
+		if !known {
+			if err := bin.DecodeProof(); err != nil {
+				return asLimitErr(err)
+			}
 		}
 		if limits.MaxProofBytes > 0 && bin.ProofBytes > limits.MaxProofBytes {
 			return &ResourceLimitError{
@@ -315,11 +337,15 @@ func validate(ctx context.Context, binary []byte, pol *policy.Policy, sig *lf.Si
 		// the proof's tree size once per DAG node; a hash-consed bomb
 		// reports the term-node budget (the checker's step fuel
 		// rejects it anyway).
-		nodeCap := limits.MaxTermNodes
-		if nodeCap <= 0 {
-			nodeCap = DefaultLimits().MaxTermNodes
+		if known {
+			stats.ProofNodes = prior.nodes
+		} else {
+			nodeCap := limits.MaxTermNodes
+			if nodeCap <= 0 {
+				nodeCap = DefaultLimits().MaxTermNodes
+			}
+			stats.ProofNodes = min(bin.ProofNodes, nodeCap)
 		}
-		stats.ProofNodes = min(bin.ProofNodes, nodeCap)
 
 		mark := time.Now()
 		if sig == nil {
@@ -391,28 +417,54 @@ func validate(ctx context.Context, binary []byte, pol *policy.Policy, sig *lf.Si
 	}
 
 	// Stage 3: LF typechecking of the enclosed proof, under step fuel,
-	// depth budget, and the context's cancellation.
-	var checker *lf.Checker
-	err = fenced("lfcheck", func() error {
-		mark := time.Now()
-		checker = lf.NewChecker(sig)
-		checker.MaxSteps = limits.MaxCheckSteps
-		checker.MaxDepth = limits.MaxTermDepth
-		checker.Interrupt = ctx.Err
-		if err := checker.Check(bin.Proof, lf.App{F: lf.Konst{Name: lf.CPf}, X: spT}); err != nil {
-			return fmt.Errorf("pcc: proof validation failed: %w", asLimitErr(err))
+	// depth budget, and the context's cancellation — unless the memo
+	// already checked these proof bytes against this VC under these
+	// limits, which the check would only repeat.
+	if known && lf.Digest(spT) == prior.vc {
+		stats.ProofReused = true
+		stats.CheckSteps = prior.steps
+	} else {
+		if known {
+			// The same proof for another VC, as in a proof graft:
+			// decode it now and check it as if it were new.
+			err = fenced("decode", func() error {
+				mark := time.Now()
+				if err := bin.DecodeProof(); err != nil {
+					return asLimitErr(err)
+				}
+				stats.Parse += time.Since(mark)
+				return nil
+			})
+			if err != nil {
+				return nil, nil, err
+			}
 		}
-		stats.Check = time.Since(mark)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
+		var checker *lf.Checker
+		err = fenced("lfcheck", func() error {
+			mark := time.Now()
+			checker = lf.NewChecker(sig)
+			checker.MaxSteps = limits.MaxCheckSteps
+			checker.MaxDepth = limits.MaxTermDepth
+			checker.Interrupt = ctx.Err
+			if err := checker.Check(bin.Proof, lf.App{F: lf.Konst{Name: lf.CPf}, X: spT}); err != nil {
+				return fmt.Errorf("pcc: proof validation failed: %w", asLimitErr(err))
+			}
+			stats.Check = time.Since(mark)
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		stats.CheckSteps = checker.Steps
+		if memo != nil {
+			memo.record(proofKey, checkedProof{
+				vc: lf.Digest(spT), limits: limits, steps: checker.Steps, nodes: stats.ProofNodes})
+		}
 	}
 
 	stats.Time = time.Since(start)
 	stats.HeapBytes = heapAllocBytes() - allocBefore
 	runtime.Gosched() // the last stage ends too; see endStage
-	stats.CheckSteps = checker.Steps
 	return &Extension{Prog: prog, Policy: pol}, stats, nil
 }
 
@@ -463,10 +515,74 @@ func ValidationKey(bin []byte, pol *policy.Policy) [sha256.Size]byte {
 // once. A consumer builds one Keyer per published policy (the digests
 // summarize the policy's semantic content; they are fixed once the
 // policy is published).
+//
+// A Keyer also remembers the proofs it checked, so a proof shipped with
+// many code variants (or replayed from a journal) is checked once per
+// safety predicate: when the proof bytes, the VC recomputed from the
+// binary's own code, and the Limits all match a successful earlier
+// check, ValidateCtx skips decoding and checking the proof and reports
+// that check's steps (ValidationStats.ProofReused). The code is still
+// decoded and its VC still regenerated every time.
 type Keyer struct {
 	prefix [2 * sha256.Size]byte
 	pol    *policy.Policy
 	sig    *lf.Signature
+	memo   proofMemo
+}
+
+// proofMemo maps the SHA-256 of a binary's proof bytes (relocation
+// section to the end: symbols, invariants and proof, all the proof
+// decode reads) to a successful check of that proof. Only successes
+// are recorded, and the keyer's policy and signature are fixed, so an
+// entry asserts "these bytes decode to a proof of the VC with this
+// digest, under these limits, in this many steps". Entries are digests
+// and counts, never terms.
+type proofMemo struct {
+	mu sync.Mutex
+	m  map[[sha256.Size]byte]checkedProof
+}
+
+// checkedProof is one successful check: the digest of the VC the
+// proof was checked against (lf.Digest), the limits it was decoded
+// and checked under, its Checker.Steps and its ValidationStats
+// ProofNodes.
+type checkedProof struct {
+	vc     [sha256.Size]byte
+	limits Limits
+	steps  int
+	nodes  int
+}
+
+// maxCheckedProofs bounds the memo, like the kernel's proof cache
+// (256 entries): proofs come from producers, so their number is not
+// under the consumer's control.
+const maxCheckedProofs = 256
+
+// lookup returns the check recorded for the proof bytes with digest
+// key, if it ran under limits equal to lim.
+func (m *proofMemo) lookup(key [sha256.Size]byte, lim Limits) (checkedProof, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.m[key]
+	if !ok || e.limits != lim {
+		return checkedProof{}, false
+	}
+	return e, true
+}
+
+// record remembers a successful check. The map is made on the first
+// record, so a throwaway keyer (ValidationKey) costs none, and cleared
+// when full: a miss only costs a check.
+func (m *proofMemo) record(key [sha256.Size]byte, e checkedProof) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.m == nil {
+		m.m = make(map[[sha256.Size]byte]checkedProof)
+	}
+	if _, ok := m.m[key]; !ok && len(m.m) >= maxCheckedProofs {
+		clear(m.m)
+	}
+	m.m[key] = e
 }
 
 // NewKeyer resolves the policy's published rule set and digests both
@@ -489,9 +605,11 @@ func (ky *Keyer) PolicyDigest() [sha256.Size]byte {
 
 // ValidateCtx is ValidateCtx under the keyer's policy. It skips the
 // per-validation signature lookup, which for a policy with axiom
-// schemas digests the whole policy.
+// schemas digests the whole policy, and the proof check when the
+// keyer already checked the same proof against the same VC under the
+// same limits. It is safe for concurrent use.
 func (ky *Keyer) ValidateCtx(ctx context.Context, binary []byte, lim *Limits) (*Extension, *ValidationStats, error) {
-	return validate(ctx, binary, ky.pol, ky.sig, lim)
+	return validate(ctx, binary, ky.pol, ky.sig, &ky.memo, lim)
 }
 
 // Key returns the memoization key for validating bin under the keyer's

@@ -59,6 +59,19 @@ go test -race -cpu=1,4 ./internal/kernel/
 echo '== go test -race -count=50 supervision'
 go test -race -count=50 -run 'Breaker|Quarantine|Supervis' ./internal/kernel/
 
+# The policy keyers' memo of checked proofs twenty times over under
+# the race detector: concurrent validations and batch installs share
+# one memo per keyer. -short keeps the chaos-verdict comparison to 50
+# mutants a round.
+echo '== go test -race -count=20 proof memo'
+go test -short -race -count=20 -run 'KeyerMemo|ProofMemo|NewKeyerAllocates' .
+go test -race -count=20 -run 'BatchInstallSameShapeConcurrent|ProofReuseObserved' ./internal/kernel/
+
+# The LF package's short suite on its own: the chaos differential
+# must find its code-only variants accepted at 60 mutants too.
+echo '== go test -short ./internal/lf/'
+go test -short ./internal/lf/
+
 # One iteration of each observed-dispatch posture (bare, compiled+prof,
 # served; 1 and 2 goroutines) so the benchmark keeps compiling and
 # running; the figures are not gated here.
@@ -97,6 +110,7 @@ for metric in \
 	pcc_cache_hits_total \
 	pcc_cache_misses_total \
 	pcc_cache_evictions_total \
+	pcc_proof_reuse_total \
 	pcc_packets_total \
 	pcc_filters_installed \
 	pcc_stage_vcgen_seconds_count \
