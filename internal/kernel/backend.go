@@ -93,19 +93,27 @@ func (k *Kernel) Backend() Backend { return Backend(k.backend.Load()) }
 // and the replaced originals are retired past in-flight deliveries —
 // a dispatch in flight finishes entirely on the backend it started
 // with.
+//
+// With a store attached the retrofit is a journaled commit (commit in
+// store.go), so recovery re-applies the backend choice before it
+// re-installs filters: the switch is published in journal order, after
+// every install journaled before it, and a failed append or fsync
+// leaves the backend as it was.
 func (k *Kernel) SetBackend(b Backend) error {
 	if b != BackendInterp && b != BackendCompiled {
 		return fmt.Errorf("kernel: unknown backend %d", b)
 	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	old := Backend(k.backend.Load())
-	t := k.table.Load()
-	var nt *filterTable
-	var replaced []*installed
-	if b == BackendCompiled {
-		// Two passes so a compile failure aborts with nothing changed.
-		fresh := make(map[string]*machine.Compiled, len(t.slots))
+	// fresh holds the compiled forms built by the check, which runs
+	// before the record is written so a compile failure aborts with
+	// nothing journaled.
+	var fresh map[*installed]*machine.Compiled
+	var old Backend
+	err := k.commit(&store.Record{Kind: store.KindRetrofit, Owner: retrofitBackend, Binary: []byte(b.String())}, func() error {
+		if b != BackendCompiled {
+			return nil
+		}
+		t := k.table.Load()
+		fresh = make(map[*installed]*machine.Compiled, len(t.slots))
 		for i := range t.slots {
 			owner, f := t.slots[i].owner, t.slots[i].f
 			if f.compiled != nil {
@@ -115,40 +123,44 @@ func (k *Kernel) SetBackend(b Backend) error {
 			if cerr != nil {
 				return fmt.Errorf("kernel: compiling filter for %q: %w", owner, cerr)
 			}
-			fresh[owner] = c
+			fresh[f] = c
 		}
-		nt, replaced = t.mapped(func(owner string, f *installed) *installed {
-			c, ok := fresh[owner]
-			if !ok {
-				return f
-			}
-			nf := *f
-			nf.compiled = c
-			return &nf
-		})
-	} else {
-		nt, replaced = t.mapped(func(owner string, f *installed) *installed {
-			if f.compiled == nil {
+		return nil
+	}, func() {
+		old = Backend(k.backend.Load())
+		t := k.table.Load()
+		nt, replaced := t.mapped(func(owner string, f *installed) *installed {
+			if (f.compiled != nil) == (b == BackendCompiled) {
 				return f
 			}
 			nf := *f
 			nf.compiled = nil
+			if b == BackendCompiled {
+				// A filter published since the check (journaled before
+				// this record) compiles now; should that fail, it stays
+				// interpreted.
+				c, ok := fresh[f]
+				if !ok {
+					c, _ = compileFenced(f.ext.Prog)
+				}
+				if c == nil {
+					return f
+				}
+				nf.compiled = c
+			}
 			return &nf
 		})
-	}
-	if nt != t {
-		k.publishLocked(nt, replaced...)
-	}
-	k.backend.Store(int32(b))
-	// Journal the retrofit so recovery re-applies the backend choice
-	// before it re-installs filters. The switch itself already happened;
-	// an append failure is reported (audited) but does not undo it — the
-	// backend is a performance choice, not a safety property, so the
-	// worst a lost record costs is a post-recovery interpreter.
-	if st := k.wal.Load(); st != nil {
-		if _, jerr := st.Append(store.KindRetrofit, retrofitBackend, []byte(b.String())); jerr != nil {
-			k.audit.Load().storeError("retrofit", retrofitBackend, &StoreError{Op: "append", Err: jerr}, 0)
+		if nt != t {
+			k.publishLocked(nt, replaced...)
 		}
+		k.backend.Store(int32(b))
+	})
+	if err != nil {
+		if serr, ok := err.(*StoreError); ok {
+			k.audit.Load().storeError("retrofit", retrofitBackend, serr, 0)
+			return fmt.Errorf("kernel: backend retrofit not journaled: %w", err)
+		}
+		return err
 	}
 	k.configChange("backend", old.String(), b.String())
 	return nil

@@ -41,6 +41,32 @@ type proofCache struct {
 	order   *list.List // front = most recently used
 
 	hits, misses, evictions int64
+	// flights holds the validations in progress (see join).
+	flights map[flightKey]*flight
+}
+
+// flightKey names one validation in progress: the binary's cache key
+// under its first candidate policy, and the limits it runs under.
+type flightKey struct {
+	key cacheKey
+	lim *pcc.Limits
+}
+
+// flight is one validation in progress. Installs of the same binary
+// under the same limits that miss the cache meanwhile wait for it
+// instead of validating again: validation is a pure function of the
+// binary, the policies and the limits. Its result fields are written
+// before done is closed.
+type flight struct {
+	fk   flightKey
+	done chan struct{}
+	slot *cacheSlot
+	cand candidate // the policy the binary validated under
+	err  error
+	// retry is set when the leader's own context ended its validation:
+	// that verdict is the leader's alone, and the followers validate
+	// for themselves.
+	retry bool
 }
 
 // cacheSlot is one validated extension plus everything derived purely
@@ -133,6 +159,44 @@ func (c *proofCache) put(slot *cacheSlot) (kept *cacheSlot, evicted int64) {
 		evicted++
 	}
 	return slot, evicted
+}
+
+// join returns the flight validating fk, and whether the caller leads
+// it: a leader validates and calls land, a follower waits on done. It
+// returns no flight when fk's binary was cached since the caller
+// probed (a flight that landed in between), and the caller probes
+// again. With the cache disabled every caller leads a flight of its
+// own, so every install validates.
+func (c *proofCache) join(fk flightKey) (fl *flight, leader bool) {
+	if c == nil || c.max <= 0 {
+		return &flight{fk: fk, done: make(chan struct{})}, true
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur := c.flights[fk]; cur != nil {
+		return cur, false
+	}
+	if _, ok := c.entries[fk.key]; ok {
+		return nil, false
+	}
+	fl = &flight{fk: fk, done: make(chan struct{})}
+	if c.flights == nil {
+		c.flights = map[flightKey]*flight{}
+	}
+	c.flights[fk] = fl
+	return fl, true
+}
+
+// land ends a flight its leader has filled in (after the cache put,
+// so an install that finds no flight finds the slot) and releases its
+// followers.
+func (c *proofCache) land(fl *flight) {
+	if c != nil && c.max > 0 {
+		c.mu.Lock()
+		delete(c.flights, fl.fk)
+		c.mu.Unlock()
+	}
+	close(fl.done)
 }
 
 // counters snapshots the accounting.

@@ -13,8 +13,9 @@
 //
 // Installation is a two-stage pipeline (pipeline.go): an expensive
 // validation stage that runs lock-free (memoized by the proof cache,
-// cache.go) and a short commit section under the kernel's writer
-// mutex. Dispatch takes NO lock at all: the installed-filter set is
+// cache.go) and a commit whose short sections run under the kernel's
+// writer mutex, with any journal fsync between them, outside it
+// (store.go). Dispatch takes NO lock at all: the installed-filter set is
 // published as an immutable snapshot behind an atomic pointer
 // (table.go), deliveries pin an epoch and load it once (epoch.go),
 // and the hot counters are sharded per dispatch environment
@@ -26,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,10 +125,18 @@ type installed struct {
 type Kernel struct {
 	// mu guards the control plane: filter-table publication (writers
 	// serialize their copy-on-write builds), handler/table maps,
-	// budget, and negotiation. Dispatch NEVER takes it — deliveries
-	// read the table snapshot lock-free. Validation never holds it
-	// either.
+	// budget, negotiation and the commit turns. Dispatch NEVER takes
+	// it — deliveries read the table snapshot lock-free. Validation
+	// never takes it either (it reads the negotiated policies through
+	// an atomic pointer), and no commit holds it across a journal
+	// fsync.
 	mu sync.RWMutex
+	// Commit turns (commit in store.go): each journaled commit takes
+	// turnNext when it writes its record, and publishes once turnDone
+	// reaches it, so the table changes in journal order. turnCond, on
+	// mu, is broadcast when turnDone advances.
+	turnNext, turnDone uint64
+	turnCond           sync.Cond
 
 	filterPolicy   *policy.Policy
 	resourcePolicy *policy.Policy
@@ -141,11 +151,14 @@ type Kernel struct {
 	table  atomic.Pointer[filterTable]
 	epochs *epochs
 
-	handlers         map[int]*pcc.Extension // pid -> resource-access handler
-	tables           map[int]*machine.Region
-	budget           CycleBudget
-	negotiated       map[string]*policy.Policy
-	negotiatedKeyers map[string]*pcc.Keyer
+	handlers map[int]*pcc.Extension // pid -> resource-access handler
+	tables   map[int]*machine.Region
+	budget   CycleBudget
+	// negotiated holds the policies accepted by NegotiateFilterPolicy,
+	// in negotiation order, each with its keyer. The slice is immutable
+	// once published: a negotiation stores a new one under mu, and
+	// validation loads it without a lock.
+	negotiated atomic.Pointer[[]negotiatedPolicy]
 
 	cache *proofCache
 	stats counters
@@ -220,6 +233,7 @@ func NewWithCacheSize(size int) *Kernel {
 		now:            time.Now,
 	}
 	k.table.Store(newFilterTable())
+	k.turnCond.L = &k.mu
 	n := numShards()
 	k.stats.shards = make([]dispatchShard, n)
 	k.shardMask = uint32(n - 1)
@@ -276,6 +290,13 @@ func (k *Kernel) SetCycleBudget(b CycleBudget) {
 	k.budget = b
 }
 
+// negotiatedPolicy is one policy accepted by NegotiateFilterPolicy,
+// with its keyer.
+type negotiatedPolicy struct {
+	pol   *policy.Policy
+	keyer *pcc.Keyer
+}
+
 // NegotiateFilterPolicy implements the §4 protocol at the kernel
 // boundary: a producer proposes a policy; the kernel accepts it —
 // and from then on validates binaries naming it — only after proving
@@ -285,10 +306,7 @@ func (k *Kernel) NegotiateFilterPolicy(proposed *policy.Policy) error {
 	eid := k.nextEvent(tel)
 	span := tel.span(telemetry.StageNegotiate, "", proposed.Name, eid)
 	aud := k.audit.Load()
-	k.mu.RLock()
-	base := k.filterPolicy
-	k.mu.RUnlock()
-	if err := pcc.NegotiatePolicy(base, proposed); err != nil {
+	if err := pcc.NegotiatePolicy(k.filterPolicy, proposed); err != nil {
 		aud.negotiate(proposed, nil, eid, err)
 		span.End(err)
 		return err
@@ -296,12 +314,19 @@ func (k *Kernel) NegotiateFilterPolicy(proposed *policy.Policy) error {
 	ky := pcc.NewKeyer(proposed)
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.negotiated == nil {
-		k.negotiated = map[string]*policy.Policy{}
-		k.negotiatedKeyers = map[string]*pcc.Keyer{}
+	// Copy on write: a policy negotiated again under its name replaces
+	// the old one in place, a new name appends.
+	var next []negotiatedPolicy
+	if cur := k.negotiated.Load(); cur != nil {
+		next = slices.Clone(*cur)
 	}
-	k.negotiated[proposed.Name] = proposed
-	k.negotiatedKeyers[proposed.Name] = ky
+	i := slices.IndexFunc(next, func(n negotiatedPolicy) bool { return n.pol.Name == proposed.Name })
+	if i < 0 {
+		next = append(next, negotiatedPolicy{proposed, ky})
+	} else {
+		next[i] = negotiatedPolicy{proposed, ky}
+	}
+	k.negotiated.Store(&next)
 	aud.negotiate(proposed, ky, eid, nil)
 	span.End(nil)
 	return nil
@@ -326,27 +351,36 @@ func (k *Kernel) UninstallFilter(owner string) error {
 	return err
 }
 
+// errNotInstalled stops the commit of an uninstall whose owner has no
+// filter: there is nothing to journal or publish.
+var errNotInstalled = errors.New("kernel: no filter installed")
+
 // uninstall is UninstallFilter without the breaker bookkeeping, for the
 // breaker's own escalation, which keeps a terminal record.
 func (k *Kernel) uninstall(owner string) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	t := k.table.Load()
-	nt, removed := t.withoutFilter(owner)
-	if removed == nil {
+	var eid uint64
+	err := k.commit(&store.Record{Kind: store.KindUninstall, Owner: owner}, func() error {
+		if _, ok := k.table.Load().index[owner]; !ok {
+			return errNotInstalled
+		}
+		eid = k.nextEvent(k.tel.Load())
+		return nil
+	}, func() {
+		k.audit.Load().uninstall(owner, eid)
+		// An uninstall of the same owner earlier in the journal may
+		// have removed the filter since the check above.
+		if nt, removed := k.table.Load().withoutFilter(owner); removed != nil {
+			k.publishLocked(nt, removed)
+			k.tel.Load().setFilters(len(nt.slots))
+		}
+	})
+	if err == errNotInstalled {
 		return nil
 	}
-	eid := k.nextEvent(k.tel.Load())
-	if st := k.wal.Load(); st != nil {
-		if _, jerr := st.Append(store.KindUninstall, owner, nil); jerr != nil {
-			serr := &StoreError{Op: "append", Err: jerr}
-			k.audit.Load().storeError("uninstall", owner, serr, eid)
-			return fmt.Errorf("kernel: uninstall of %q not journaled: %w", owner, serr)
-		}
+	if err != nil {
+		k.audit.Load().storeError("uninstall", owner, err, eid)
+		return fmt.Errorf("kernel: uninstall of %q not journaled: %w", owner, err)
 	}
-	k.audit.Load().uninstall(owner, eid)
-	k.publishLocked(nt, removed)
-	k.tel.Load().setFilters(len(nt.slots))
 	return nil
 }
 

@@ -8,10 +8,12 @@
 //     shed admission, an expired context, an embargoed owner), the
 //     proof-cache probe, full PCC validation on a miss, the static WCET
 //     bound, and the cache put.
-//   - commit: the short serial section. Filters take commitFilter
-//     (backend compile, budget check, journal append, snapshot
-//     publication); handlers take a map assignment. Both end in settle,
-//     which counts the verdict and writes the one audit record.
+//   - commit: filters take commitFilter (backend compile, then the
+//     journaled commit of store.go: budget check and journal write
+//     under the kernel lock, the fsync outside it, and snapshot
+//     publication in journal order); handlers take a map assignment.
+//     Both end in settle, which counts the verdict and writes the one
+//     audit record.
 //
 // Proof checking is CPU-bound and embarrassingly parallel — each
 // validation reads only the published policy and its own binary — so
@@ -151,18 +153,19 @@ type candidate struct {
 // candidates lists the policies a binary of the given kind validates
 // under, in verdict order: a handler has the resource-access policy
 // alone; a filter has the published packet-filter policy first, then
-// every negotiated policy.
+// every negotiated policy in negotiation order. It takes no lock.
 func (k *Kernel) candidates(kind string, binary []byte) []candidate {
 	if kind == "handler" {
 		return []candidate{{k.resourcePolicy, k.resourceKeyer, k.resourceKeyer.Key(binary)}}
 	}
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	cands := make([]candidate, 0, 1+len(k.negotiated))
+	var negotiated []negotiatedPolicy
+	if p := k.negotiated.Load(); p != nil {
+		negotiated = *p
+	}
+	cands := make([]candidate, 0, 1+len(negotiated))
 	cands = append(cands, candidate{k.filterPolicy, k.filterKeyer, k.filterKeyer.Key(binary)})
-	for name, p := range k.negotiated {
-		ky := k.negotiatedKeyers[name]
-		cands = append(cands, candidate{p, ky, ky.Key(binary)})
+	for _, n := range negotiated {
+		cands = append(cands, candidate{n.pol, n.keyer, n.keyer.Key(binary)})
 	}
 	return cands
 }
@@ -170,11 +173,15 @@ func (k *Kernel) candidates(kind string, binary []byte) []candidate {
 // validate is the lock-free validation stage of every install: it
 // probes the proof cache under each candidate policy and, on a miss,
 // runs full PCC validation and the static WCET analysis, caching the
-// result. At most one cache hit or miss is recorded per attempt,
-// however many candidates are probed. A shed admission, an expired
-// context, or (for filters) an embargoed owner rejects before any byte
-// of the binary is examined — in particular before the cache probe, so
-// a canceled install cannot be served (and committed) from a hit.
+// result. Concurrent misses of one binary under the same limits
+// validate it once: the first leads a flight (cache.go), the rest
+// wait for it, or for their own context, and take its verdict as a
+// cache hit, or as a miss when it is a rejection. At most one cache
+// hit or miss is recorded per attempt, however many candidates are
+// probed. A shed admission, an expired context, or (for filters) an
+// embargoed owner rejects before any byte of the binary is examined —
+// in particular before the cache probe, so a canceled install cannot
+// be served (and committed) from a hit.
 // With a recorder attached, the attempt is traced as a validate span
 // with cacheprobe / parse / lfsig / vcgen / lfcheck / wcet children;
 // with an audit log attached, the attempt's forensic context rides
@@ -200,26 +207,62 @@ func (k *Kernel) validate(ctx context.Context, kind, owner string, binary []byte
 	va.setPolicy(cands[0])
 
 	probeStart := time.Now()
-	for _, c := range cands {
-		if slot := k.cache.lookup(c.key); slot != nil {
-			k.cache.recordHit()
-			va.setCacheHit()
-			va.setPolicy(c)
-			tel.probe(span, probeStart, true)
-			span.End(nil)
-			return slot, va, nil
+	lim := k.limits.Load()
+	var fl *flight
+	for fl == nil {
+		for _, c := range cands {
+			if slot := k.cache.lookup(c.key); slot != nil {
+				k.cache.recordHit()
+				va.setCacheHit()
+				va.setPolicy(c)
+				tel.probe(span, probeStart, true)
+				span.End(nil)
+				return slot, va, nil
+			}
 		}
+		// Missed: lead the validation of this binary, or wait for the
+		// one in flight and take its verdict.
+		cur, leader := k.cache.join(flightKey{cands[0].key, lim})
+		if leader {
+			fl = cur
+			break
+		}
+		if cur == nil {
+			continue
+		}
+		select {
+		case <-cur.done:
+		case <-ctx.Done():
+			k.cache.recordMiss()
+			tel.probe(span, probeStart, false)
+			err := fmt.Errorf("kernel: install aborted: %w", ctx.Err())
+			span.End(err)
+			return nil, va, err
+		}
+		if cur.retry {
+			continue
+		}
+		tel.probe(span, probeStart, cur.err == nil)
+		span.End(cur.err)
+		if cur.err != nil {
+			k.cache.recordMiss()
+			return nil, va, cur.err
+		}
+		k.cache.recordHit()
+		va.setCacheHit()
+		va.setPolicy(cur.cand)
+		return cur.slot, va, nil
 	}
 	k.cache.recordMiss()
 	tel.probe(span, probeStart, false)
 
-	err = fmt.Errorf("kernel: no policy matches")
+	fl.err = fmt.Errorf("kernel: no policy matches")
 	for i, c := range cands {
 		valStart := time.Now()
-		ext, stats, verr := c.keyer.ValidateCtx(ctx, binary, k.limits.Load())
+		ext, stats, verr := c.keyer.ValidateCtx(ctx, binary, lim)
 		if verr != nil {
 			if i == 0 {
-				err = verr // the first candidate's verdict leads
+				fl.err = verr // the first candidate's verdict leads
 			}
 			continue
 		}
@@ -240,11 +283,15 @@ func (k *Kernel) validate(ctx context.Context, kind, owner string, binary []byte
 		slot, evicted := k.cache.put(slot)
 		tel.evicted(evicted)
 		k.audit.Load().evict(evicted, eid)
+		fl.slot, fl.cand, fl.err = slot, c, nil
+		k.cache.land(fl)
 		span.End(nil)
 		return slot, va, nil
 	}
-	span.End(err)
-	return nil, va, err
+	fl.retry = ctx.Err() != nil
+	k.cache.land(fl)
+	span.End(fl.err)
+	return nil, va, fl.err
 }
 
 // commitFilter is the commit stage of a filter install. Under
@@ -252,14 +299,12 @@ func (k *Kernel) validate(ctx context.Context, kind, owner string, binary []byte
 // slot) before the lock is taken, so compilation — like validation —
 // never runs under the kernel write lock, and a filter that somehow
 // fails to compile is rejected rather than silently interpreted. Then
-// publishFilter runs the locked section. Whatever rejected the attempt
-// — its validation, its compile, or the locked section — goes to the
-// owner's quarantine record (noteRejection) and ends in the one tail,
-// settle.
+// publishFilter commits it. Whatever rejected the attempt — its
+// validation, its compile, or the commit — goes to the owner's
+// quarantine record (noteRejection) and ends in the one tail, settle.
 func (k *Kernel) commitFilter(owner string, binary []byte, slot *cacheSlot, va *validationAudit, err error, eid uint64, journal bool) error {
-	var compiled *machine.Compiled
 	if err == nil && k.Backend() == BackendCompiled {
-		if compiled, err = slot.compiledForm(); err != nil {
+		if _, err = slot.compiledForm(); err != nil {
 			err = fmt.Errorf("backend compile: %w", err)
 		}
 	}
@@ -267,7 +312,7 @@ func (k *Kernel) commitFilter(owner string, binary []byte, slot *cacheSlot, va *
 		err = fmt.Errorf("kernel: filter for %q rejected: %w", owner, err)
 	} else {
 		span := k.tel.Load().span(telemetry.StageCommit, owner, owner, eid)
-		err = k.publishFilter(owner, binary, slot, compiled, journal)
+		err = k.publishFilter(owner, binary, slot, journal)
 		span.End(err)
 	}
 	if err != nil {
@@ -280,22 +325,28 @@ func (k *Kernel) commitFilter(owner string, binary []byte, slot *cacheSlot, va *
 	return k.settle(va, slot, err)
 }
 
-// publishFilter is the short serial section of a filter install:
-// budget comparison (the WCET itself was computed lock-free at
-// validation time), journal append, and table update.
+// publishFilter is the journaled commit of a filter install (commit
+// in store.go): the budget comparison (the WCET itself was computed
+// lock-free at validation time), the journal record, and the table
+// update.
 //
 // When a store is attached and journal is true, the install is
 // journaled BEFORE the table swap: the write-ahead discipline. A
 // successful return therefore implies the record is on disk (fsynced),
-// and a failed append rejects the install — the kernel never acks an
-// install a crash could lose. journal is false only on the recovery
-// path, whose records are already in the journal. binary is the exact
-// accepted blob; it is what recovery will re-validate, so it must be
-// the bytes that were proof-checked, not a derived form.
-func (k *Kernel) publishFilter(owner string, binary []byte, slot *cacheSlot, compiled *machine.Compiled, journal bool) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.budget > 0 {
+// and a failed append or fsync rejects the install — the kernel never
+// acks an install a crash could lose. journal is false only on the
+// recovery path, whose records are already in the journal. binary is
+// the exact accepted blob; it is what recovery will re-validate, so it
+// must be the bytes that were proof-checked, not a derived form.
+func (k *Kernel) publishFilter(owner string, binary []byte, slot *cacheSlot, journal bool) error {
+	var rec *store.Record
+	if journal {
+		rec = &store.Record{Kind: store.KindInstall, Owner: owner, Binary: binary}
+	}
+	err := k.commit(rec, func() error {
+		if k.budget <= 0 {
+			return nil
+		}
 		if slot.wcetErr != nil {
 			return fmt.Errorf("kernel: filter for %q has no static cost bound: %w", owner, slot.wcetErr)
 		}
@@ -306,34 +357,41 @@ func (k *Kernel) publishFilter(owner string, binary []byte, slot *cacheSlot, com
 			return fmt.Errorf("kernel: filter for %q exceeds the cycle budget: %w", owner,
 				&pcc.ResourceLimitError{Axis: "cycle_budget", Actual: slot.wcet, Max: int64(k.budget)})
 		}
-	}
-	if st := k.wal.Load(); journal && st != nil {
-		if _, jerr := st.Append(store.KindInstall, owner, binary); jerr != nil {
-			return fmt.Errorf("kernel: filter for %q not journaled: %w",
-				owner, &StoreError{Op: "append", Err: jerr})
+		return nil
+	}, func() {
+		// Copy-on-write publication: build the replacement snapshot,
+		// swap the pointer, retire the old snapshot (and a replaced
+		// filter) past in-flight deliveries. The persistent per-owner
+		// accept counter is carried over or minted here. The backend
+		// is read now, in journal order, so a retrofit journaled
+		// before this install applies to it; the compiled form is
+		// memoized on the slot, and in the one case where commitFilter
+		// did not build it (a retrofit to compiled journaled in
+		// between) a compile failure leaves the filter interpreted.
+		t := k.table.Load()
+		ctr := t.accepts[owner]
+		if ctr == nil {
+			ctr = newOwnerCounter(len(k.stats.shards))
 		}
+		ins := &installed{ext: slot.ext, accepts: ctr}
+		if k.Backend() == BackendCompiled {
+			ins.compiled, _ = slot.compiledForm()
+		}
+		if k.profiling.Load() {
+			ins.prof = newFilterProfile(slot.ext.Prog)
+		}
+		nt := t.withFilter(owner, ins)
+		var retired []*installed
+		if i, ok := t.index[owner]; ok {
+			retired = append(retired, t.slots[i].f)
+		}
+		k.publishLocked(nt, retired...)
+		k.tel.Load().setFilters(len(nt.slots))
+	})
+	if _, ok := err.(*StoreError); ok {
+		return fmt.Errorf("kernel: filter for %q not journaled: %w", owner, err)
 	}
-	// Copy-on-write publication: build the replacement snapshot, swap
-	// the pointer, retire the old snapshot (and a replaced filter) past
-	// in-flight deliveries. The persistent per-owner accept counter is
-	// carried over or minted here.
-	t := k.table.Load()
-	ctr := t.accepts[owner]
-	if ctr == nil {
-		ctr = newOwnerCounter(len(k.stats.shards))
-	}
-	ins := &installed{ext: slot.ext, accepts: ctr, compiled: compiled}
-	if k.profiling.Load() {
-		ins.prof = newFilterProfile(slot.ext.Prog)
-	}
-	nt := t.withFilter(owner, ins)
-	var retired []*installed
-	if i, ok := t.index[owner]; ok {
-		retired = append(retired, t.slots[i].f)
-	}
-	k.publishLocked(nt, retired...)
-	k.tel.Load().setFilters(len(nt.slots))
-	return nil
+	return err
 }
 
 // settle is the one tail of every install attempt, filter or handler,

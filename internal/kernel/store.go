@@ -1,8 +1,15 @@
 // Durability and verified recovery. The kernel can attach an
 // internal/store write-ahead journal (SetStore): once attached, every
-// install, uninstall, and backend retrofit is journaled — fsynced —
-// inside the commit section before it becomes visible, so an acked
-// operation survives a crash at any instant.
+// install, uninstall, and backend retrofit goes through one journaled
+// commit (commit, below) and is durable before it becomes visible, so
+// an acked operation survives a crash at any instant. The commit
+// writes its record under the kernel lock but waits for the fsync
+// without it, so the next install can validate and write meanwhile,
+// and one fsync covers every record written before it began. Commits
+// publish in journal order, so the live table is always the fold of
+// the journal, even for concurrent operations on one owner; a commit
+// whose fsync failed publishes nothing, and the store cuts its record
+// back out of the journal.
 //
 // Recovery (Recover) inverts the arrow, and this is where the paper's
 // thesis bites: the disk is just another untrusted code producer. The
@@ -71,6 +78,63 @@ func (e *RecoveryError) Error() string {
 
 // Unwrap exposes the validation verdict.
 func (e *RecoveryError) Unwrap() error { return e.Err }
+
+// commit is the one journaled commit of installs, uninstalls and
+// backend retrofits:
+//
+//  1. Under k.mu it runs pre, the operation's own checks (a failure
+//     is returned as is), writes rec to the attached store, and takes
+//     the next turn.
+//  2. Without k.mu it waits for the record to be durable (store.Sync).
+//  3. Back under k.mu it waits for its turn: every commit that wrote
+//     before it has published or failed.
+//  4. Only if the record is durable it runs publish, which builds the
+//     new table from the table as it is now. Either way it passes the
+//     turn on.
+//
+// A durable record is thus visible only after every record before it
+// in the journal, and a record that is not durable is never visible. A
+// nil rec (Recover's replays, which are already in the journal) or no
+// attached store skips the journal but still publishes in turn. A
+// store failure is returned as a *StoreError.
+func (k *Kernel) commit(rec *store.Record, pre func() error, publish func()) error {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if err := pre(); err != nil {
+		return err
+	}
+	st := k.wal.Load()
+	if rec == nil {
+		st = nil
+	}
+	var tok store.Token
+	if st != nil {
+		var err error
+		if tok, err = st.Write(rec.Kind, rec.Owner, rec.Binary); err != nil {
+			return &StoreError{Op: "append", Err: err}
+		}
+	}
+	turn := k.turnNext
+	k.turnNext++
+	var serr error
+	if st != nil {
+		k.mu.Unlock()
+		serr = st.Sync(tok)
+		k.mu.Lock()
+	}
+	for k.turnDone != turn {
+		k.turnCond.Wait()
+	}
+	if serr == nil {
+		publish()
+	}
+	k.turnDone++
+	k.turnCond.Broadcast()
+	if serr != nil {
+		return &StoreError{Op: "append", Err: serr}
+	}
+	return nil
+}
 
 // SetStore attaches a durability store to the kernel (nil detaches).
 // From the attach on, installs ack only after their journal record is

@@ -512,8 +512,39 @@ func (c *Checker) checkPrimitive(app Term, prim string) error {
 // predicates compare correctly under AlphaEqual.
 func DecodePred(t Term) (logic.Pred, error) { return decodePred(Normalize(t), 0) }
 
+// DecodePredFuel decodes an untrusted predicate, such as a loop
+// invariant shipped in a binary, at a bounded cost. It does not
+// normalize: t must already be in normal form, as every encoded
+// predicate is, and a β-redex anywhere in it is a decode error (an
+// untyped term need not normalize at all). fuel, when not nil, is
+// charged in LF nodes of the tree decoded, a variable or constant and
+// one application per argument, as the safety predicate's size is
+// counted: the result is a tree, so a term that shares subterms is
+// charged for every path to them. Once *fuel is negative decoding
+// fails.
+func DecodePredFuel(t Term, fuel *int) (logic.Pred, error) { return decodePredFuel(t, 0, fuel) }
+
+// decodePred decodes a normal term with no bound on the work.
+func decodePred(t Term, depth int) (logic.Pred, error) { return decodePredFuel(t, depth, nil) }
+
+// errDecodeFuel is the decode failure once DecodePredFuel's fuel is
+// spent.
+var errDecodeFuel = errors.New("lf: decode: fuel exhausted")
+
+// spendDecode charges n decoded nodes to fuel (nil: unmetered).
+func spendDecode(fuel *int, n int) error {
+	if fuel == nil {
+		return nil
+	}
+	*fuel -= n
+	if *fuel < 0 {
+		return errDecodeFuel
+	}
+	return nil
+}
+
 // DecodeExpr converts an LF expression term back to logic form.
-func DecodeExpr(t Term) (logic.Expr, error) { return decodeExpr(Normalize(t), 0) }
+func DecodeExpr(t Term) (logic.Expr, error) { return decodeExprFuel(Normalize(t), 0, nil) }
 
 var binOpByConst = func() map[string]logic.BinOp {
 	m := map[string]logic.BinOp{}
@@ -542,7 +573,11 @@ func levelName(level int) string {
 	return fmt.Sprintf("!%d", level)
 }
 
-func decodeExpr(t Term, depth int) (logic.Expr, error) {
+func decodeExprFuel(t Term, depth int, fuel *int) (logic.Expr, error) {
+	head, args := Spine(t)
+	if err := spendDecode(fuel, 1+len(args)); err != nil {
+		return nil, err
+	}
 	if b, ok := t.(Bound); ok {
 		return logic.V(levelName(depth - b.Idx - 1)), nil
 	}
@@ -551,12 +586,11 @@ func decodeExpr(t Term, depth int) (logic.Expr, error) {
 			return logic.V(name), nil
 		}
 	}
-	head, args := Spine(t)
 	k, ok := head.(Konst)
 	if !ok {
 		return nil, fmt.Errorf("lf: decode: bad expression head %s", render(head, renderLimit))
 	}
-	sub := func(i int) (logic.Expr, error) { return decodeExpr(args[i], depth) }
+	sub := func(i int) (logic.Expr, error) { return decodeExprFuel(args[i], depth, fuel) }
 	switch {
 	case k.Name == CCst && len(args) == 1:
 		lit, ok := args[0].(Lit)
@@ -603,8 +637,11 @@ func decodeExpr(t Term, depth int) (logic.Expr, error) {
 	return nil, fmt.Errorf("lf: decode: unknown expression form %s", render(t, renderLimit))
 }
 
-func decodePred(t Term, depth int) (logic.Pred, error) {
+func decodePredFuel(t Term, depth int, fuel *int) (logic.Pred, error) {
 	head, args := Spine(t)
+	if err := spendDecode(fuel, 1+len(args)); err != nil {
+		return nil, err
+	}
 	k, ok := head.(Konst)
 	if !ok {
 		return nil, fmt.Errorf("lf: decode: bad predicate head %s", render(head, renderLimit))
@@ -615,7 +652,7 @@ func decodePred(t Term, depth int) (logic.Pred, error) {
 	case k.Name == CFF && len(args) == 0:
 		return logic.False, nil
 	case (k.Name == CRd || k.Name == CWr) && len(args) == 1:
-		a, err := decodeExpr(args[0], depth)
+		a, err := decodeExprFuel(args[0], depth, fuel)
 		if err != nil {
 			return nil, err
 		}
@@ -624,11 +661,11 @@ func decodePred(t Term, depth int) (logic.Pred, error) {
 		}
 		return logic.WrP(a), nil
 	case (k.Name == CAnd || k.Name == COr || k.Name == CImp) && len(args) == 2:
-		l, err := decodePred(args[0], depth)
+		l, err := decodePredFuel(args[0], depth, fuel)
 		if err != nil {
 			return nil, err
 		}
-		r, err := decodePred(args[1], depth)
+		r, err := decodePredFuel(args[1], depth, fuel)
 		if err != nil {
 			return nil, err
 		}
@@ -645,18 +682,18 @@ func decodePred(t Term, depth int) (logic.Pred, error) {
 		if !ok {
 			return nil, fmt.Errorf("lf: decode: forall of non-abstraction")
 		}
-		body, err := decodePred(lam.M, depth+1)
+		body, err := decodePredFuel(lam.M, depth+1, fuel)
 		if err != nil {
 			return nil, err
 		}
 		return logic.Forall{Var: levelName(depth), Body: body}, nil
 	}
 	if op, isCmp := cmpOpByConst[k.Name]; isCmp && len(args) == 2 {
-		l, err := decodeExpr(args[0], depth)
+		l, err := decodeExprFuel(args[0], depth, fuel)
 		if err != nil {
 			return nil, err
 		}
-		r, err := decodeExpr(args[1], depth)
+		r, err := decodeExprFuel(args[1], depth, fuel)
 		if err != nil {
 			return nil, err
 		}

@@ -22,18 +22,36 @@ import (
 // NormExpr returns the canonical form of e. It is compositional:
 // a node's normal form is its local rule (normBin, normSel) applied to
 // its children's normal forms.
-func NormExpr(e Expr) Expr {
+func NormExpr(e Expr) Expr { return normExprFuel(e, nil) }
+
+// normExprFuel is NormExpr charging one unit of fuel (nil: uncharged) per
+// node, plus what the local rules charge. Once *fuel is negative it
+// stops, and its result is meaningless.
+func normExprFuel(e Expr, fuel *int) Expr {
+	if spent(fuel) {
+		return e
+	}
 	switch e := e.(type) {
 	case Const, Var:
 		return e
 	case Bin:
-		return normBin(e.Op, NormExpr(e.L), NormExpr(e.R), nil)
+		return normBin(e.Op, normExprFuel(e.L, fuel), normExprFuel(e.R, fuel), fuel)
 	case Sel:
-		return normSel(NormExpr(e.Mem), NormExpr(e.Addr), nil)
+		return normSel(normExprFuel(e.Mem, fuel), normExprFuel(e.Addr, fuel), fuel)
 	case Upd:
-		return Upd{NormExpr(e.Mem), NormExpr(e.Addr), NormExpr(e.Val)}
+		return Upd{normExprFuel(e.Mem, fuel), normExprFuel(e.Addr, fuel), normExprFuel(e.Val, fuel)}
 	}
 	panic(fmt.Sprintf("logic: unknown expr %T", e))
+}
+
+// spent charges one node to fuel (nil: uncharged) and reports whether
+// the fuel is gone.
+func spent(fuel *int) bool {
+	if fuel == nil {
+		return false
+	}
+	*fuel--
+	return *fuel < 0
 }
 
 // normBin returns the normal form of l op r for normal l and r,
@@ -382,24 +400,33 @@ func definitelyDistinct(a, b Expr) bool {
 
 // NormPred returns the canonical form of p: all expressions normalized,
 // ground atoms decided, and trivial connectives collapsed.
-func NormPred(p Pred) Pred {
+func NormPred(p Pred) Pred { return NormPredFuel(p, nil) }
+
+// NormPredFuel is NormPred at a bounded cost, for a predicate from an
+// untrusted source: fuel, when not nil, is charged one unit per node
+// of p's tree and what the local rules charge (normSum, normSel). Once
+// *fuel is negative it stops, and its result is meaningless.
+func NormPredFuel(p Pred, fuel *int) Pred {
+	if spent(fuel) {
+		return p
+	}
 	switch p := p.(type) {
 	case TruePred, FalsePred:
 		return p
 	case Cmp:
-		return normCmp(p.Op, NormExpr(p.L), NormExpr(p.R))
+		return normCmp(p.Op, normExprFuel(p.L, fuel), normExprFuel(p.R, fuel))
 	case Rd:
-		return Rd{NormExpr(p.Addr)}
+		return Rd{normExprFuel(p.Addr, fuel)}
 	case Wr:
-		return Wr{NormExpr(p.Addr)}
+		return Wr{normExprFuel(p.Addr, fuel)}
 	case And:
-		return NormAnd(NormPred(p.L), NormPred(p.R))
+		return NormAnd(NormPredFuel(p.L, fuel), NormPredFuel(p.R, fuel))
 	case Or:
-		return normOr(NormPred(p.L), NormPred(p.R))
+		return normOr(NormPredFuel(p.L, fuel), NormPredFuel(p.R, fuel))
 	case Imp:
-		return NormImp(NormPred(p.L), NormPred(p.R))
+		return NormImp(NormPredFuel(p.L, fuel), NormPredFuel(p.R, fuel))
 	case Forall:
-		return NormAll(p.Var, NormPred(p.Body))
+		return NormAll(p.Var, NormPredFuel(p.Body, fuel))
 	}
 	panic(fmt.Sprintf("logic: unknown pred %T", p))
 }

@@ -9,12 +9,16 @@
 package machine
 
 // blockSink receives execution attribution from the compiled runner.
-// It is a type parameter of crun/crunSlow so the unprofiled
-// instantiation (noSink) compiles to the exact pre-profiling code:
-// empty inlined methods, no branches, no writes. The profiled
-// instantiation pays one dictionary call per retired block — which is
-// why the conditional-block case is a single fused method instead of
-// a completion call plus an edge call.
+// It is a type parameter of crun/crunSlow. Go compiles a generic
+// function once per GC shape, not once per type argument, and the
+// shaped body reaches the sink's methods through a dictionary: neither
+// instantiation is specialized, and their method calls are not
+// inlined. So the unprofiled instantiation (noSink) still makes a call
+// per retired block — noSink.fullBlock and noSink.condBlock show up as
+// frames of their own in a CPU profile of bare dispatch — and the
+// profiled one (*BlockProfile) pays one dictionary call per retired
+// block, which is why the conditional-block case is a single fused
+// method instead of a completion call plus an edge call.
 type blockSink interface {
 	// fullBlock: the block at index bi retired completely on the fast
 	// path — whole body plus terminator, if any (non-cond blocks).
@@ -31,7 +35,7 @@ type blockSink interface {
 	partial(bi int, n int32)
 }
 
-// noSink is the zero-cost instantiation used by Run.
+// noSink is the instantiation used by Run: it records nothing.
 type noSink struct{}
 
 func (noSink) fullBlock(int)       {}

@@ -109,16 +109,18 @@ func InterpProfiled(prog []alpha.Instr, s *State, mode Mode, cm *CostModel, fuel
 }
 
 // profSink receives per-retired-instruction attribution. It is a type
-// parameter of interp, not an interface field, so the selection between
-// the no-op sink and a live *Profile happens at compile time: interp
-// is instantiated once with noProfile (whose note inlines to nothing —
-// the Interp/InterpTraced path) and once with *Profile (the
-// InterpProfiled path).
+// parameter of interp, not an interface field: interp is instantiated
+// with noProfile (the Interp/InterpTraced path) and with *Profile (the
+// InterpProfiled path). As with the compiled runner's blockSink, Go
+// compiles each instantiation per GC shape and calls the sink through
+// a dictionary, so noProfile's empty note is still a call per retired
+// instruction, not inlined away.
 type profSink interface {
 	note(pc int, cycles int64)
 }
 
-// noProfile is the zero-cost sink the unprofiled instantiation uses.
+// noProfile is the sink the unprofiled instantiation uses: it records
+// nothing.
 type noProfile struct{}
 
 func (noProfile) note(int, int64) {}

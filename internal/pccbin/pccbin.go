@@ -647,14 +647,21 @@ func (b *Binary) DecodeProof() error {
 }
 
 // DecodeInvariants converts the invariant table to the map form the VC
-// generator consumes.
-func (b *Binary) DecodeInvariants() (map[int]logic.Pred, error) {
+// generator consumes, with no bound on the work (DecodeInvariantsFuel
+// with nil fuel).
+func (b *Binary) DecodeInvariants() (map[int]logic.Pred, error) { return b.DecodeInvariantsFuel(nil) }
+
+// DecodeInvariantsFuel is DecodeInvariants charging its work to fuel,
+// as lf.DecodePredFuel does: each invariant must be in normal form,
+// and it expands to a tree that the byte and term-node limits do not
+// bound, since the table shares subterms like the proof does.
+func (b *Binary) DecodeInvariantsFuel(fuel *int) (map[int]logic.Pred, error) {
 	if len(b.Invariants) == 0 {
 		return nil, nil
 	}
 	out := make(map[int]logic.Pred, len(b.Invariants))
 	for _, inv := range b.Invariants {
-		p, err := lf.DecodePred(inv.Pred)
+		p, err := lf.DecodePredFuel(inv.Pred, fuel)
 		if err != nil {
 			return nil, fmt.Errorf("pccbin: invariant at pc %d: %w", inv.PC, err)
 		}

@@ -3,16 +3,26 @@
 // retrofit records, periodically compacted into a snapshot file.
 //
 // The durability contract mirrors the paper's trust argument. The
-// journal makes an install *durable* — Append returns only after the
-// record is framed, written, and fsynced, so a kernel that acks an
-// install after Append can never lose it to a crash — but it does NOT
-// make the record *trusted*. Disk is an untrusted producer exactly
-// like the network peer that shipped the binary in the first place: on
-// recovery every blob replayed from here goes back through the full
-// validation pipeline (parse, VCGen, LF proof check), and a bit-rotted
-// or tampered proof dies in the checker, not in a checksum comparison.
+// journal makes an install *durable* — Sync (and Append, which is
+// Write then Sync) returns nil only after the record is framed,
+// written, and fsynced, so a kernel that acks an install after it can
+// never lose it to a crash — but it does NOT make the record
+// *trusted*. Disk is an untrusted producer exactly like the network
+// peer that shipped the binary in the first place: on recovery every
+// blob replayed from here goes back through the full validation
+// pipeline (parse, VCGen, LF proof check), and a bit-rotted or
+// tampered proof dies in the checker, not in a checksum comparison.
 // The CRCs below exist to classify corruption (and to keep a torn tail
 // from desynchronizing the frame stream), never to vouch for content.
+//
+// Appends commit in groups. Write puts a record in the file under the
+// store mutex; Sync waits for an fsync that began after the write. One
+// waiting caller leads each fsync, outside the mutex, and it covers
+// every record written before it began, so concurrent appends share
+// fsyncs instead of queueing one each behind the mutex. A failed fsync
+// fails every record not yet durable — its own group and any written
+// during it — and cuts the journal back to the last durable frame, so
+// a record whose Sync failed never replays.
 //
 // On-disk layout, one directory per kernel:
 //
@@ -26,7 +36,7 @@
 //	owner length uvarint | owner bytes |
 //	binary length uvarint | binary bytes
 //
-// Sequence numbers are assigned monotonically by Append and enforced
+// Sequence numbers are assigned monotonically by Write and enforced
 // strictly increasing on replay, so a duplicated or reordered frame
 // (hostile splice, partial copy) is skipped with a typed error rather
 // than replayed twice. A snapshot's BaseSeq records the highest
@@ -166,26 +176,65 @@ type Options struct {
 }
 
 // Store is an open filter store. All methods are safe for concurrent
-// use; Append and Close serialize on one mutex, which is what gives
-// the shutdown ordering its guarantee — a Close cannot interleave with
-// an Append, so every Append that returned nil before Close was fully
-// framed and synced.
+// use. An append is split in two: Write frames and writes a record
+// under the store mutex, and Sync waits until it is durable. The fsync
+// runs outside the mutex, led by one waiting caller, and covers every
+// record written before it began: the records written while one fsync
+// runs share the next (group commit). Close waits out an in-flight
+// fsync and syncs the rest, so every Sync that returned nil before
+// Close began names a record on disk, and a Write after Close fails
+// with ErrClosed (so it is never acked).
 type Store struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// cond, on mu, is broadcast whenever an fsync ends: it wakes the
+	// Sync callers it may have settled, and Compact and Close, which
+	// wait for no fsync to be in flight.
+	cond    sync.Cond
 	dir     string
 	opt     Options
 	journal *os.File
 	// end is the journal's length up to its last whole frame: where
-	// the next append starts, and where a failed one is cut back to.
-	end     int64
-	nextSeq uint64
+	// the next write starts, and where a failed one is cut back to.
+	// synced is its length up to its last durable frame: where a
+	// failed fsync cuts it back to.
+	end, synced int64
+	nextSeq     uint64
 	// live counts journal records past the snapshot, for CompactEvery.
-	live   int
-	closed bool
-	// wedged is set when a failed append could not be cut back: the
-	// journal may end in part of a frame, so no append may follow it.
+	live int
+	// written counts the records ever written, and durable those of
+	// them that are settled: made durable, or lost with an earlier
+	// generation. Unlike the file offsets above, which go back on
+	// compaction and on a cut-back, they only grow; a Token names its
+	// record by its position among them and by gen, the number of
+	// failed fsyncs so far. cuts[g] is how generation g ended.
+	written, durable uint64
+	gen              uint64
+	cuts             []cut
+	// syncing is set while a leader's fsync runs without mu.
+	syncing bool
+	closed  bool
+	// wedged is set when a failed write or fsync could not be cut back:
+	// the journal may end in part of a frame, so no write may follow.
 	wedged bool
 }
+
+// cut is how one generation ended: an fsync failed with err, and
+// every record of the generation past position durable was lost.
+type cut struct {
+	durable uint64
+	err     error
+}
+
+// Token names one written record for Sync.
+type Token struct {
+	// Seq is the record's sequence number.
+	Seq      uint64
+	gen, pos uint64
+}
+
+// syncFile is the journal fsync of Sync and Close. Tests replace it to
+// count fsyncs or to fail one.
+var syncFile = (*os.File).Sync
 
 // Open opens (creating if necessary) the store in dir. A torn final
 // frame in the journal — the signature of a crash mid-append — is
@@ -201,6 +250,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
 	s := &Store{dir: dir, opt: opt}
+	s.cond.L = &s.mu
 	jpath := filepath.Join(dir, JournalName)
 	f, err := os.OpenFile(jpath, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -304,6 +354,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: seek journal: %w", err)
 	}
+	s.synced = s.end
 	s.journal = f
 	s.nextSeq = maxSeq + 1
 	s.live = live
@@ -357,52 +408,131 @@ func salvageFrames(data []byte) (frames []Frame, torn bool, ok bool) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Append frames, writes, and fsyncs one record, assigning its sequence
-// number. It returns only after the record is durable (unless the
-// store was opened NoSync); a nil error is the caller's license to ack
-// the operation. A failed write or sync cuts the journal back to where
-// the record began, so a partial frame never sits in front of later
-// acked records; if that fails too, every later Append fails with
-// ErrClosed. A CompactEvery threshold may fold the journal into the
-// snapshot on the way out; compaction failure is not an append
-// failure (the record is already durable).
+// Append writes one record and waits until it is durable: Write
+// followed by Sync. A nil error is the caller's license to ack the
+// operation.
 func (s *Store) Append(kind Kind, owner string, binary []byte) (uint64, error) {
+	tok, err := s.Write(kind, owner, binary)
+	if err == nil {
+		err = s.Sync(tok)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return tok.Seq, nil
+}
+
+// Write frames and writes one record, assigning its sequence number,
+// and returns the token to Sync on. The record is not durable yet: a
+// caller must not ack it before Sync(tok) returns nil. A failed write
+// cuts the journal back to where the record began, so a partial frame
+// never sits in front of later records; if that fails too, every later
+// Write fails with ErrClosed.
+func (s *Store) Write(kind Kind, owner string, binary []byte) (Token, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.wedged {
-		return 0, ErrClosed
+		return Token{}, ErrClosed
 	}
 	seq := s.nextSeq
 	frame := FrameRecord(Record{Kind: kind, Seq: seq, Owner: owner, Binary: binary})
 	if _, err := s.journal.Write(frame); err != nil {
-		return 0, s.unwind(fmt.Errorf("store: append: %w", err))
-	}
-	if !s.opt.NoSync {
-		if err := s.journal.Sync(); err != nil {
-			return 0, s.unwind(fmt.Errorf("store: append sync: %w", err))
-		}
+		return Token{}, s.unwind(s.end, fmt.Errorf("store: append: %w", err))
 	}
 	s.end += int64(len(frame))
 	s.nextSeq++
 	s.live++
-	if s.opt.CompactEvery > 0 && s.live >= s.opt.CompactEvery {
-		s.compactLocked() // best-effort; the append above is already durable
-	}
-	return seq, nil
+	s.written++
+	return Token{Seq: seq, gen: s.gen, pos: s.written}, nil
 }
 
-// unwind undoes a failed append: it truncates the journal to s.end and
-// moves the write offset there. Were the partial frame left in place,
-// the next append would land behind it, replay would lose frame
+// Sync returns once the record tok names is durable (unless the store
+// was opened NoSync), or with the error that lost it. If no fsync is
+// in flight, the caller leads one (syncGroup); otherwise it waits for
+// the one in flight, which covers its record if the record was written
+// before that fsync began, and leads the next one if not.
+func (s *Store) Sync(tok Token) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		if tok.gen < s.gen {
+			// An fsync failed since the record was written: it is durable
+			// only if an earlier fsync already covered it.
+			if c := s.cuts[tok.gen]; tok.pos > c.durable {
+				return c.err
+			}
+			return nil
+		}
+		if tok.pos <= s.durable {
+			return nil
+		}
+		if s.syncing {
+			s.cond.Wait()
+		} else {
+			s.syncGroup()
+		}
+	}
+}
+
+// syncGroup leads one fsync, which covers every record written so far.
+// It runs with s.mu held and no fsync in flight, and releases s.mu for
+// the fsync itself, so records written meanwhile form the next group.
+// A failed fsync loses every record not yet durable: this group and
+// any written during its fsync (fail). A CompactEvery threshold may
+// fold the journal into the snapshot after a successful one;
+// compaction failure is not a sync failure (the group is already
+// durable).
+func (s *Store) syncGroup() {
+	s.syncing = true
+	pos, end := s.written, s.end
+	s.mu.Unlock()
+	err := s.fsync()
+	s.mu.Lock()
+	s.syncing = false
+	if err != nil {
+		s.fail(fmt.Errorf("store: append sync: %w", err))
+	} else {
+		s.durable, s.synced = pos, end
+		if s.opt.CompactEvery > 0 && s.live >= s.opt.CompactEvery {
+			s.compactLocked() // best-effort
+		}
+	}
+	s.cond.Broadcast()
+}
+
+// fsync syncs the journal unless the store was opened NoSync.
+func (s *Store) fsync() error {
+	if s.opt.NoSync {
+		return nil
+	}
+	return syncFile(s.journal)
+}
+
+// fail ends the current generation after a failed fsync: every record
+// written since the last durable one is lost, and its Sync returns
+// err. The journal is cut back to the last durable frame, so none of
+// those records replays; if the cut fails, the store is wedged.
+func (s *Store) fail(err error) {
+	s.cuts = append(s.cuts, cut{durable: s.durable, err: err})
+	s.gen++
+	s.live -= int(s.written - s.durable)
+	s.durable = s.written // settled: the lost records by the cut
+	s.unwind(s.synced, err)
+}
+
+// unwind cuts the journal back to offset to after a failed write or
+// fsync and moves the write offset there. Were a partial frame left in
+// place, the next write would land behind it, replay would lose frame
 // alignment at the stray length word, and Open would cut everything
 // after it as a torn tail, acked records included. If the cut fails,
 // the store is wedged. It returns err.
-func (s *Store) unwind(err error) error {
-	if terr := s.journal.Truncate(s.end); terr != nil {
+func (s *Store) unwind(to int64, err error) error {
+	s.end = to
+	if terr := s.journal.Truncate(to); terr != nil {
 		s.wedged = true
 		return err
 	}
-	if _, serr := s.journal.Seek(s.end, io.SeekStart); serr != nil {
+	if _, serr := s.journal.Seek(to, io.SeekStart); serr != nil {
 		s.wedged = true
 	}
 	return err
@@ -413,16 +543,25 @@ func (s *Store) unwind(err error) error {
 // last retrofit per setting) and truncates the journal. Crash-safe:
 // the snapshot is written to a temp file, synced, and renamed before
 // the journal is touched, and BaseSeq dedupe makes a journal that
-// survives a crash after the rename harmless.
+// survives a crash after the rename harmless. It waits for an
+// in-flight fsync first; every record written before it is durable
+// after it.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for s.syncing {
+		s.cond.Wait()
+	}
 	if s.closed {
 		return ErrClosed
 	}
+	defer s.cond.Broadcast()
 	return s.compactLocked()
 }
 
+// compactLocked is Compact with s.mu held and no fsync in flight. It
+// folds every written record, durable or not, into the snapshot, so
+// once the snapshot is in place all of them are durable.
 func (s *Store) compactLocked() error {
 	recs, rep := replayDir(s.dir)
 	_ = rep // corruption is skipped here exactly as recovery would skip it
@@ -472,10 +611,12 @@ func (s *Store) compactLocked() error {
 	}
 	// The snapshot is durable; the journal's records are now stale
 	// (seq <= BaseSeq). Truncate back to the bare magic.
+	s.durable, s.synced = s.written, s.end
 	if err := s.journal.Truncate(int64(len(journalMagic))); err != nil {
 		return fmt.Errorf("store: compact truncate: %w", err)
 	}
 	s.end = int64(len(journalMagic))
+	s.synced = s.end
 	if _, err := s.journal.Seek(s.end, io.SeekStart); err != nil {
 		s.wedged = true // the write offset is past the cut
 		return fmt.Errorf("store: compact seek: %w", err)
@@ -670,11 +811,11 @@ func readSnapshot(dir string) (base uint64, recs []Record, rep ReplayReport) {
 	return base, recs, rep
 }
 
-// Close fsyncs and closes the journal. Because Close and Append share
-// the store mutex, Close serializes strictly after every in-flight
-// Append: an install acked before Close began is on disk, and an
-// Append arriving after Close fails with ErrClosed (so it is never
-// acked).
+// Close fsyncs and closes the journal. It waits for an in-flight
+// fsync, then syncs every record written since and settles their Sync
+// callers with the result: an install acked before Close began is on
+// disk, and a Write arriving after Close fails with ErrClosed (so it
+// is never acked).
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -682,18 +823,21 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	var serr error
-	if !s.opt.NoSync {
-		serr = s.journal.Sync()
+	for s.syncing {
+		s.cond.Wait()
 	}
-	cerr := s.journal.Close()
+	serr := s.fsync()
 	if serr != nil {
-		return fmt.Errorf("store: close sync: %w", serr)
+		serr = fmt.Errorf("store: close sync: %w", serr)
+		s.fail(serr)
+	} else {
+		s.durable, s.synced = s.written, s.end
 	}
-	if cerr != nil {
-		return fmt.Errorf("store: close: %w", cerr)
+	s.cond.Broadcast()
+	if err := s.journal.Close(); err != nil && serr == nil {
+		return fmt.Errorf("store: close: %w", err)
 	}
-	return nil
+	return serr
 }
 
 // --- framing -------------------------------------------------------

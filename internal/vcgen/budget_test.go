@@ -8,6 +8,7 @@ import (
 	pcc "repro"
 	"repro/internal/alpha"
 	"repro/internal/filters"
+	"repro/internal/lf"
 	"repro/internal/logic"
 	"repro/internal/policy"
 	"repro/internal/sfi"
@@ -18,7 +19,9 @@ import (
 // hybrids and the two checksum loops) generate within a sixteenth of
 // the consumer's default budget, a quarter of MaxVCNodes, and one unit
 // less than a program's least budget fails with an error that reports
-// the budget. The least budgets are logged.
+// the budget. The least budgets are logged, and so is what the
+// checksum loops' invariants cost to decode from their LF encoding
+// and to normalize, which a consumer charges to the same budget.
 func TestBudgetHeadroom(t *testing.T) {
 	budget := pcc.DefaultLimits().MaxVCNodes / 4
 	pf, seg := policy.PacketFilter(), policy.SFISegment()
@@ -47,6 +50,18 @@ func TestBudgetHeadroom(t *testing.T) {
 	} {
 		a := mustAssemble(t, c.src)
 		inputs = append(inputs, input{c.name, a.Prog, pf, map[int]logic.Pred{a.Labels["loop"]: c.inv}})
+		enc, err := lf.EncodeStatePred(c.inv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fuel := budget
+		dec, err := lf.DecodePredFuel(enc, &fuel)
+		if err != nil {
+			t.Fatalf("%s invariant: %v", c.name, err)
+		}
+		decoded := budget - fuel
+		logic.NormPredFuel(dec, &fuel)
+		t.Logf("%-12s invariant: %d units to decode, %d to normalize", c.name, decoded, budget-fuel-decoded)
 	}
 	for _, in := range inputs {
 		gen := func(b int) error {

@@ -121,9 +121,13 @@ func Gen(prog []alpha.Instr, pre, post logic.Pred, invariants map[int]logic.Pred
 	post = logic.NormPred(post)
 	var normInv map[int]logic.Pred
 	if len(invariants) > 0 {
+		// The invariants come with the untrusted code, so normalizing
+		// them is charged too.
 		normInv = make(map[int]logic.Pred, len(invariants))
 		for pc, inv := range invariants {
-			normInv[pc] = logic.NormPred(inv)
+			if normInv[pc] = logic.NormPredFuel(inv, fuel); fuel != nil && *fuel < 0 {
+				return nil, &budgetError{pc: pc, budget: budget[0]}
+			}
 		}
 	}
 

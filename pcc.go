@@ -293,17 +293,16 @@ func validate(ctx context.Context, binary []byte, pol *policy.Policy, sig *lf.Si
 	stats := &ValidationStats{BinarySize: len(binary)}
 
 	// Stage 1: decode — binary unmarshal (with term budgets), policy
-	// and rule-set checks, native code and invariant decoding. The
+	// and rule-set checks, native code decoding. The
 	// proof term is decoded here too, unless the memo holds these
 	// exact proof bytes under these limits: then they decoded cleanly
 	// before, and the term waits until the check needs it.
 	var (
-		bin        *pccbin.Binary
-		prog       []alpha.Instr
-		invariants map[int]logic.Pred
-		proofKey   [sha256.Size]byte
-		prior      checkedProof
-		known      bool // prior holds a check of these proof bytes
+		bin      *pccbin.Binary
+		prog     []alpha.Instr
+		proofKey [sha256.Size]byte
+		prior    checkedProof
+		known    bool // prior holds a check of these proof bytes
 	)
 	err := fenced("decode", func() error {
 		var err error
@@ -361,9 +360,6 @@ func validate(ctx context.Context, binary []byte, pol *policy.Policy, sig *lf.Si
 		if prog, err = alpha.Decode(bin.Code); err != nil {
 			return err
 		}
-		if invariants, err = bin.DecodeInvariants(); err != nil {
-			return err
-		}
 		stats.Parse += time.Since(mark)
 		return nil
 	})
@@ -379,16 +375,28 @@ func validate(ctx context.Context, binary []byte, pol *policy.Policy, sig *lf.Si
 	// the VC's size is attacker-influenced even though the generator is
 	// ours). The VC can double with each instruction, so generating it
 	// is bounded too, by a budget of a quarter of MaxVCNodes, and
-	// running out is a vc_nodes rejection. The paper filters, the
-	// checksum loops and their SFI hybrids spend at most 4,353 units;
-	// a bomb that spends the default 262,144 is stopped within
-	// milliseconds.
+	// running out is a vc_nodes rejection. The loop invariants are
+	// decoded and normalized from the same budget: they ship with the
+	// code, and a hash-consed invariant expands to a tree exponentially
+	// larger than its bytes. The paper filters, the checksum loops and
+	// their SFI hybrids spend at most 4,353 units; a bomb that spends
+	// the default 262,144 is stopped within milliseconds.
 	var spT lf.Term
 	err = fenced("vcgen", func() error {
 		mark := time.Now()
 		budget, sizeCap := 0, 0 // no bound when MaxVCNodes sets none
+		var fuel *int
 		if limits.MaxVCNodes > 0 {
 			budget, sizeCap = max(limits.MaxVCNodes/4, 1), limits.MaxVCNodes+1
+			fuel = &budget
+		}
+		invariants, err := bin.DecodeInvariantsFuel(fuel)
+		if fuel != nil && budget <= 0 {
+			// Spent (a budget of 0 would leave Gen unbounded).
+			return &ResourceLimitError{Axis: "vc_nodes", Max: int64(limits.MaxVCNodes), Err: err}
+		}
+		if err != nil {
+			return err
 		}
 		gen, err := vcgen.Gen(prog, pol.Pre, pol.Post, invariants, budget)
 		if err != nil {

@@ -267,3 +267,39 @@ func TestVCBombRejectedFast(t *testing.T) {
 		}
 	}
 }
+
+// TestInvariantBombRejectedFast: a loop invariant whose tree is
+// exponentially larger than its bytes is rejected on the vc_nodes axis
+// within a bounded amount of decoding work. Filter 1 carries the
+// invariant Pₖ at pc 0, where Pᵢ₊₁ = and Pᵢ Pᵢ and P₀ = tt: at k = 22 it
+// is about a kilobyte on the wire and a tree of 2²² leaves, which
+// decoding and normalizing in full took a second.
+func TestInvariantBombRejectedFast(t *testing.T) {
+	bomb, pol := filter1With(t, func(b *pccbin.Binary) {
+		var P lf.Term = lf.Konst{Name: lf.CTT}
+		for i := 0; i < 22; i++ {
+			P = lf.Apply(lf.Konst{Name: lf.CAnd}, P, P)
+		}
+		b.Invariants = []pccbin.Invariant{{PC: 0, Pred: P}}
+	})
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, _, err := pcc.ValidateCtx(context.Background(), bomb, pol, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var rle *pcc.ResourceLimitError
+		if !errors.As(err, &rle) || rle.Axis != "vc_nodes" {
+			t.Fatalf("want a vc_nodes limit, got %v", err)
+		}
+		d := time.Since(start)
+		t.Logf("%d-byte binary rejected after %v", len(bomb), d)
+		if d >= 100*time.Millisecond {
+			t.Fatalf("rejected after %v, want < 100ms", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("not rejected after 5s")
+	}
+}

@@ -67,6 +67,14 @@ echo '== go test -race -count=20 proof memo'
 go test -short -race -count=20 -run 'KeyerMemo|ProofMemo|NewKeyerAllocates' .
 go test -race -count=20 -run 'BatchInstallSameShapeConcurrent|ProofReuseObserved' ./internal/kernel/
 
+# Group commit twenty times over under the race detector: concurrent
+# appends sharing fsyncs, a failed group, Close with waiters, and
+# kernel commits publishing in journal order while their fsyncs run
+# outside the kernel lock.
+echo '== go test -race -count=20 group commit'
+go test -race -count=20 -run 'GroupCommit|FailedGroupSync|CloseWithSyncWaiters' ./internal/store/
+go test -race -count=20 -run 'ConcurrentCommitsFollowJournal|ValidationTakesNoKernelLock' ./internal/kernel/
+
 # The LF package's short suite on its own: the chaos differential
 # must find its code-only variants accepted at 60 mutants too.
 echo '== go test -short ./internal/lf/'
