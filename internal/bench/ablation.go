@@ -44,7 +44,7 @@ func EncodingAblation() ([]EncodingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		term, err := lf.EncodeProof(proof)
+		term, err := prover.EncodeProof(proof, nil)
 		if err != nil {
 			return nil, err
 		}

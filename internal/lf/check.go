@@ -64,7 +64,7 @@ const renderLimit = 256
 // typeErrAt is typeErr carrying the failing subterm. Errors propagate
 // outward unchanged through the recursion, so the recorded subterm is
 // the innermost point of failure. The subterm and every term or
-// predicate argument are rendered through the capped writer: proofs
+// predicate argument are rendered capped (see render): proofs
 // are DAGs whose trees can be exponentially large, and the rendering
 // must cost no more than its cap.
 func typeErrAt(at Term, format string, args ...interface{}) error {
@@ -543,9 +543,6 @@ func spendDecode(fuel *int, n int) error {
 	return nil
 }
 
-// DecodeExpr converts an LF expression term back to logic form.
-func DecodeExpr(t Term) (logic.Expr, error) { return decodeExprFuel(Normalize(t), 0, nil) }
-
 var binOpByConst = func() map[string]logic.BinOp {
 	m := map[string]logic.BinOp{}
 	for _, op := range binOps {
@@ -702,12 +699,14 @@ func decodePredFuel(t Term, depth int, fuel *int) (logic.Pred, error) {
 	return nil, fmt.Errorf("lf: decode: unknown predicate form %s", render(t, renderLimit))
 }
 
-// ValidateProof is the consumer's validation entry point: it checks
-// that proofTerm is a valid LF proof of the safety predicate sp.
-func ValidateProof(sig *Signature, proofTerm Term, sp logic.Pred) error {
+// ValidateProof checks with c that proofTerm is an LF proof of the
+// closed predicate sp. Policy negotiation decides its implications
+// with it; binary validation (pcc.ValidateCtx) checks the proof
+// against the safety predicate it encodes once per binary.
+func ValidateProof(c *Checker, proofTerm Term, sp logic.Pred) error {
 	spT, err := EncodePred(sp)
 	if err != nil {
 		return err
 	}
-	return NewChecker(sig).Check(proofTerm, App{Konst{CPf}, spT})
+	return c.Check(proofTerm, App{Konst{CPf}, spT})
 }

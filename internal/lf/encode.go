@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/logic"
-	"repro/internal/prover"
 )
 
 // varResolver maps a free logic variable name to an LF term, given the
@@ -137,6 +136,31 @@ func closedResolver(name string, depth int) (Term, error) {
 	return nil, fmt.Errorf("lf: free variable %q in closed encoding", name)
 }
 
+// EncodePredIn encodes p under LF binders named by scope, outermost
+// first: a free variable of p becomes the de Bruijn index of the
+// innermost binder of its name, and one that no binder names is an
+// error. The proof encoder (internal/prover) encodes the predicates
+// and expressions its proof terms carry with it and EncodeExprIn.
+func EncodePredIn(p logic.Pred, scope []string) (Term, error) {
+	return encodePredWithErr(p, scopeResolver(scope), len(scope))
+}
+
+// EncodeExprIn is EncodePredIn for an expression.
+func EncodeExprIn(e logic.Expr, scope []string) (Term, error) {
+	return encodeExprWith(e, scopeResolver(scope), len(scope))
+}
+
+func scopeResolver(scope []string) varResolver {
+	return func(name string, depth int) (Term, error) {
+		for level := len(scope) - 1; level >= 0; level-- {
+			if scope[level] == name {
+				return Bound{depth - level - 1}, nil
+			}
+		}
+		return closedResolver(name, depth)
+	}
+}
+
 // EncodePred encodes a closed predicate (e.g. a safety predicate).
 func EncodePred(p logic.Pred) (Term, error) {
 	return encodePredWithErr(p, closedResolver, 0)
@@ -163,352 +187,4 @@ func stateResolver(name string, depth int) (Term, error) {
 // r0..r10 and rm), as loop invariants are.
 func EncodeStatePred(p logic.Pred) (Term, error) {
 	return encodePredWithErr(p, stateResolver, 0)
-}
-
-// encoder carries the state of proof encoding: the hypothesis context
-// for predicate inference, the axiom set, and the variable resolver
-// for LF binders.
-type encoder struct {
-	hyps  map[string]logic.Pred
-	extra map[string]*prover.Schema
-}
-
-// EncodeProof encodes a closed natural-deduction proof into an LF
-// object whose type is pf(goal) for the predicate the proof proves.
-func EncodeProof(p prover.Proof) (Term, error) { return EncodeProofWith(p, nil) }
-
-// EncodeProofWith is EncodeProof for proofs that use policy-published
-// axiom schemas.
-func EncodeProofWith(p prover.Proof, extra map[string]*prover.Schema) (Term, error) {
-	enc := &encoder{hyps: map[string]logic.Pred{}, extra: extra}
-	return enc.proof(p, closedResolver, 0)
-}
-
-func (enc *encoder) pred(p logic.Pred, resolve varResolver, depth int) (Term, error) {
-	return encodePredWithErr(p, resolve, depth)
-}
-
-// typeOf infers the predicate proved by a sub-proof under the current
-// hypothesis context.
-func (enc *encoder) typeOf(p prover.Proof) (logic.Pred, error) {
-	return prover.InferWithAxioms(p, enc.hyps, enc.extra)
-}
-
-func (enc *encoder) proof(p prover.Proof, resolve varResolver, depth int) (Term, error) {
-	switch p := p.(type) {
-	case prover.Hyp:
-		return resolve("hyp$"+p.Name, depth)
-
-	case prover.TrueI:
-		return Konst{CTrueI}, nil
-
-	case prover.AndI:
-		a, err := enc.typeOf(p.P)
-		if err != nil {
-			return nil, err
-		}
-		b, err := enc.typeOf(p.Q)
-		if err != nil {
-			return nil, err
-		}
-		return enc.rule2(CAndI, a, b, p.P, p.Q, resolve, depth)
-
-	case prover.AndEL:
-		q, err := enc.typeOf(p.P)
-		if err != nil {
-			return nil, err
-		}
-		and, ok := q.(logic.And)
-		if !ok {
-			return nil, fmt.Errorf("lf: and_el over non-conjunction")
-		}
-		return enc.rule1(CAndEL, and.L, and.R, p.P, resolve, depth)
-
-	case prover.AndER:
-		q, err := enc.typeOf(p.P)
-		if err != nil {
-			return nil, err
-		}
-		and, ok := q.(logic.And)
-		if !ok {
-			return nil, fmt.Errorf("lf: and_er over non-conjunction")
-		}
-		return enc.rule1(CAndER, and.L, and.R, p.P, resolve, depth)
-
-	case prover.ImpI:
-		aT, err := enc.pred(p.Ante, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		enc.hyps[p.Name] = p.Ante
-		inner := bindVar(resolve, "hyp$"+p.Name, depth)
-		body, err := enc.proof(p.Body, inner, depth+1)
-		delete(enc.hyps, p.Name)
-		if err != nil {
-			return nil, err
-		}
-		bPred, err := func() (logic.Pred, error) {
-			enc.hyps[p.Name] = p.Ante
-			defer delete(enc.hyps, p.Name)
-			return enc.typeOf(p.Body)
-		}()
-		if err != nil {
-			return nil, err
-		}
-		bT, err := enc.pred(bPred, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		hypTy := App{Konst{CPf}, aT}
-		return Apply(Konst{CImpI}, aT, bT, Lam{hypTy, body}), nil
-
-	case prover.ImpE:
-		q, err := enc.typeOf(p.PQ)
-		if err != nil {
-			return nil, err
-		}
-		imp, ok := q.(logic.Imp)
-		if !ok {
-			return nil, fmt.Errorf("lf: imp_e over non-implication")
-		}
-		return enc.rule2(CImpE, imp.L, imp.R, p.PQ, p.P, resolve, depth)
-
-	case prover.AllI:
-		bodyPred, err := enc.typeOf(p.Body)
-		if err != nil {
-			return nil, err
-		}
-		fBody, err := enc.pred(bodyPred, bindVar(resolve, p.Var, depth), depth+1)
-		if err != nil {
-			return nil, err
-		}
-		f := Lam{Konst{CExp}, fBody}
-		body, err := enc.proof(p.Body, bindVar(resolve, p.Var, depth), depth+1)
-		if err != nil {
-			return nil, err
-		}
-		return Apply(Konst{CAllI}, f, Lam{Konst{CExp}, body}), nil
-
-	case prover.AllE:
-		q, err := enc.typeOf(p.All)
-		if err != nil {
-			return nil, err
-		}
-		fa, ok := q.(logic.Forall)
-		if !ok {
-			return nil, fmt.Errorf("lf: all_e over non-universal")
-		}
-		fBody, err := enc.pred(fa.Body, bindVar(resolve, fa.Var, depth), depth+1)
-		if err != nil {
-			return nil, err
-		}
-		f := Lam{Konst{CExp}, fBody}
-		e, err := encodeExprWith(p.Inst, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		all, err := enc.proof(p.All, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		return Apply(Konst{CAllE}, f, e, all), nil
-
-	case prover.OrIL:
-		lPred, err := enc.typeOf(p.P)
-		if err != nil {
-			return nil, err
-		}
-		lT, err := enc.pred(lPred, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		rT, err := enc.pred(p.Right, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		inner, err := enc.proof(p.P, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		return Apply(Konst{COrIL}, lT, rT, inner), nil
-
-	case prover.OrIR:
-		rPred, err := enc.typeOf(p.P)
-		if err != nil {
-			return nil, err
-		}
-		lT, err := enc.pred(p.Left, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		rT, err := enc.pred(rPred, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		inner, err := enc.proof(p.P, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		return Apply(Konst{COrIR}, lT, rT, inner), nil
-
-	case prover.OrE:
-		dPred, err := enc.typeOf(p.Disj)
-		if err != nil {
-			return nil, err
-		}
-		or, ok := dPred.(logic.Or)
-		if !ok {
-			return nil, fmt.Errorf("lf: or_e over non-disjunction")
-		}
-		branchPred := func(h logic.Pred, body prover.Proof) (logic.Pred, error) {
-			enc.hyps[p.Name] = h
-			defer delete(enc.hyps, p.Name)
-			return prover.InferWithAxioms(body, enc.hyps, enc.extra)
-		}
-		rPred, err := branchPred(or.L, p.Left)
-		if err != nil {
-			return nil, err
-		}
-		lT, err := enc.pred(or.L, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		rT, err := enc.pred(or.R, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		goalT, err := enc.pred(rPred, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		dT, err := enc.proof(p.Disj, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		branchTerm := func(h logic.Pred, hT Term, body prover.Proof) (Term, error) {
-			enc.hyps[p.Name] = h
-			defer delete(enc.hyps, p.Name)
-			inner := bindVar(resolve, "hyp$"+p.Name, depth)
-			b, err := enc.proof(body, inner, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			return Lam{App{Konst{CPf}, hT}, b}, nil
-		}
-		lBranch, err := branchTerm(or.L, lT, p.Left)
-		if err != nil {
-			return nil, err
-		}
-		rBranch, err := branchTerm(or.R, rT, p.Right)
-		if err != nil {
-			return nil, err
-		}
-		return Apply(Konst{COrE}, lT, rT, goalT, dT, lBranch, rBranch), nil
-
-	case prover.FalseE:
-		gT, err := enc.pred(p.Goal, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		inner, err := enc.proof(p.P, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		return Apply(Konst{CFalseE}, gT, inner), nil
-
-	case prover.Ground:
-		g, err := enc.pred(p.Goal, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		return Apply(Konst{CGArith}, g, App{Konst{CGr}, g}), nil
-
-	case prover.Conv:
-		fromPred, err := enc.typeOf(p.P)
-		if err != nil {
-			return nil, err
-		}
-		from, err := enc.pred(fromPred, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		to, err := enc.pred(p.To, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		inner, err := enc.proof(p.P, resolve, depth)
-		if err != nil {
-			return nil, err
-		}
-		return Apply(Konst{CConvP}, from, to,
-			Apply(Konst{CNrm}, from, to), inner), nil
-
-	case prover.Axiom:
-		sc, ok := prover.LookupAxiom(p.Name, enc.extra)
-		if !ok {
-			return nil, fmt.Errorf("lf: unknown axiom %q", p.Name)
-		}
-		if len(p.Args) != len(sc.Params) || len(p.Prems) != len(sc.Prems) {
-			return nil, fmt.Errorf("lf: axiom %q arity mismatch", p.Name)
-		}
-		out := Term(Konst{p.Name})
-		for _, a := range p.Args {
-			e, err := encodeExprWith(a, resolve, depth)
-			if err != nil {
-				return nil, err
-			}
-			out = App{out, e}
-		}
-		for _, prem := range p.Prems {
-			q, err := enc.proof(prem, resolve, depth)
-			if err != nil {
-				return nil, err
-			}
-			out = App{out, q}
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("lf: cannot encode proof node %T", p)
-}
-
-// rule1 emits c A B q for a rule with two predicate parameters and one
-// proof argument.
-func (enc *encoder) rule1(c string, a, b logic.Pred, q prover.Proof,
-	resolve varResolver, depth int) (Term, error) {
-	aT, err := enc.pred(a, resolve, depth)
-	if err != nil {
-		return nil, err
-	}
-	bT, err := enc.pred(b, resolve, depth)
-	if err != nil {
-		return nil, err
-	}
-	qT, err := enc.proof(q, resolve, depth)
-	if err != nil {
-		return nil, err
-	}
-	return Apply(Konst{c}, aT, bT, qT), nil
-}
-
-// rule2 emits c A B q1 q2 for a rule with two predicate parameters and
-// two proof arguments.
-func (enc *encoder) rule2(c string, a, b logic.Pred, q1, q2 prover.Proof,
-	resolve varResolver, depth int) (Term, error) {
-	aT, err := enc.pred(a, resolve, depth)
-	if err != nil {
-		return nil, err
-	}
-	bT, err := enc.pred(b, resolve, depth)
-	if err != nil {
-		return nil, err
-	}
-	q1T, err := enc.proof(q1, resolve, depth)
-	if err != nil {
-		return nil, err
-	}
-	q2T, err := enc.proof(q2, resolve, depth)
-	if err != nil {
-		return nil, err
-	}
-	return Apply(Konst{c}, aT, bT, q1T, q2T), nil
 }

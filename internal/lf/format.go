@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/logic"
-	"repro/internal/prover"
 )
 
 // FormatSignature renders the published signature in a λProlog-style
@@ -17,7 +16,7 @@ func FormatSignature(s *Signature) string {
 	b.WriteString("%% PCC object logic and proof rules (published signature)\n")
 	for _, name := range s.Names() {
 		ty, _ := s.Lookup(name)
-		if sc, ok := prover.Axioms[name]; ok && sc.Comment != "" {
+		if sc, ok := logic.Axioms[name]; ok && sc.Comment != "" {
 			fmt.Fprintf(&b, "%% %s\n", sc.Comment)
 		}
 		fmt.Fprintf(&b, "%-16s : %s.\n", name, formatTy(ty, 0))
@@ -81,84 +80,56 @@ func mentionsIdx(t Term, idx int) bool {
 }
 
 // render writes x, a Term, logic.Pred or logic.Expr, in its String
-// syntax. Past max bytes (max <= 0: no cap) it cuts the text, marks
-// the cut with "...", and stops walking, so rendering a DAG whose tree
-// is exponentially large costs no more than the cap.
+// syntax, capped at max bytes by logic.Render (max <= 0: no cap).
+// Predicates and expressions are written by package logic's printer.
 func render(x any, max int) string {
-	w := &capWriter{max: max}
-	w.put(x)
-	if w.cut {
-		return w.b.String() + "..."
-	}
-	return w.b.String()
-}
-
-// capWriter is render's output: it keeps at most max bytes and
-// records whether it dropped any.
-type capWriter struct {
-	b   strings.Builder
-	max int
-	cut bool
-}
-
-// put writes each part: a string as it is, a term, predicate or
-// expression by walking it. Predicates and expressions follow the
-// String methods of package logic.
-func (w *capWriter) put(parts ...any) {
-	for _, x := range parts {
-		if w.cut {
-			return
-		}
+	return logic.Render(max, func(w *logic.Writer) {
 		switch x := x.(type) {
-		case string:
-			if w.max > 0 && w.b.Len()+len(x) > w.max {
-				x, w.cut = x[:w.max-w.b.Len()], true
-			}
-			w.b.WriteString(x)
-		case Pi:
-			w.put("({", x.A, "} ", x.B, ")")
-		case Lam:
-			w.put("([", x.A, "] ", x.M, ")")
-		case App: // (head a1 … an)
-			w.put("(")
-			w.spine(x)
-			w.put(")")
-		case logic.Cmp:
-			w.put(x.L, " "+x.Op.String()+" ", x.R)
-		case logic.Rd:
-			w.put("rd(", x.Addr, ")")
-		case logic.Wr:
-			w.put("wr(", x.Addr, ")")
-		case logic.And:
-			w.put("(", x.L, ` /\ `, x.R, ")")
-		case logic.Or:
-			w.put("(", x.L, ` \/ `, x.R, ")")
-		case logic.Imp:
-			w.put("(", x.L, " => ", x.R, ")")
-		case logic.Forall:
-			w.put("(ALL "+x.Var+". ", x.Body, ")")
-		case logic.Bin:
-			switch op := x.Op.String(); x.Op {
-			case logic.OpCmpEq, logic.OpCmpUlt, logic.OpCmpUle, logic.OpCmpSlt:
-				w.put(op+"(", x.L, ", ", x.R, ")")
-			default:
-				w.put("(", x.L, " "+op+" ", x.R, ")")
-			}
-		case logic.Sel:
-			w.put("sel(", x.Mem, ", ", x.Addr, ")")
-		case logic.Upd:
-			w.put("upd(", x.Mem, ", ", x.Addr, ", ", x.Val, ")")
-		default: // sorts, constants, variables, literals
-			w.put(fmt.Sprint(x))
+		case Term:
+			writeTerm(w, x)
+		case logic.Pred:
+			w.Pred(x)
+		case logic.Expr:
+			w.Expr(x)
+		default:
+			w.Text(fmt.Sprint(x))
 		}
+	})
+}
+
+// writeTerm writes t: "({A} B)", "([A] M)", "(head a1 … an)", and the
+// String forms of sorts, constants, variables and literals.
+func writeTerm(w *logic.Writer, t Term) {
+	switch t := t.(type) {
+	case Pi:
+		w.Text("({")
+		writeTerm(w, t.A)
+		w.Text("} ")
+		writeTerm(w, t.B)
+		w.Text(")")
+	case Lam:
+		w.Text("([")
+		writeTerm(w, t.A)
+		w.Text("] ")
+		writeTerm(w, t.M)
+		w.Text(")")
+	case App:
+		w.Text("(")
+		writeSpine(w, t)
+		w.Text(")")
+	case nil:
+		w.Text("<nil>")
+	default:
+		w.Text(t.String())
 	}
 }
 
-func (w *capWriter) spine(a App) {
+func writeSpine(w *logic.Writer, a App) {
 	if f, ok := a.F.(App); ok {
-		w.spine(f)
+		writeSpine(w, f)
 	} else {
-		w.put(a.F)
+		writeTerm(w, a.F)
 	}
-	w.put(" ", a.X)
+	w.Text(" ")
+	writeTerm(w, a.X)
 }

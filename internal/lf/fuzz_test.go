@@ -171,71 +171,3 @@ func TestWrongSignatureRejectsProofs(t *testing.T) {
 		t.Fatal("stripped signature accepted a missing axiom")
 	}
 }
-
-func TestParseTermRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(606))
-	for trial := 0; trial < 1500; trial++ {
-		p := fuzzPred(r, 4)
-		term, err := EncodeStatePred(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := ParseTerm(term.String())
-		if err != nil {
-			t.Fatalf("parse of %s failed: %v", term, err)
-		}
-		if !Equal(back, term) {
-			t.Fatalf("round trip changed term:\n in:  %s\n out: %s", term, back)
-		}
-	}
-}
-
-func TestParseTermStructures(t *testing.T) {
-	cases := []Term{
-		SType,
-		SKind,
-		Konst{"exp"},
-		Bound{3},
-		Lit{18446744073709551615},
-		Pi{Konst{"pred"}, SType},
-		Lam{Konst{"exp"}, Bound{0}},
-		App{Lam{Konst{"exp"}, Bound{0}}, App{Konst{"cst"}, Lit{7}}},
-		Pi{Pi{Konst{"exp"}, Konst{"pred"}},
-			Pi{Pi{Konst{"exp"}, App{Konst{"pf"}, App{Bound{1}, Bound{0}}}},
-				App{Konst{"pf"}, App{Konst{"forall"}, Bound{1}}}}},
-	}
-	for _, tm := range cases {
-		back, err := ParseTerm(tm.String())
-		if err != nil {
-			t.Fatalf("%s: %v", tm, err)
-		}
-		if !Equal(back, tm) {
-			t.Fatalf("round trip changed %s to %s", tm, back)
-		}
-	}
-}
-
-func TestParseTermErrors(t *testing.T) {
-	for _, src := range []string{
-		"", "(", "()", "(f", "#x", "([exp] )", "({pred} )", "f)", "(f g) extra",
-	} {
-		if _, err := ParseTerm(src); err == nil {
-			t.Errorf("%q parsed", src)
-		}
-	}
-}
-
-func TestParseProofTermRoundTrip(t *testing.T) {
-	// A real proof term survives the textual round trip and still
-	// validates.
-	sig := NewSignature()
-	tm := Apply(Konst{CAndI}, Konst{CTT}, Konst{CTT}, Konst{CTrueI}, Konst{CTrueI})
-	back, err := ParseTerm(tm.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := App{Konst{CPf}, Apply(Konst{CAnd}, Konst{CTT}, Konst{CTT})}
-	if err := NewChecker(sig).Check(back, want); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/alpha"
 	"repro/internal/logic"
 	"repro/internal/policy"
-	"repro/internal/prover"
 	"repro/internal/vcgen"
 )
 
@@ -103,33 +102,15 @@ func TestEncodedPredHasTypePred(t *testing.T) {
 	}
 }
 
-// certifyLF runs the producer pipeline and validates through LF.
-func certifyLF(t *testing.T, src string, pol *policy.Policy) (Term, logic.Pred) {
-	t.Helper()
-	a, err := alpha.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := vcgen.Gen(a.Prog, pol.Pre, pol.Post, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof, err := prover.Prove(res.SP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	term, err := EncodeProof(proof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateProof(NewSignature(), term, res.SP); err != nil {
-		t.Fatalf("LF validation failed: %v", err)
-	}
-	return term, res.SP
-}
+// CertifyLF runs the producer pipeline on src (VC generation, the
+// prover and its LF encoder) and validates the proof through LF,
+// returning the proof term and the safety predicate. The prover
+// imports this package, so prover_test.go, in the external test
+// package, sets it.
+var CertifyLF func(t *testing.T, src string, pol *policy.Policy) (Term, logic.Pred)
 
 func TestValidateResourceAccessProof(t *testing.T) {
-	certifyLF(t, `
+	CertifyLF(t, `
         ADDQ  r0, 8, r1
         LDQ   r0, 8(r0)
         LDQ   r2, -8(r1)
@@ -141,7 +122,7 @@ L1:     RET
 }
 
 func TestValidatePacketFilterStyleProof(t *testing.T) {
-	certifyLF(t, `
+	CertifyLF(t, `
         LDQ    r4, 8(r1)
         SRL    r4, 46, r4
         AND    r4, 60, r4
@@ -159,7 +140,7 @@ reject: CLR   r0
 }
 
 func TestValidationRejectsWrongPredicate(t *testing.T) {
-	term, _ := certifyLF(t, `
+	term, _ := CertifyLF(t, `
         LDQ  r4, 0(r1)
         CLR  r0
         RET
@@ -177,7 +158,7 @@ func TestValidationRejectsWrongPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateProof(NewSignature(), term, res.SP); err == nil {
+	if err := ValidateProof(NewChecker(NewSignature()), term, res.SP); err == nil {
 		t.Fatal("proof for a different program accepted")
 	}
 }
@@ -438,7 +419,7 @@ func TestCheckerAcceptsCoreRules(t *testing.T) {
 }
 
 func TestProofTermTamperingDetected(t *testing.T) {
-	term, sp := certifyLF(t, `
+	term, sp := CertifyLF(t, `
         LDQ  r4, 0(r1)
         LDQ  r5, 8(r1)
         CLR  r0
@@ -452,7 +433,7 @@ func TestProofTermTamperingDetected(t *testing.T) {
 	}
 	rejected := 0
 	for _, m := range mutants {
-		if err := ValidateProof(sig, m, sp); err != nil {
+		if err := ValidateProof(NewChecker(sig), m, sp); err != nil {
 			rejected++
 		}
 	}
@@ -516,7 +497,7 @@ func TestTermStringAndSize(t *testing.T) {
 func TestProofSizeRatio(t *testing.T) {
 	// §2.3: "the proof about 3 times larger than the code". Check the
 	// LF proof term is nontrivially sized for a small filter.
-	term, _ := certifyLF(t, `
+	term, _ := CertifyLF(t, `
         LDQ  r4, 0(r1)
         CLR  r0
         RET
@@ -539,44 +520,6 @@ func TestFormatSignature(t *testing.T) {
 	}
 	if len(strings.Split(out, "\n")) < 50 {
 		t.Errorf("signature listing suspiciously short:\n%s", out)
-	}
-}
-
-func TestOrProofValidatesThroughLF(t *testing.T) {
-	// A disjunctive policy exercised end to end: precondition offers
-	// wr(r0) ∨ wr(r0+8); the claim rd(r0) ∨ rd(r0+8) follows by case
-	// analysis (wr implies rd). The proof must survive LF encoding and
-	// validation.
-	r0 := logic.V("r0")
-	goal := logic.All("r0", logic.Implies(
-		logic.Or{L: logic.WrP(r0), R: logic.WrP(logic.Add(r0, logic.C(8)))},
-		logic.Or{L: logic.RdP(r0), R: logic.RdP(logic.Add(r0, logic.C(8)))},
-	))
-	proof, err := prover.Prove(goal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	term, err := EncodeProof(proof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateProof(NewSignature(), term, goal); err != nil {
-		t.Fatalf("LF validation of or-proof failed: %v", err)
-	}
-}
-
-func TestFalseEProofValidatesThroughLF(t *testing.T) {
-	goal := logic.All("r0", logic.Implies(logic.False, logic.WrP(logic.V("r0"))))
-	proof, err := prover.Prove(goal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	term, err := EncodeProof(proof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateProof(NewSignature(), term, goal); err != nil {
-		t.Fatalf("LF validation of false_e proof failed: %v", err)
 	}
 }
 

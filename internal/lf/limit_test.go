@@ -3,7 +3,6 @@ package lf
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -82,17 +81,6 @@ func TestCheckerInterrupt(t *testing.T) {
 	}
 	if !errors.Is(err, ErrLimit) {
 		t.Fatalf("interrupt not classified as a limit: %v", err)
-	}
-}
-
-// TestParseTermDepthLimit: the textual parser rejects deep nesting
-// instead of recursing into it.
-func TestParseTermDepthLimit(t *testing.T) {
-	src := strings.Repeat("(", 100_000) + "tt" + strings.Repeat(" tt)", 100_000)
-	if _, err := ParseTerm(src); err == nil {
-		t.Fatal("100k-deep source parsed")
-	} else if !strings.Contains(err.Error(), "deeper than") {
-		t.Fatalf("want depth error, got %v", err)
 	}
 }
 

@@ -455,7 +455,7 @@ func diffCorpus(t *testing.T, r *rand.Rand) []Term {
 			App{Konst{CCst}, Lit{1}},
 		})
 	}
-	proof, _ := certifyLF(t, `
+	proof, _ := CertifyLF(t, `
         LDQ  r4, 0(r1)
         LDQ  r5, 8(r1)
         CLR  r0
@@ -572,7 +572,7 @@ func TestCheckerMatchesReference(t *testing.T) {
 		compareCheckers(t, sig, term, nil, 0, 0)
 		compareCheckers(t, sig, term, nil, 1+r.Intn(40), 1+r.Intn(12))
 	}
-	proof, sp := certifyLF(t, `
+	proof, sp := CertifyLF(t, `
         LDQ  r4, 0(r1)
         LDQ  r5, 8(r1)
         CLR  r0

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/logic"
-	"repro/internal/prover"
 )
 
 // Signature is the published LF signature: the object logic's syntax
@@ -194,14 +193,14 @@ var StateVars = []string{
 
 // NewSignature builds the standard published signature: syntax, core
 // natural-deduction rules, the two primitive judgments, and one
-// constant per axiom schema in prover.Axioms.
+// constant per axiom schema in logic.Axioms.
 func NewSignature() *Signature { return NewSignatureWith(nil) }
 
 // NewSignatureWith additionally declares policy-published axiom
-// schemas (in sorted order, after the base set), so proofs built with
-// ProveWith validate and the signature fingerprint covers the policy's
+// schemas (in sorted order, after the base set), so proofs that use
+// them validate and the signature fingerprint covers the policy's
 // whole rule set.
-func NewSignatureWith(extra map[string]*prover.Schema) *Signature {
+func NewSignatureWith(extra map[string]*logic.Schema) *Signature {
 	s := &Signature{types: map[string]Term{}}
 
 	exp := Konst{CExp}
@@ -295,13 +294,13 @@ func NewSignatureWith(extra map[string]*prover.Schema) *Signature {
 			Pi{pf(Bound{2}), pf(Bound{2})}}}})
 
 	// Axiom schemas, in deterministic order.
-	names := make([]string, 0, len(prover.Axioms))
-	for name := range prover.Axioms {
+	names := make([]string, 0, len(logic.Axioms))
+	for name := range logic.Axioms {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		s.declare(name, axiomType(prover.Axioms[name]))
+		s.declare(name, axiomType(logic.Axioms[name]))
 	}
 	extraNames := make([]string, 0, len(extra))
 	for name := range extra {
@@ -316,7 +315,7 @@ func NewSignatureWith(extra map[string]*prover.Schema) *Signature {
 
 // axiomType builds Πx1:exp…Πxn:exp. pf prem1 → … → pf concl for an
 // axiom schema.
-func axiomType(sc *prover.Schema) Term {
+func axiomType(sc *logic.Schema) Term {
 	// Parameter name -> de Bruijn level (0 = first parameter).
 	levels := map[string]int{}
 	for i, p := range sc.Params {

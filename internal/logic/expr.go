@@ -156,54 +156,6 @@ func (b Bin) String() string { return exprString(b) }
 func (s Sel) String() string { return exprString(s) }
 func (u Upd) String() string { return exprString(u) }
 
-// exprString renders e into one buffer, in time linear in the result.
-func exprString(e Expr) string {
-	var sb strings.Builder
-	writeExpr(&sb, e)
-	return sb.String()
-}
-
-// writeExpr appends the rendering of e to sb: "(l op r)", "op(l, r)"
-// for the comparison operators, "sel(m, a)" and "upd(m, a, v)".
-func writeExpr(sb *strings.Builder, e Expr) {
-	switch e := e.(type) {
-	case Bin:
-		if e.Op.isCompare() {
-			sb.WriteString(e.Op.String())
-			sb.WriteByte('(')
-			writeExpr(sb, e.L)
-			sb.WriteString(", ")
-			writeExpr(sb, e.R)
-		} else {
-			sb.WriteByte('(')
-			writeExpr(sb, e.L)
-			sb.WriteByte(' ')
-			sb.WriteString(e.Op.String())
-			sb.WriteByte(' ')
-			writeExpr(sb, e.R)
-		}
-	case Sel:
-		sb.WriteString("sel(")
-		writeExpr(sb, e.Mem)
-		sb.WriteString(", ")
-		writeExpr(sb, e.Addr)
-	case Upd:
-		sb.WriteString("upd(")
-		writeExpr(sb, e.Mem)
-		sb.WriteString(", ")
-		writeExpr(sb, e.Addr)
-		sb.WriteString(", ")
-		writeExpr(sb, e.Val)
-	case nil:
-		sb.WriteString("%!s(<nil>)") // as fmt renders a nil operand
-		return
-	default:
-		sb.WriteString(e.String())
-		return
-	}
-	sb.WriteByte(')')
-}
-
 // Convenience constructors.
 
 // C returns the constant expression with the given value.
@@ -350,9 +302,6 @@ func exprSize(e Expr) int {
 	}
 	panic(fmt.Sprintf("logic: unknown expr %T", e))
 }
-
-// ExprSize returns the number of AST nodes in e.
-func ExprSize(e Expr) int { return exprSize(e) }
 
 // indent is a shared helper for multi-line pretty printers.
 func indent(s, prefix string) string {

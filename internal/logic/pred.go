@@ -126,13 +126,13 @@ func (Forall) isPred()    {}
 
 func (TruePred) String() string  { return "true" }
 func (FalsePred) String() string { return "false" }
-func (c Cmp) String() string     { return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R) }
-func (r Rd) String() string      { return fmt.Sprintf("rd(%s)", r.Addr) }
-func (w Wr) String() string      { return fmt.Sprintf("wr(%s)", w.Addr) }
-func (a And) String() string     { return fmt.Sprintf("(%s /\\ %s)", a.L, a.R) }
-func (o Or) String() string      { return fmt.Sprintf("(%s \\/ %s)", o.L, o.R) }
-func (i Imp) String() string     { return fmt.Sprintf("(%s => %s)", i.L, i.R) }
-func (f Forall) String() string  { return fmt.Sprintf("(ALL %s. %s)", f.Var, f.Body) }
+func (c Cmp) String() string     { return predString(c) }
+func (r Rd) String() string      { return predString(r) }
+func (w Wr) String() string      { return predString(w) }
+func (a And) String() string     { return predString(a) }
+func (o Or) String() string      { return predString(o) }
+func (i Imp) String() string     { return predString(i) }
+func (f Forall) String() string  { return predString(f) }
 
 // Convenience constructors.
 

@@ -4,7 +4,7 @@
 // hybrid experiment. A policy packages the precondition ("calling
 // convention"), the postcondition, and human-readable register
 // conventions; the proof-formation rules ℒ it publishes are the core
-// natural-deduction rules plus prover.Axioms.
+// natural-deduction rules plus logic.Axioms.
 //
 // A note on the paper's "ri mod 2^64 = ri" conjuncts: in this
 // implementation every expression already denotes a 64-bit machine

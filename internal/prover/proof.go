@@ -1,13 +1,14 @@
 // Package prover implements the certification side of PCC: natural-
-// deduction proof terms for the safety-predicate logic, the axiom
-// schemas of the proof system ℒ (published as part of the safety
-// policy), an independent proof checker used as a testing oracle, and
-// the automatic theorem prover that certifies the paper's programs.
+// deduction proof terms for the safety-predicate logic, the automatic
+// theorem prover that certifies the paper's programs, the encoder of
+// its proofs into LF objects, and an independent proof checker used as
+// a testing oracle. The axiom schemas of the proof system ℒ are
+// logic.Axioms plus those a policy publishes.
 //
-// The deliverable proofs are later *encoded into LF* (internal/lf) and
-// validated by LF type checking, exactly as in §2.3; the checker here
-// exists so the repository has two independent validators to test
-// against each other.
+// The consumer validates the encoded proofs by LF type checking alone
+// (internal/lf), exactly as in §2.3: package lf does not import this
+// one. The checker here exists so the repository has two independent
+// validators to test against each other.
 package prover
 
 import (
@@ -150,158 +151,6 @@ func (p Axiom) Size() int {
 	return n
 }
 
-// Schema is an axiom schema of the proof system (see logic.Schema).
-type Schema = logic.Schema
-
-// Schema parameters use names no machine program can mention.
-var (
-	pa = logic.V("$a")
-	pb = logic.V("$b")
-	pc = logic.V("$c")
-	pe = logic.V("$e")
-	pm = logic.V("$m")
-	pv = logic.V("$v")
-)
-
-// Axioms is the published rule set ℒ beyond the core natural-deduction
-// rules: ordering, compare-instruction, bit-masking and memory axioms,
-// each a theorem of 64-bit two's-complement arithmetic.
-var Axioms = map[string]*Schema{}
-
-func def(name string, params []string, prems []logic.Pred, concl logic.Pred, comment string) {
-	Axioms[name] = &Schema{
-		Name: name, Params: params, Prems: prems, Concl: concl, Comment: comment,
-	}
-}
-
-func init() {
-	ab := []string{"$a", "$b"}
-	abc := []string{"$a", "$b", "$c"}
-
-	def("lt_le_trans", abc,
-		[]logic.Pred{logic.Ult(pa, pb), logic.Ule(pb, pc)},
-		logic.Ult(pa, pc), "a<b ∧ b≤c ⇒ a<c")
-	def("le_lt_trans", abc,
-		[]logic.Pred{logic.Ule(pa, pb), logic.Ult(pb, pc)},
-		logic.Ult(pa, pc), "a≤b ∧ b<c ⇒ a<c")
-	def("le_trans", abc,
-		[]logic.Pred{logic.Ule(pa, pb), logic.Ule(pb, pc)},
-		logic.Ule(pa, pc), "a≤b ∧ b≤c ⇒ a≤c")
-	def("lt_imp_le", ab,
-		[]logic.Pred{logic.Ult(pa, pb)},
-		logic.Ule(pa, pb), "a<b ⇒ a≤b")
-	def("eq_sym", ab,
-		[]logic.Pred{logic.Eq(pa, pb)},
-		logic.Eq(pb, pa), "symmetry of =")
-	def("ne_sym", ab,
-		[]logic.Pred{logic.Ne(pa, pb)},
-		logic.Ne(pb, pa), "symmetry of ≠")
-
-	// The Alpha compare instructions, as expressions, related to the
-	// predicates they decide.
-	cmp := func(op logic.BinOp) logic.Expr { return logic.Bin{Op: op, L: pa, R: pb} }
-	def("cmpeq_true", ab,
-		[]logic.Pred{logic.Ne(cmp(logic.OpCmpEq), logic.C(0))},
-		logic.Eq(pa, pb), "cmpeq(a,b)≠0 ⇒ a=b")
-	def("cmpeq_false", ab,
-		[]logic.Pred{logic.Eq(cmp(logic.OpCmpEq), logic.C(0))},
-		logic.Ne(pa, pb), "cmpeq(a,b)=0 ⇒ a≠b")
-	def("cmpult_true", ab,
-		[]logic.Pred{logic.Ne(cmp(logic.OpCmpUlt), logic.C(0))},
-		logic.Ult(pa, pb), "cmpult(a,b)≠0 ⇒ a<b")
-	def("cmpult_false", ab,
-		[]logic.Pred{logic.Eq(cmp(logic.OpCmpUlt), logic.C(0))},
-		logic.Ule(pb, pa), "cmpult(a,b)=0 ⇒ b≤a")
-	def("cmpule_true", ab,
-		[]logic.Pred{logic.Ne(cmp(logic.OpCmpUle), logic.C(0))},
-		logic.Ule(pa, pb), "cmpule(a,b)≠0 ⇒ a≤b")
-	def("cmpule_false", ab,
-		[]logic.Pred{logic.Eq(cmp(logic.OpCmpUle), logic.C(0))},
-		logic.Ult(pb, pa), "cmpule(a,b)=0 ⇒ b<a")
-
-	// Bit-masking bounds, the workhorses of the data-dependent offset
-	// proof in Filter 4.
-	def("band_ub", []string{"$e", "$c"}, nil,
-		logic.Ule(logic.And2(pe, pc), pc), "e&c ≤ c")
-	def("band_le_self", []string{"$e", "$c"}, nil,
-		logic.Ule(logic.And2(pe, pc), pe), "e&c ≤ e")
-
-	// Rounding down to a multiple of 2^c never increases a value.
-	def("shr_shl_le", []string{"$e", "$c"}, nil,
-		logic.Ule(logic.Shl(logic.Shr(pe, pc), pc), pe),
-		"(e>>c)<<c ≤ e")
-
-	// Non-wrapping subtraction bound.
-	def("sub_le", []string{"$e", "$c"},
-		[]logic.Pred{logic.Ule(pc, pe)},
-		logic.Ule(logic.Sub(pe, pc), pe), "c≤e ⇒ e-c ≤ e")
-
-	// Monotonic addition without overflow: e≤a ∧ a ≤ MAX-b ⇒ e+b ≤ a+b.
-	def("add_le_mono", []string{"$e", "$a", "$b"},
-		[]logic.Pred{
-			logic.Ule(pe, pa),
-			logic.Ule(pa, logic.Sub(logic.C(^uint64(0)), pb)),
-		},
-		logic.Ule(logic.Add(pe, pb), logic.Add(pa, pb)),
-		"e≤a ∧ a≤MAX−b ⇒ e+b ≤ a+b")
-
-	// Alignment propagation through sums: when m has the form 2^k−1
-	// (expressed by the ground side condition m & (m+1) = 0), values
-	// divisible by 2^k stay divisible under ⊕ and ⊖. These discharge
-	// the "offset stays 8-byte aligned" obligations of loop bodies.
-	zero := logic.C(0)
-	alignPrems := func(l, r logic.Expr) []logic.Pred {
-		return []logic.Pred{
-			logic.Eq(logic.And2(l, pm), zero),
-			logic.Eq(logic.And2(r, pm), zero),
-			logic.Eq(logic.And2(pm, logic.Add(pm, logic.C(1))), zero),
-		}
-	}
-	def("align_add", []string{"$a", "$b", "$m"},
-		alignPrems(pa, pb),
-		logic.Eq(logic.And2(logic.Add(pa, pb), pm), zero),
-		"a,b ≡ 0 mod (m+1), m=2^k−1 ⇒ a⊕b ≡ 0")
-	def("align_sub", []string{"$a", "$b", "$m"},
-		alignPrems(pa, pb),
-		logic.Eq(logic.And2(logic.Sub(pa, pb), pm), zero),
-		"a,b ≡ 0 mod (m+1), m=2^k−1 ⇒ a⊖b ≡ 0")
-
-	// Contradictory orderings: used by the ex-falso search when a case
-	// split lands in an impossible branch.
-	def("eq_ne_absurd", ab,
-		[]logic.Pred{logic.Eq(pa, pb), logic.Ne(pa, pb)},
-		logic.False, "a=b ∧ a≠b ⇒ false")
-	def("lt_lt_absurd", ab,
-		[]logic.Pred{logic.Ult(pa, pb), logic.Ult(pb, pa)},
-		logic.False, "a<b ∧ b<a ⇒ false")
-
-	// Writable implies readable: the paper defines wr(a) as "an aligned
-	// location that can be safely read or written".
-	def("wr_rd", []string{"$e"},
-		[]logic.Pred{logic.WrP(pe)},
-		logic.RdP(pe), "wr(e) ⇒ rd(e)")
-
-	// Word-index bound: i < ⌈n/8⌉ ∧ n ≤ 2^63 ⇒ 8i < n. Discharges the
-	// VIEW-style subrange checks a safe-language compiler emits.
-	def("word_index_bound", []string{"$a", "$b"},
-		[]logic.Pred{
-			logic.Ult(pa, logic.Shr(logic.Add(pb, logic.C(7)), logic.C(3))),
-			logic.Ule(pb, logic.C(1<<63)),
-		},
-		logic.Ult(logic.Shl(pa, logic.C(3)), pb),
-		"i < (n+7)>>3 ∧ n ≤ 2^63 ⇒ i<<3 < n")
-
-	// McCarthy memory axioms. sel_upd_eq is folded by the normalizer;
-	// it is published anyway so hand-written proofs may use it.
-	def("sel_upd_eq", []string{"$m", "$a", "$v"}, nil,
-		logic.Eq(logic.SelE(logic.UpdE(pm, pa, pv), pa), pv),
-		"sel(upd(m,a,v),a) = v")
-	def("sel_upd_ne", []string{"$m", "$a", "$b", "$v"},
-		[]logic.Pred{logic.Ne(pa, pb)},
-		logic.Eq(logic.SelE(logic.UpdE(pm, pa, pv), pb), logic.SelE(pm, pb)),
-		"a≠b ⇒ sel(upd(m,a,v),b) = sel(m,b)")
-}
-
 // CheckError reports a proof that fails to check.
 type CheckError struct{ Msg string }
 
@@ -315,12 +164,8 @@ func checkErr(format string, args ...interface{}) error {
 // Check verifies that proof establishes goal (up to normalization),
 // using the base rule set. It is used in tests as an oracle
 // independent of the LF checker.
-func Check(proof Proof, goal logic.Pred) error { return CheckWith(proof, goal, nil) }
-
-// CheckWith is Check with additional (policy-published) axiom schemas
-// in scope.
-func CheckWith(proof Proof, goal logic.Pred, extra map[string]*Schema) error {
-	got, err := infer(proof, map[string]logic.Pred{}, extra)
+func Check(proof Proof, goal logic.Pred) error {
+	got, err := infer(proof, map[string]logic.Pred{}, nil)
 	if err != nil {
 		return err
 	}
@@ -330,26 +175,13 @@ func CheckWith(proof Proof, goal logic.Pred, extra map[string]*Schema) error {
 	return nil
 }
 
-// LookupAxiom resolves an axiom name against the base rule set plus an
-// optional extra set (extra wins on clash, which policy vetting
-// forbids anyway).
-func LookupAxiom(name string, extra map[string]*Schema) (*Schema, bool) {
-	if extra != nil {
-		if s, ok := extra[name]; ok {
-			return s, true
-		}
-	}
-	s, ok := Axioms[name]
-	return s, ok
-}
-
 func normAlphaEq(a, b logic.Pred) bool {
 	return logic.AlphaEqual(logic.NormPred(a), logic.NormPred(b))
 }
 
 // infer computes the predicate proved by a proof term under the
 // hypothesis context and axiom set.
-func infer(p Proof, ctx map[string]logic.Pred, extra map[string]*Schema) (logic.Pred, error) {
+func infer(p Proof, ctx map[string]logic.Pred, extra map[string]*logic.Schema) (logic.Pred, error) {
 	switch p := p.(type) {
 	case Hyp:
 		h, ok := ctx[p.Name]
@@ -515,7 +347,7 @@ func infer(p Proof, ctx map[string]logic.Pred, extra map[string]*Schema) (logic.
 		}
 		return p.Goal, nil
 	case Axiom:
-		s, ok := LookupAxiom(p.Name, extra)
+		s, ok := logic.LookupAxiom(p.Name, extra)
 		if !ok {
 			return nil, checkErr("unknown axiom %q", p.Name)
 		}
@@ -540,17 +372,5 @@ func infer(p Proof, ctx map[string]logic.Pred, extra map[string]*Schema) (logic.
 	return nil, checkErr("unknown proof node %T", p)
 }
 
-// Infer exposes type inference over closed proofs (used by the LF
-// encoder and by tests).
+// Infer exposes type inference over closed proofs (used by tests).
 func Infer(p Proof) (logic.Pred, error) { return infer(p, map[string]logic.Pred{}, nil) }
-
-// InferWith is Infer under an explicit hypothesis context; the LF
-// encoder uses it to annotate sub-proofs with their predicates.
-func InferWith(p Proof, hyps map[string]logic.Pred) (logic.Pred, error) {
-	return infer(p, hyps, nil)
-}
-
-// InferWithAxioms is InferWith with additional axiom schemas in scope.
-func InferWithAxioms(p Proof, hyps map[string]logic.Pred, extra map[string]*Schema) (logic.Pred, error) {
-	return infer(p, hyps, extra)
-}

@@ -31,7 +31,7 @@ type context struct {
 	inPath  map[string]bool // atomic goals on the current search path
 	hypVars map[string]bool // free variables of all hypotheses (AllI freshness)
 	split   map[int]bool    // disjunctive hypotheses already split on this path
-	extra   map[string]*Schema
+	extra   map[string]*logic.Schema
 }
 
 func newContext() *context {
@@ -128,7 +128,7 @@ func (c *context) deriveCmpFacts(r rule) {
 			}
 			if axiom != "" {
 				proof := Axiom{Name: axiom, Args: []logic.Expr{b.L, b.R}, Prems: []Proof{r.proof}}
-				concl := Axioms[axiom].Instantiate(Axioms[axiom].Concl, []logic.Expr{b.L, b.R})
+				concl := logic.Axioms[axiom].Instantiate(logic.Axioms[axiom].Concl, []logic.Expr{b.L, b.R})
 				c.rules = append(c.rules, rule{concl: concl, proof: proof})
 			}
 		}
@@ -171,7 +171,7 @@ func Prove(goal logic.Pred) (Proof, error) { return ProveWith(goal, nil) }
 // ProveWith is Prove with additional (policy-published) axiom schemas
 // available: the paper's "user-provided axioms", carried by the policy
 // so that the consumer's validator knows them too.
-func ProveWith(goal logic.Pred, extra map[string]*Schema) (Proof, error) {
+func ProveWith(goal logic.Pred, extra map[string]*logic.Schema) (Proof, error) {
 	ctx := newContext()
 	ctx.extra = extra
 	p, err := prove(logic.NormPred(goal), ctx, defaultDepth)

@@ -281,7 +281,7 @@ func TestAxiomSoundnessByEvaluation(t *testing.T) {
 	// axioms are excluded (sel/upd are not ground-evaluable).
 	rng := newSplitMix(0xfeed)
 	checked := 0
-	for name, s := range Axioms {
+	for name, s := range logic.Axioms {
 		// Axioms over the uninterpreted rd/wr/sel/upd symbols are not
 		// ground-evaluable; they are justified by the memory model
 		// directly (and exercised by the machine tests).
@@ -331,7 +331,7 @@ func TestAxiomSoundnessByEvaluation(t *testing.T) {
 
 // schemaEvaluable reports whether every premise and the conclusion of
 // a schema are ground-evaluable predicates.
-func schemaEvaluable(s *Schema) bool {
+func schemaEvaluable(s *logic.Schema) bool {
 	env := map[string]uint64{}
 	for _, p := range s.Params {
 		env[p] = 1

@@ -3,6 +3,7 @@ package pcc
 import (
 	"fmt"
 
+	"repro/internal/lf"
 	"repro/internal/logic"
 	"repro/internal/policy"
 	"repro/internal/prover"
@@ -20,14 +21,18 @@ import (
 // guaranteed safe whenever started in a state satisfying proposed.Pre
 // and, on termination, establishes proposed.Post. The consumer only
 // ever starts extensions in states satisfying base.Pre and relies on
-// base.Post afterwards. It is therefore sufficient to prove, with the
-// consumer's own prover over the published rules,
+// base.Post afterwards. It is therefore sufficient to prove, over the
+// published rules,
 //
 //	∀state. base.Pre ⇒ proposed.Pre      (the producer may assume less)
 //	∀state. proposed.Post ⇒ base.Post    (and must guarantee no less)
 //
-// On success the consumer may validate binaries against the proposed
-// policy; rejection returns the sub-goal the prover got stuck on.
+// The consumer's prover looks for each proof; the LF checker, the same
+// one that validates binaries, decides it under base's signature. The
+// prover is thus outside the trusted base here too: a wrong proof it
+// found would be refused. On success the consumer may validate
+// binaries against the proposed policy; rejection returns the sub-goal
+// the prover got stuck on, or the LF checker's error.
 func NegotiatePolicy(base, proposed *policy.Policy) error {
 	// Proposed proof rules must be machine-checkable: every schema is
 	// vetted against the 64-bit model before the consumer will publish
@@ -46,11 +51,11 @@ func NegotiatePolicy(base, proposed *policy.Policy) error {
 			}
 		}
 	}
-	if err := negotiateImp(base.Pre, proposed.Pre); err != nil {
+	if err := negotiateImp(base, base.Pre, proposed.Pre); err != nil {
 		return fmt.Errorf("pcc: negotiation: proposed precondition not implied by %q's: %w",
 			base.Name, err)
 	}
-	if err := negotiateImp(proposed.Post, base.Post); err != nil {
+	if err := negotiateImp(base, proposed.Post, base.Post); err != nil {
 		return fmt.Errorf("pcc: negotiation: proposed postcondition does not imply %q's: %w",
 			base.Name, err)
 	}
@@ -75,13 +80,26 @@ func schemaEvaluable(s *logic.Schema) bool {
 	return true
 }
 
-func negotiateImp(from, to logic.Pred) error {
+// negotiateImp finds a proof of ∀regs. from ⇒ to with the prover and
+// lets the LF checker decide it, under base's signature.
+func negotiateImp(base *policy.Policy, from, to logic.Pred) error {
 	goal := logic.NormPred(logic.AllOf(vcgen.RegNames(), logic.Implies(from, to)))
 	proof, err := prover.Prove(goal)
 	if err != nil {
 		return err
 	}
-	// Belt and braces: re-check the implication proof before trusting
-	// the negotiation.
-	return prover.Check(proof, goal)
+	term, err := prover.EncodeProof(prover.Simplify(proof), nil)
+	if err != nil {
+		return err
+	}
+	return checkImp(base, term, goal)
+}
+
+// checkImp is negotiation's verdict: term must be an LF proof of goal
+// under base's signature, within the default step and depth budgets.
+func checkImp(base *policy.Policy, term lf.Term, goal logic.Pred) error {
+	lim := DefaultLimits()
+	c := lf.NewChecker(signatureFor(base))
+	c.MaxSteps, c.MaxDepth = lim.MaxCheckSteps, lim.MaxTermDepth
+	return lf.ValidateProof(c, term, goal)
 }

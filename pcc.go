@@ -118,7 +118,7 @@ func CertifyProgram(prog []alpha.Instr, pol *policy.Policy, invariants map[int]l
 	proof = prover.Simplify(proof)
 	proveTime := time.Since(start)
 
-	term, err := lf.EncodeProofWith(proof, extra)
+	term, err := prover.EncodeProof(proof, extra)
 	if err != nil {
 		return nil, err
 	}
@@ -696,7 +696,7 @@ func VetAxioms(axioms []*logic.Schema, trials int) error {
 		if s.Name == "" {
 			return fmt.Errorf("pcc: axiom with empty name")
 		}
-		if _, clash := prover.Axioms[s.Name]; clash {
+		if _, clash := logic.Axioms[s.Name]; clash {
 			return fmt.Errorf("pcc: axiom %q clashes with the core rule set", s.Name)
 		}
 		if seen[s.Name] {

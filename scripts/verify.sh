@@ -45,6 +45,16 @@ go vet -atomic -copylocks ./internal/telemetry/ ./internal/kernel/ ./internal/ma
 echo '== go test -race ./...'
 go test -race ./...
 
+# The trusted base: the import closure of the packages a verdict rests
+# on must not reach the prover or the runtime. Print its size, so every
+# verify log shows it.
+echo '== trusted base closure'
+if ! closure=$(go test -count=1 -run='^TestTrustedBaseClosure$' -v .); then
+	echo "$closure" >&2
+	exit 1
+fi
+echo "$closure" | grep 'trusted base:'
+
 # The kernel's dispatch path is lock-free (epoch-pinned snapshot
 # reads, per-shard counters); rerun its suite under the race detector
 # at 1 and 4 schedulers so the torn-snapshot and reclamation tests see
@@ -95,9 +105,10 @@ go test -run='^$' -bench='DeliverWithRecorder|DeliverPacketState' -benchtime=1x 
 echo '== fuzz corpora smoke (seed corpora replay)'
 go test -run=Fuzz ./...
 
-# Engage the native fuzzing engine briefly on the two untrusted-input
-# parsers and on the three differential targets (random LF terms through
-# the sharing checker and the tree-rebuilding reference must agree;
+# Engage the native fuzzing engine briefly on the binary decoder, which
+# parses the producer's untrusted bytes, and on the three differential
+# targets (random LF terms through the sharing checker and the
+# tree-rebuilding reference must agree;
 # random program bytes through the sharing VC generator and the
 # whole-tree-normalizing reference must agree; random programs through
 # interpreter and compiled backend must agree;
@@ -105,7 +116,6 @@ go test -run=Fuzz ./...
 # already covered above).
 echo '== native fuzz smoke (5s per target)'
 go test -fuzz=FuzzDecodeBinary -fuzztime=5s -run='^$' ./internal/pccbin/
-go test -fuzz=FuzzLFParse -fuzztime=5s -run='^$' ./internal/lf/
 go test -fuzz=FuzzLFDifferential -fuzztime=5s -run='^$' ./internal/lf/
 go test -fuzz=FuzzVCGenDifferential -fuzztime=5s -run='^$' ./internal/vcgen/
 go test -fuzz=FuzzCompiledDispatch -fuzztime=5s -run='^$' ./internal/machine/
